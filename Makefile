@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race race-scan bench bench-smoke bench-baseline bench-compare snapshot-verify sketch-verify stream-verify tiles-verify zonemap-verify load-smoke
+.PHONY: check vet build test race race-scan bench bench-smoke bench-baseline bench-compare snapshot-verify sketch-verify stream-verify tiles-verify zonemap-verify load-smoke perfbench perfbench-test
 
-check: vet build race race-scan bench-smoke bench-compare snapshot-verify sketch-verify stream-verify tiles-verify zonemap-verify load-smoke
+check: vet build race race-scan bench-smoke bench-compare snapshot-verify sketch-verify stream-verify tiles-verify zonemap-verify load-smoke perfbench-test
 
 vet:
 	$(GO) vet ./...
@@ -123,7 +123,8 @@ tiles-verify:
 # zonemap-verify is the end-to-end identity gate for the zone-map predicate
 # pushdown layer (DESIGN.md §15): a one-city bbox query rendered from a
 # quadkey-clustered zoned snapshot and from a canonical v2 snapshot, with
-# pushdown on and off, across fold parallelism {1,4,all} and scan batch
+# pushdown on (zone predicate plus a fold restricted to the bbox) and off,
+# across fold parallelism {1,4,all} and scan batch
 # {1, 4096, whole-file}, must be byte-identical to the in-memory fold —
 # and the clustered+pushdown scans must actually have skipped row groups.
 zonemap-verify:
@@ -136,3 +137,18 @@ zonemap-verify:
 # hot path broke, not that the machine was busy.
 load-smoke:
 	$(GO) run ./cmd/speedctx load -rows 60000 -conns 4 -batch 64 -min-rate 100000
+
+# perfbench runs one workload of the end-to-end benchmark declared in
+# BENCHMARK.json (perfbench/README.md), e.g.
+# `make perfbench WORKLOAD=ingest SEED=3 SECONDS=20`.
+WORKLOAD ?= tiles
+SEED ?= 1
+SECONDS ?= 20
+perfbench:
+	bash perfbench/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds $(SECONDS)
+
+# perfbench-test runs the benchmark module's own tests (every workload at
+# tiny sizes, each correctness check against a corrupted output) offline
+# against the checked-in sources.
+perfbench-test:
+	cd perfbench && GOPROXY=off GOFLAGS=-mod=readonly $(GO) test .

@@ -131,6 +131,14 @@ func runZonemapVerify(args []string, out io.Writer) error {
 						return err
 					}
 					ix := tilequery.NewIndex(cfg)
+					if push {
+						// Like the serving path, pushdown pairs the zone
+						// predicate with a fold restricted to the bbox.
+						if err := ix.Reset(q.Range); err != nil {
+							src.Close()
+							return err
+						}
+					}
 					_, err = ix.AddScan(sc)
 					ctr := sc.Counters()
 					src.Close()

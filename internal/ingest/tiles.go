@@ -51,12 +51,18 @@ type tileServer struct {
 	blocksScanned int64
 	refolds       uint64
 
+	// push is the bbox serving path's index, reset and restricted to each
+	// query's range; its placement memo persists across queries.
+	push *tilequery.Index
+
 	// Predicate-pushdown accounting for the bbox serving path (DESIGN.md
 	// §15): per-query totals and the per-city split, attributed by which
 	// city's user box the query bbox intersects.
-	pushQueries  uint64
-	pushSkipHits uint64 // queries that skipped at least one row group
-	pushByCity   map[string]*cityPushStats
+	pushQueries      uint64
+	pushSkipHits     uint64 // queries that skipped at least one row group
+	pushRowsFolded   int64  // scanned rows inside the query range
+	pushRowsFiltered int64  // scanned rows the range restriction dropped
+	pushByCity       map[string]*cityPushStats
 }
 
 // cityPushStats is one city's pushdown tally.
@@ -71,6 +77,7 @@ func newTileServer(dir string, cfg tilequery.Config, cacheTiles, batchRows int, 
 		dir:        dir,
 		cfg:        cfg,
 		eng:        tilequery.NewEngine(cfg, cacheTiles),
+		push:       tilequery.NewIndex(cfg),
 		folded:     make(map[string]bool),
 		batchRows:  batchRows,
 		cities:     cities,
@@ -153,13 +160,14 @@ func (ts *tileServer) foldSegment(name string) error {
 }
 
 // tilesPushdown answers one bbox query by streaming the current segment
-// set into a fresh index with the bbox predicate pushed into each scanner
-// (DESIGN.md §15): row groups of clustered segments whose quadkey zone
-// ranges cannot intersect the bbox are seeked past instead of decoded.
-// Skipped groups hold only rows placed outside the queried rectangle, so
-// the rendered tiles are byte-identical to the engine path's. Unclustered
-// (v2) segments carry no zone maps and stream whole — the predicate is
-// purely an accelerator. Callers hold ts.mu.
+// set into the pushdown index, reset and restricted to the query's range,
+// with the bbox predicate pushed into each scanner (DESIGN.md §15): row
+// groups of clustered segments whose quadkey zone ranges cannot intersect
+// the bbox are seeked past instead of decoded, and rows of scanned groups
+// placed outside the range are dropped before they reach an accumulator.
+// Both only remove rows of tiles outside the queried rectangle, so the
+// rendered tiles are byte-identical to the engine path's. Unclustered (v2)
+// segments carry no zone maps and stream whole. Callers hold ts.mu.
 func (ts *tileServer) tilesPushdown(query tilequery.Query) ([]opendata.ContextTile, error) {
 	entries, err := os.ReadDir(ts.dir)
 	if err != nil {
@@ -174,7 +182,10 @@ func (ts *tileServer) tilesPushdown(query tilequery.Query) ([]opendata.ContextTi
 	sort.Strings(names)
 	sel := tileSelection
 	sel.Predicate = ts.cfg.Pushdown(query.Range)
-	ix := tilequery.NewIndex(ts.cfg)
+	ix := ts.push
+	if err := ix.Reset(query.Range); err != nil {
+		return nil, err
+	}
 	var scanned, skipped int64
 	for _, name := range names {
 		ctr, err := ts.scanSegmentInto(ix, name, sel)
@@ -192,6 +203,8 @@ func (ts *tileServer) tilesPushdown(query tilequery.Query) ([]opendata.ContextTi
 	if skipped > 0 {
 		ts.pushSkipHits++
 	}
+	ts.pushRowsFolded += int64(ix.RowCount())
+	ts.pushRowsFiltered += int64(ix.FilteredRows())
 	city := ts.cityFor(query.Range)
 	st := ts.pushByCity[city]
 	if st == nil {
@@ -249,9 +262,11 @@ type tileStats struct {
 	ColsSkipped   int64
 	BlocksScanned int64
 
-	PushQueries  uint64
-	PushSkipHits uint64
-	PushByCity   map[string]cityPushStats
+	PushQueries      uint64
+	PushSkipHits     uint64
+	PushRowsFolded   int64
+	PushRowsFiltered int64
+	PushByCity       map[string]cityPushStats
 }
 
 func (ts *tileServer) stats() tileStats {
@@ -262,15 +277,17 @@ func (ts *tileServer) stats() tileStats {
 		byCity[city] = *st
 	}
 	return tileStats{
-		EngineStats:   ts.eng.Stats(),
-		Segments:      len(ts.folded),
-		Refolds:       ts.refolds,
-		ColsDecoded:   ts.colsDecoded,
-		ColsSkipped:   ts.colsSkipped,
-		BlocksScanned: ts.blocksScanned,
-		PushQueries:   ts.pushQueries,
-		PushSkipHits:  ts.pushSkipHits,
-		PushByCity:    byCity,
+		EngineStats:      ts.eng.Stats(),
+		Segments:         len(ts.folded),
+		Refolds:          ts.refolds,
+		ColsDecoded:      ts.colsDecoded,
+		ColsSkipped:      ts.colsSkipped,
+		BlocksScanned:    ts.blocksScanned,
+		PushQueries:      ts.pushQueries,
+		PushSkipHits:     ts.pushSkipHits,
+		PushRowsFolded:   ts.pushRowsFolded,
+		PushRowsFiltered: ts.pushRowsFiltered,
+		PushByCity:       byCity,
 	}
 }
 
@@ -397,6 +414,10 @@ func appendTileStats(out []byte, st tileStats) []byte {
 		rate = float64(st.PushSkipHits) / float64(st.PushQueries)
 	}
 	out = strconv.AppendFloat(out, rate, 'f', 3, 64)
+	out = append(out, `,"rows_folded":`...)
+	out = strconv.AppendInt(out, st.PushRowsFolded, 10)
+	out = append(out, `,"rows_filtered":`...)
+	out = strconv.AppendInt(out, st.PushRowsFiltered, 10)
 	out = append(out, `,"cities":{`...)
 	cities := make([]string, 0, len(st.PushByCity))
 	for city := range st.PushByCity {

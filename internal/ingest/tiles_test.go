@@ -2,12 +2,16 @@ package ingest
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"speedctx/internal/dataset"
 	"speedctx/internal/opendata"
 	"speedctx/internal/tilequery"
 )
@@ -290,4 +294,216 @@ func TestTilesPushdownClustered(t *testing.T) {
 	if st2 := srv2.tiles.stats(); st2.PushQueries != 1 || st2.PushSkipHits != 0 {
 		t.Fatalf("unclustered pushdown counters: %+v", st2)
 	}
+}
+
+// TestTilesPushdownMixedStore runs an interleaved bbox query sequence over
+// the store shape the serving path sees in production: a clustered
+// compacted snapshot plus two unzoned fresh segments. Every response —
+// pushdown, push=0, roll-up — must equal the in-memory fold of the same
+// rows, the pushdown /statsz counters must account every query and every
+// row its scans yielded, and a neighbourhood query must drop rows before
+// they reach an accumulator.
+func TestTilesPushdownMixedStore(t *testing.T) {
+	cls, rows := loadClassifiers(t)
+	dir := t.TempDir()
+	ts1, _, p1 := startServer(t, dir, PipelineConfig{}, cls)
+	client := ts1.Client()
+	for i := range rows {
+		postOne(t, client, ts1.URL, &rows[i])
+	}
+	ts1.Close()
+	if err := p1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := CompactWith(dir, CompactOptions{ClusterZoom: opendata.TileZoom, ZoneBlockRows: 16}); err != nil {
+		t.Fatal(err)
+	}
+	// Every other fixture row again, sealed unclustered into two segments.
+	var fresh []dataset.IngestRow
+	for i := 0; i < len(rows); i += 2 {
+		fresh = append(fresh, rows[i])
+	}
+	ts, srv, p := startServer(t, dir, PipelineConfig{BatchRows: (len(fresh) + 1) / 2, MaxBatchAge: -1}, cls)
+	defer ts.Close()
+	client = ts.Client()
+	for i := range fresh {
+		postOne(t, client, ts.URL, &fresh[i])
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if names := segmentNames(t, dir); len(names) != 3 {
+		t.Fatalf("store holds %d segments, want the compacted one plus two fresh: %v", len(names), names)
+	}
+
+	ref := tilequery.NewIndex(tilequery.Config{})
+	for _, set := range [][]dataset.IngestRow{rows, fresh} {
+		exp := &tilequery.Rows{}
+		for i := range set {
+			r := &set[i]
+			exp.UserID = append(exp.UserID, r.UserID)
+			exp.City = append(exp.City, r.City)
+			exp.Download = append(exp.Download, r.DownloadMbps)
+			exp.Upload = append(exp.Upload, r.UploadMbps)
+			exp.Latency = append(exp.Latency, r.LatencyMs)
+			exp.Tier = append(exp.Tier, cls[r.City].ClassifyOne(r.DownloadMbps, r.UploadMbps).Tier)
+		}
+		if _, err := ref.AddRows(exp); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	type tq struct {
+		zoom   int
+		bbox   [4]float64 // zero = no bbox
+		push   bool
+		metric string
+	}
+	around := func(lat, lon, d float64) [4]float64 { return [4]float64{lat - d, lon - d, lat + d, lon + d} }
+	var seq []tq
+	for k, r := range []dataset.IngestRow{rows[0], rows[len(rows)-1], rows[0]} {
+		loc := opendata.UserLocation(opendata.CityCenter(r.City), opendata.DefaultLocSeed, r.UserID)
+		c := opendata.CityCenter(r.City)
+		seq = append(seq,
+			tq{zoom: 16, bbox: around(loc.Lat, loc.Lon, 0.001), push: true},
+			tq{zoom: 12},
+			tq{zoom: 12, bbox: around(c.Lat, c.Lon, 0.11), push: k != 1},
+			tq{zoom: 16, bbox: around(loc.Lat, loc.Lon, 0.001), push: false},
+			tq{zoom: 14, bbox: around(c.Lat+0.03, c.Lon-0.03, 0.03), push: true, metric: "download"},
+			tq{zoom: 16},
+		)
+	}
+
+	pushdownStats := func() (queries uint64, folded, filtered int64) {
+		st := srv.tiles.stats()
+		return st.PushQueries, st.PushRowsFolded, st.PushRowsFiltered
+	}
+	var wantQueries, wantSkipHits, wantYield int64
+	for i, q := range seq {
+		params := fmt.Sprintf("?zoom=%d", q.zoom)
+		query := tilequery.Query{Zoom: q.zoom}
+		if q.bbox != [4]float64{} {
+			params += fmt.Sprintf("&bbox=%g,%g,%g,%g", q.bbox[0], q.bbox[1], q.bbox[2], q.bbox[3])
+			rng, err := opendata.TileRangeForBBox(q.bbox[0], q.bbox[1], q.bbox[2], q.bbox[3], q.zoom)
+			if err != nil {
+				t.Fatal(err)
+			}
+			query.Range = &rng
+			if !q.push {
+				params += "&push=0"
+			}
+		}
+		if q.metric != "" {
+			params += "&metric=" + q.metric
+		}
+		tiles, err := ref.Tiles(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := tilequery.AppendTilesJSON(nil, q.zoom, tiles, q.metric)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, '\n')
+
+		q0, f0, d0 := pushdownStats()
+		code, got := getTiles(t, client, ts.URL, params)
+		if code != http.StatusOK {
+			t.Fatalf("query %d %s = %d: %s", i, params, code, got)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("query %d %s: response differs from the in-memory fold", i, params)
+		}
+		q1, f1, d1 := pushdownStats()
+		pushed := query.Range != nil && q.push
+		if !pushed {
+			if q1 != q0 || f1 != f0 || d1 != d0 {
+				t.Fatalf("query %d %s: engine-path query moved the pushdown counters", i, params)
+			}
+			continue
+		}
+		if i == 0 && d1-d0 == 0 {
+			t.Fatalf("neighbourhood query %s filtered no rows", params)
+		}
+		sel := tileSelection
+		sel.Predicate = srv.tiles.cfg.Pushdown(query.Range)
+		yield, skipped := scanYield(t, dir, sel)
+		if f1-f0+d1-d0 != yield {
+			t.Fatalf("query %d %s: folded %d + filtered %d rows, scans yielded %d", i, params, f1-f0, d1-d0, yield)
+		}
+		wantQueries++
+		wantYield += yield
+		if skipped > 0 {
+			wantSkipHits++
+		}
+	}
+
+	resp, err := client.Get(ts.URL + "/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st struct {
+		Pushdown struct {
+			Queries      int64 `json:"queries"`
+			SkipHits     int64 `json:"skip_hits"`
+			RowsFolded   int64 `json:"rows_folded"`
+			RowsFiltered int64 `json:"rows_filtered"`
+		} `json:"pushdown"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	pd := st.Pushdown
+	if pd.Queries != wantQueries || pd.SkipHits != wantSkipHits {
+		t.Fatalf("statsz pushdown: %d queries, %d skip hits; want %d, %d", pd.Queries, pd.SkipHits, wantQueries, wantSkipHits)
+	}
+	if pd.SkipHits == 0 || pd.RowsFiltered == 0 {
+		t.Fatalf("statsz pushdown: %+v, want skips and filtered rows", pd)
+	}
+	if pd.RowsFolded+pd.RowsFiltered != wantYield {
+		t.Fatalf("statsz pushdown: folded %d + filtered %d rows, scans yielded %d", pd.RowsFolded, pd.RowsFiltered, wantYield)
+	}
+}
+
+// segmentNames lists the .sxc files of a segment directory.
+func segmentNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), segmentSuffix) {
+			names = append(names, e.Name())
+		}
+	}
+	return names
+}
+
+// scanYield drains every segment of dir under sel and returns the rows the
+// scans yielded and the row groups their zone maps skipped.
+func scanYield(t *testing.T, dir string, sel dataset.SnapshotSelection) (rows, skipped int64) {
+	t.Helper()
+	for _, name := range segmentNames(t, dir) {
+		src, err := dataset.OpenFileSource(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, err := dataset.NewBlockScanner(src, sel, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for sc.Scan() {
+			rows += int64(sc.Batch().Rows)
+		}
+		err = sc.Err()
+		src.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		skipped += int64(sc.Counters().BlocksSkipped)
+	}
+	return rows, skipped
 }

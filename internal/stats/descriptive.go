@@ -186,9 +186,9 @@ func (e *ECDF) Points(n int) []Point {
 	for i := 0; i < n; i++ {
 		// Sample order statistics at evenly spaced ranks, always
 		// including the last.
-		idx := i * (m - 1) / (n - 1)
-		if n == 1 {
-			idx = m - 1
+		idx := m - 1
+		if n > 1 {
+			idx = i * (m - 1) / (n - 1)
 		}
 		pts = append(pts, Point{
 			X: e.sorted[idx],

@@ -166,6 +166,36 @@ func TestECDFPoints(t *testing.T) {
 	}
 }
 
+// TestECDFPointsSmall covers the sizes where Points once divided by zero:
+// a single requested point, or a single observation.
+func TestECDFPointsSmall(t *testing.T) {
+	for _, m := range []int{1, 2, 5} {
+		xs := make([]float64, m)
+		for i := range xs {
+			xs[i] = float64(m - i)
+		}
+		e := NewECDF(xs)
+		for _, n := range []int{0, 1, 2, m, m + 1} {
+			pts := e.Points(n)
+			want := n
+			if n <= 0 || n > m {
+				want = m
+			}
+			if len(pts) != want {
+				t.Fatalf("m=%d n=%d: %d points, want %d", m, n, len(pts), want)
+			}
+			if last := pts[len(pts)-1]; last.X != float64(m) || last.Y != 1 {
+				t.Errorf("m=%d n=%d: last point %+v, want rank %d at (%d, 1)", m, n, last, m, m)
+			}
+			for _, p := range pts {
+				if p.Y <= 0 || p.Y > 1 {
+					t.Errorf("m=%d n=%d: Y = %v outside (0, 1]", m, n, p.Y)
+				}
+			}
+		}
+	}
+}
+
 func TestECDFMonotoneProperty(t *testing.T) {
 	f := func(raw []float64, a, b float64) bool {
 		xs := sanitize(raw)

@@ -74,11 +74,11 @@ func (e *Engine) AddRows(rows *Rows) error {
 	return nil
 }
 
-// Reset discards the index and starts a fresh one under the same config
-// (used when a segment directory is compacted out from under a server).
-// The result cache need not be dropped: entries of the dead index become
-// unreachable as generations restart only if keys collide, so Reset
-// replaces the cache too, keeping the correctness argument trivial.
+// Reset empties the index, keeping its placement memo (used when a
+// segment directory is compacted out from under a server). The result
+// cache need not be dropped: entries of the dead index become unreachable
+// as generations restart only if keys collide, so Reset replaces the cache
+// too, keeping the correctness argument trivial.
 func (e *Engine) Reset() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -86,7 +86,7 @@ func (e *Engine) Reset() {
 	if cap < DefaultCacheTiles {
 		cap = DefaultCacheTiles
 	}
-	e.ix = NewIndex(e.ix.cfg)
+	_ = e.ix.Reset(nil) // an unrestricted Reset cannot fail
 	e.cache = fitcache.New(cap)
 }
 

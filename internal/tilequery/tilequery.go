@@ -183,17 +183,53 @@ func (a *tileAcc) merge(b *tileAcc) {
 // Index holds the per-tile accumulators of every row folded so far, keyed
 // by packed quadkey at the base zoom.
 type Index struct {
-	cfg   Config
-	gen   uint64
-	rows  int
-	tiles map[uint64]*tileAcc
-	keys  []uint64
-	dirty bool
+	cfg      Config
+	gen      uint64
+	rows     int
+	filtered int
+	tiles    map[uint64]*tileAcc
+	keys     []uint64
+	dirty    bool
+
+	// restrict, when non-nil, drops every row whose base tile, shifted
+	// right by shift bits (rolled up to restrict.Zoom), lies outside it —
+	// see Reset.
+	restrict *opendata.TileRange
+	shift    uint
+
+	// memo is the placement memo of the serial fold path. It outlives
+	// AddRows calls and Resets: placements are pure in the config.
+	memo placeMemo
 }
 
 // NewIndex returns an empty index under cfg.
 func NewIndex(cfg Config) *Index {
 	return &Index{cfg: cfg.withDefaults(), tiles: map[uint64]*tileAcc{}}
+}
+
+// Reset empties the index and restricts every later fold to rows whose
+// base tile rolls up into r (nil = no restriction): a dropped row never
+// reaches an accumulator. Each user places on exactly one tile, so
+// dropping rows drops whole tiles and Tiles over r renders the same bytes
+// as an unrestricted fold of the same rows would. The placement memo
+// survives, so a reset-and-refold pays each user's placement once per
+// index lifetime. A restricted index answers only queries whose Range is
+// exactly r; any other query is an error.
+func (ix *Index) Reset(r *opendata.TileRange) error {
+	var shift uint
+	if r != nil {
+		if r.Zoom < 0 || r.Zoom > ix.cfg.Zoom {
+			return fmt.Errorf("tilequery: restriction zoom %d outside [0, %d]", r.Zoom, ix.cfg.Zoom)
+		}
+		rc := *r
+		r = &rc
+		shift = 2 * uint(ix.cfg.Zoom-r.Zoom)
+	}
+	ix.gen, ix.rows, ix.filtered = 0, 0, 0
+	ix.tiles = map[uint64]*tileAcc{}
+	ix.keys, ix.dirty = nil, false
+	ix.restrict, ix.shift = r, shift
+	return nil
 }
 
 // Zoom returns the base aggregation zoom.
@@ -202,8 +238,12 @@ func (ix *Index) Zoom() int { return ix.cfg.Zoom }
 // Gen returns the fold generation — it bumps once per AddRows call.
 func (ix *Index) Gen() uint64 { return ix.gen }
 
-// RowCount returns the total rows folded.
+// RowCount returns the rows folded into accumulators since the last Reset.
 func (ix *Index) RowCount() int { return ix.rows }
+
+// FilteredRows returns the rows the restriction dropped since the last
+// Reset.
+func (ix *Index) FilteredRows() int { return ix.filtered }
 
 // TileCount returns the number of non-empty base tiles.
 func (ix *Index) TileCount() int { return len(ix.tiles) }
@@ -221,18 +261,92 @@ const aggChunkRows = 1 << 17
 // an arbitrarily large slice.
 const denseUserCap = 1 << 16
 
-// cityFold is one city's per-user placement memo inside a chunk fold.
-type cityFold struct {
-	dense  []*tileAcc
-	sparse map[int]*tileAcc
+// placeMemo maps (city, user) to the user's placement. Each foldChunk call
+// is one pass; slots written in earlier passes keep their tile key but not
+// their accumulator.
+type placeMemo struct {
+	pass uint64
+	// accs holds the current pass's accumulators, indexed by userSlot.acc;
+	// entry 0 stays nil and marks a dropped user. It is emptied when the
+	// pass ends, so the memo never keeps a finished fold's partials alive.
+	accs []*tileAcc
+	// Cities per fold are few (one per configured model), so a
+	// move-to-front list beats a string-keyed map for the per-row
+	// city → memo step: same-string compares shortcut on the shared
+	// backing pointer.
+	cities []*cityMemo
+}
+
+// cityMemo is one city's per-user slots.
+type cityMemo struct {
+	name   string
+	dense  []userSlot
+	sparse map[int]*userSlot
+}
+
+// userSlot is one user's memo entry. key is the packed base-tile key plus
+// one (0 = not placed yet): a pure function of (city, LocSeed, base zoom,
+// user), so it never goes stale. acc indexes the user's accumulator in
+// placeMemo.accs — 0 when the restriction drops the user — and is
+// meaningless once pass has moved on.
+type userSlot struct {
+	key  uint64
+	pass uint64
+	acc  int32
+}
+
+// city returns name's memo, moving it to the front of the list.
+func (m *placeMemo) city(name string) *cityMemo {
+	for j, cm := range m.cities {
+		if cm.name == name {
+			m.cities[0], m.cities[j] = cm, m.cities[0]
+			return cm
+		}
+	}
+	cm := &cityMemo{name: name}
+	m.cities = append([]*cityMemo{cm}, m.cities...)
+	return cm
+}
+
+// slot returns user's slot, growing the dense slice or falling back to
+// the sparse map as needed.
+func (cm *cityMemo) slot(user int) *userSlot {
+	if user >= 0 && user < denseUserCap {
+		if user >= len(cm.dense) {
+			grown := make([]userSlot, min(denseUserCap, max(user+1, 2*len(cm.dense), 1024)))
+			copy(grown, cm.dense)
+			cm.dense = grown
+		}
+		return &cm.dense[user]
+	}
+	s := cm.sparse[user]
+	if s == nil {
+		if cm.sparse == nil {
+			cm.sparse = map[int]*userSlot{}
+		}
+		s = &userSlot{}
+		cm.sparse[user] = s
+	}
+	return s
+}
+
+// chunkFold is one foldChunk result: the partial tile map and the count of
+// rows the restriction dropped.
+type chunkFold struct {
+	tiles    map[uint64]*tileAcc
+	filtered int
 }
 
 // AddRows folds a row batch into the index and returns the number of
-// distinct base tiles the batch touched. The fold fans out over
-// internal/parallel in fixed chunks; because accumulators are
+// distinct base tiles the batch touched. Because accumulators are
 // integer-exact, the index state after the fold is a pure function of the
 // row multiset — identical at every Parallelism setting and however the
 // same rows are split across AddRows calls.
+//
+// A batch of at most one chunk (every scanner batch) folds inline against
+// the index's persistent placement memo. A larger batch fans out over
+// internal/parallel in fixed chunks, each with a memo of its own, so
+// concurrent chunks never write shared state.
 func (ix *Index) AddRows(rows *Rows) (int, error) {
 	if err := rows.validate(); err != nil {
 		return 0, err
@@ -242,15 +356,22 @@ func (ix *Index) AddRows(rows *Rows) (int, error) {
 		return 0, nil
 	}
 	ix.gen++
-	partials := parallel.MapChunks(ix.cfg.Parallelism, n, aggChunkRows,
-		func(_, lo, hi int) map[uint64]*tileAcc {
-			return ix.foldChunk(rows, lo, hi)
-		})
+	var partials []chunkFold
+	if n <= aggChunkRows {
+		partials = []chunkFold{ix.foldChunk(rows, 0, n, &ix.memo)}
+	} else {
+		partials = parallel.MapChunks(ix.cfg.Parallelism, n, aggChunkRows,
+			func(_, lo, hi int) chunkFold {
+				return ix.foldChunk(rows, lo, hi, &placeMemo{})
+			})
+	}
 	touched := 0
 	for _, part := range partials {
+		ix.filtered += part.filtered
+		n -= part.filtered
 		// Map iteration order is random, and that is fine: merging integer
 		// accumulators commutes.
-		for key, acc := range part {
+		for key, acc := range part.tiles {
 			dst := ix.tiles[key]
 			if dst == nil {
 				ix.tiles[key] = acc
@@ -270,28 +391,25 @@ func (ix *Index) AddRows(rows *Rows) (int, error) {
 	return touched, nil
 }
 
-// foldChunk accumulates rows [lo, hi) into a fresh partial map.
+// foldChunk accumulates rows [lo, hi) into a fresh partial map, as one
+// pass over memo.
 //
 // A user's placement is pure in (city, LocSeed, userID), so each distinct
 // user pins exactly one base tile: the hash + Web-Mercator trig runs once
-// per user, not once per row, and repeat rows resolve to their accumulator
-// through a single integer map lookup. The memo also remembers that the
-// user's id is already in the tile's device set, so repeat rows skip the
-// set insert too. Row order still cannot matter: the memo only short-cuts
-// recomputing pure functions and re-inserting set members.
-func (ix *Index) foldChunk(rows *Rows, lo, hi int) map[uint64]*tileAcc {
+// per user per memo, not once per row, and the first row of a user in a
+// pass settles the user's range test and accumulator for the rest of it.
+// The memo also remembers that the user's id is already in the tile's
+// device set, so repeat rows skip the set insert too. Row order still
+// cannot matter: the memo only short-cuts recomputing pure functions and
+// re-inserting set members.
+func (ix *Index) foldChunk(rows *Rows, lo, hi int, memo *placeMemo) chunkFold {
 	part := make(map[uint64]*tileAcc)
-	// Cities per fold are few (one per configured model), so a
-	// move-to-front linear cache beats a string-keyed map for the
-	// per-row city → memo step: same-string compares shortcut on the
-	// shared backing pointer.
-	type cityEntry struct {
-		name string
-		cf   *cityFold
-	}
+	memo.pass++
+	memo.accs = append(memo.accs[:0], nil)
 	var (
-		cities   []cityEntry
-		cf       *cityFold
+		pass     = memo.pass
+		filtered int
+		cm       *cityMemo
 		curCity  = "\x00"
 		users    = rows.UserID
 		cityCol  = rows.City
@@ -306,30 +424,24 @@ func (ix *Index) foldChunk(rows *Rows, lo, hi int) map[uint64]*tileAcc {
 		if cityCol != nil {
 			city = cityCol[i]
 		}
-		if city != curCity || cf == nil {
-			cf = nil
-			for j := range cities {
-				if cities[j].name == city {
-					cf = cities[j].cf
-					cities[0], cities[j] = cities[j], cities[0]
-					break
-				}
-			}
-			if cf == nil {
-				cf = &cityFold{}
-				cities = append([]cityEntry{{city, cf}}, cities...)
-			}
+		if city != curCity || cm == nil {
+			cm = memo.city(city)
 			curCity = city
 		}
 		user := users[i]
-		var acc *tileAcc
-		if user >= 0 && user < len(cf.dense) {
-			acc = cf.dense[user]
-		} else if cf.sparse != nil {
-			acc = cf.sparse[user]
+		var slot *userSlot
+		if user >= 0 && user < len(cm.dense) {
+			slot = &cm.dense[user]
+		} else {
+			slot = cm.slot(user)
 		}
+		if slot.pass != pass {
+			ix.placeUser(part, memo, slot, city, user)
+		}
+		acc := memo.accs[slot.acc]
 		if acc == nil {
-			acc = ix.placeUser(part, cf, city, user)
+			filtered++
+			continue
 		}
 		var latUs int64
 		if latency != nil {
@@ -346,35 +458,34 @@ func (ix *Index) foldChunk(rows *Rows, lo, hi int) map[uint64]*tileAcc {
 		acc.addRow(roundMilli(download[i]), roundMilli(upload[i]),
 			latUs, tier, hasTier, access)
 	}
-	return part
+	clear(memo.accs)
+	return chunkFold{tiles: part, filtered: filtered}
 }
 
-// placeUser computes a first-seen user's tile, records the user in its
-// device set, and memoizes the accumulator for the rest of the chunk.
-func (ix *Index) placeUser(part map[uint64]*tileAcc, cf *cityFold, city string, user int) *tileAcc {
-	loc := opendata.UserLocation(opendata.CityCenter(city), ix.cfg.LocSeed, user)
-	x, y := opendata.LatLonToTile(loc.Lat, loc.Lon, ix.cfg.Zoom)
-	key := opendata.PackQuadkey(x, y)
+// placeUser settles a user's first row of a pass: it places the user (once
+// per memo), applies the restriction with the same roll-up test groups
+// uses, and records the user in its tile's device set.
+func (ix *Index) placeUser(part map[uint64]*tileAcc, memo *placeMemo, s *userSlot, city string, user int) {
+	if s.key == 0 {
+		loc := opendata.UserLocation(opendata.CityCenter(city), ix.cfg.LocSeed, user)
+		x, y := opendata.LatLonToTile(loc.Lat, loc.Lon, ix.cfg.Zoom)
+		s.key = opendata.PackQuadkey(x, y) + 1
+	}
+	s.pass, s.acc = memo.pass, 0
+	key := s.key - 1
+	if r := ix.restrict; r != nil {
+		if x, y := opendata.UnpackQuadkey(key >> ix.shift); !r.Contains(x, y) {
+			return
+		}
+	}
 	acc := part[key]
 	if acc == nil {
 		acc = &tileAcc{devices: map[int]struct{}{}}
 		part[key] = acc
 	}
 	acc.devices[user] = struct{}{}
-	if user >= 0 && user < denseUserCap {
-		if user >= len(cf.dense) {
-			grown := make([]*tileAcc, min(denseUserCap, max(2*(user+1), 1024)))
-			copy(grown, cf.dense)
-			cf.dense = grown
-		}
-		cf.dense[user] = acc
-	} else {
-		if cf.sparse == nil {
-			cf.sparse = map[int]*tileAcc{}
-		}
-		cf.sparse[user] = acc
-	}
-	return acc
+	s.acc = int32(len(memo.accs))
+	memo.accs = append(memo.accs, acc)
 }
 
 // sortedKeys returns the packed tile keys in ascending order, rebuilding
@@ -413,6 +524,9 @@ func (ix *Index) groups(q Query) ([]group, int, error) {
 	}
 	if q.Range != nil && q.Range.Zoom != zoom {
 		return nil, 0, fmt.Errorf("tilequery: range zoom %d does not match query zoom %d", q.Range.Zoom, zoom)
+	}
+	if ix.restrict != nil && (q.Range == nil || *q.Range != *ix.restrict) {
+		return nil, 0, fmt.Errorf("tilequery: query range %v differs from the index restriction %v", q.Range, *ix.restrict)
 	}
 	shift := 2 * uint(ix.cfg.Zoom-zoom)
 	var out []group
