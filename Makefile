@@ -1,12 +1,14 @@
 # Developer entry points. `make check` is the PR gate: it must stay green
 # on every change (vet + build + race-clean tests + a benchmark smoke that
-# proves the perf harness still runs).
+# proves the perf harness still runs). The byte- and bit-identity gates of
+# the streamed scan, zone-map pushdown, sketch and tile layers are Go tests
+# (DESIGN.md §12-§15), so `race` and `race-scan` run them.
 
 GO ?= go
 
-.PHONY: check vet build test race race-scan bench bench-smoke bench-baseline bench-compare snapshot-verify sketch-verify stream-verify tiles-verify zonemap-verify load-smoke perfbench perfbench-test
+.PHONY: check vet build test race race-scan bench bench-smoke bench-baseline bench-compare snapshot-verify load-smoke perfbench perfbench-test
 
-check: vet build race race-scan bench-smoke bench-compare snapshot-verify sketch-verify stream-verify tiles-verify zonemap-verify load-smoke perfbench-test
+check: vet build race race-scan bench-smoke bench-compare snapshot-verify load-smoke perfbench-test
 
 vet:
 	$(GO) vet ./...
@@ -91,44 +93,6 @@ snapshot-verify:
 	$(GO) run ./cmd/speedctx all -scale 0.005 -snapshot-dir $$dir/snaps > $$dir/warm.txt && \
 	cmp $$dir/plain.txt $$dir/cold.txt && cmp $$dir/plain.txt $$dir/warm.txt && \
 	rm -rf $$dir && echo "snapshot-verify: cold and warm snapshot runs byte-identical"
-
-# sketch-verify is the end-to-end determinism gate for mergeable sketches
-# (DESIGN.md §12): a BST refit from bin-mass sketches sharded across
-# {1,7,64} holders and merged in several orders must be byte-identical to
-# the single-pass fast fit over the raw samples — the property the ingest
-# refresh loop's correctness rests on. -stream extends the sweep to the
-# batched streamed-deposit path (DESIGN.md §14).
-sketch-verify:
-	$(GO) run ./cmd/speedctx sketch-verify -stream
-
-# stream-verify is the end-to-end identity gate for the streaming
-# block-scan layer (DESIGN.md §14): a synthesized ingest row set sealed
-# into {1,3}-segment .sxc layouts must produce byte-identical tiles,
-# bit-identical sketches, and byte-identical compacted snapshots whether
-# consumed streamed (at batch sizes {1, 4096, whole-file} and fold
-# parallelism {1, 4, all}) or fully materialized.
-stream-verify:
-	$(GO) run ./cmd/speedctx stream-verify
-
-# tiles-verify is the end-to-end identity gate for the geo-tiled aggregate
-# query layer (DESIGN.md §13): one city's tiles rendered from memory and
-# from a pruned .sxc snapshot scan, across parallelism {1,4,all}, cold and
-# through a warm result cache, must be byte-identical — and the snapshot
-# scan must actually have skipped the unrequested columns. It also pins
-# the streamed two-pass scan→classify→fold path (DESIGN.md §14) to the
-# same bytes at batch sizes {1, 4096, whole-file}.
-tiles-verify:
-	$(GO) run ./cmd/speedctx tiles -verify -scale 0.002
-
-# zonemap-verify is the end-to-end identity gate for the zone-map predicate
-# pushdown layer (DESIGN.md §15): a one-city bbox query rendered from a
-# quadkey-clustered zoned snapshot and from a canonical v2 snapshot, with
-# pushdown on (zone predicate plus a fold restricted to the bbox) and off,
-# across fold parallelism {1,4,all} and scan batch
-# {1, 4096, whole-file}, must be byte-identical to the in-memory fold —
-# and the clustered+pushdown scans must actually have skipped row groups.
-zonemap-verify:
-	$(GO) run ./cmd/speedctx zonemap-verify
 
 # load-smoke is the serving-path gate: a bounded self-hosted run of the
 # load generator through the real HTTP ingest server must complete with

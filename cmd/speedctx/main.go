@@ -9,9 +9,7 @@
 //	speedctx bst -city A [flags]
 //	speedctx all [flags]
 //	speedctx load [-addr HOST:PORT] [-rows N] [-conns N] [-batch N] [-min-rate R]
-//	speedctx tiles [-city A] [-zoom N] [-bbox ...] [-metric M] [-format json|csv] [-stream [-cluster-zoom N]] [-verify]
-//	speedctx stream-verify [-rows N]
-//	speedctx zonemap-verify [-rows N]
+//	speedctx tiles [-city A] [-zoom N] [-bbox ...] [-metric M] [-format json|csv] [-snapshot-dir DIR [-cluster-zoom N]]
 //
 // Common flags: -scale (fraction of the paper's dataset sizes, default
 // 0.02), -seed, -ascii (render figures as terminal charts), -par (worker
@@ -60,21 +58,9 @@ func run(args []string, out io.Writer) error {
 		// batch size, rate floor) — dispatch before the common flags.
 		return runLoad(rest, out)
 	}
-	if cmd == "sketch-verify" {
-		// The determinism gate likewise owns its flags (shard counts).
-		return runSketchVerify(rest, out)
-	}
 	if cmd == "tiles" {
-		// The tile query layer owns its flags (zoom, bbox, metric, verify).
+		// The tile query layer owns its flags (zoom, bbox, metric).
 		return runTiles(rest, out)
-	}
-	if cmd == "stream-verify" {
-		// The streaming-scan identity gate owns its flags (row count).
-		return runStreamVerify(rest, out)
-	}
-	if cmd == "zonemap-verify" {
-		// The zone-map pushdown identity gate owns its flags (row count).
-		return runZonemapVerify(rest, out)
 	}
 	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 	scale := fs.Float64("scale", 0.02, "fraction of the paper's dataset sizes")
@@ -127,7 +113,7 @@ func run(args []string, out io.Writer) error {
 }
 
 func usageError() error {
-	return fmt.Errorf("usage: speedctx <table|figure|generate|bst|challenge|all|load|sketch-verify|stream-verify|zonemap-verify|tiles> [args] [flags]")
+	return fmt.Errorf("usage: speedctx <table|figure|generate|bst|challenge|all|load|tiles> [args] [flags]")
 }
 
 // challengeFile runs the FCC challenge-evidence screen over an Ookla CSV

@@ -18,27 +18,25 @@ func runCLI(t *testing.T, args ...string) string {
 }
 
 func TestUsageErrors(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run(nil, &buf); err == nil {
-		t.Error("empty args should error")
-	}
-	if err := run([]string{"bogus"}, &buf); err == nil {
-		t.Error("unknown command should error")
-	}
-	if err := run([]string{"table"}, &buf); err == nil {
-		t.Error("table without id should error")
-	}
-	if err := run([]string{"table", "99"}, &buf); err == nil {
-		t.Error("unknown table should error")
-	}
-	if err := run([]string{"figure", "zz"}, &buf); err == nil {
-		t.Error("unknown figure should error")
-	}
-	if err := run([]string{"figure"}, &buf); err == nil {
-		t.Error("figure without id should error")
-	}
-	if err := run([]string{"bst", "-city", "Z"}, &buf); err == nil {
-		t.Error("unknown city should error")
+	for _, tc := range []struct {
+		why  string
+		args []string
+	}{
+		{"empty args", nil},
+		{"unknown command", []string{"bogus"}},
+		{"table without id", []string{"table"}},
+		{"unknown table", []string{"table", "99"}},
+		{"unknown figure", []string{"figure", "zz"}},
+		{"figure without id", []string{"figure"}},
+		{"unknown city", []string{"bst", "-city", "Z"}},
+		{"-metric with CSV output", []string{"tiles", "-format", "csv", "-metric", "download"}},
+		{"unknown tiles format", []string{"tiles", "-format", "xml"}},
+		{"-cluster-zoom without -snapshot-dir", []string{"tiles", "-cluster-zoom", "16"}},
+	} {
+		var buf bytes.Buffer
+		if err := run(tc.args, &buf); err == nil {
+			t.Errorf("%s (%v) should error", tc.why, tc.args)
+		}
 	}
 }
 

@@ -4,23 +4,17 @@
 //	speedctx tiles [-city A] [-scale 0.02] [-seed 2021] [-par 0]
 //	               [-zoom 16] [-bbox minLat,minLon,maxLat,maxLon]
 //	               [-metric download|upload|latency|tests|devices]
-//	               [-format json|csv] [-snapshot-dir DIR] [-verify]
-//	               [-stream [-cluster-zoom 16]]
+//	               [-format json|csv] [-snapshot-dir DIR [-cluster-zoom 16]]
 //
 // Without -snapshot-dir the city is generated in memory and aggregated;
-// with it, rows come from the city's .sxc snapshot through a pruned column
-// scan (five of sixteen Ookla columns decoded, everything else skipped by
-// seek). Both paths produce byte-identical output.
-//
-// -verify is the CI gate for that claim: it renders the city's tiles from
-// memory and from a freshly written snapshot, across parallelism 1, 4 and
-// all-CPUs, cold and through a warm result cache, and fails unless every
-// rendering is byte-identical and the snapshot scan really skipped the
-// unrequested columns.
+// with it, rows stream from the city's .sxc snapshot in bounded batches
+// (five of sixteen Ookla columns decoded, everything else skipped by
+// seek), classified and folded batch by batch (DESIGN.md §14). Both paths
+// produce byte-identical output; TestTileRowsSnapshotIdentity in
+// internal/experiments gates that.
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -45,25 +39,22 @@ func runTiles(args []string, out io.Writer) error {
 	bbox := fs.String("bbox", "", "restrict output to minLat,minLon,maxLat,maxLon")
 	metric := fs.String("metric", "", "single-metric projection: download|upload|latency|tests|devices (JSON only)")
 	format := fs.String("format", "json", "output format: json or csv")
-	snapDir := fs.String("snapshot-dir", "", "read rows from this .sxc snapshot directory via a pruned column scan (writing the snapshot on a miss) instead of keeping the city in memory")
-	stream := fs.Bool("stream", false, "with -snapshot-dir: fold the snapshot through the streaming block scanner in bounded batches instead of materializing the city columns (byte-identical output; DESIGN.md §14)")
-	scanBatch := fs.Int("scan-batch", 0, "rows per streamed scan batch for -stream (0 = default)")
-	clusterZoom := fs.Int("cluster-zoom", 0, "with -stream: write (or reuse) a quadkey-clustered zoned sibling of the snapshot at this zoom and push the -bbox predicate into its scan, skipping row groups outside the box (byte-identical output; DESIGN.md §15); 0 disables")
-	verify := fs.Bool("verify", false, "verify snapshot-vs-memory, parallelism and cache byte-identity, then exit")
+	snapDir := fs.String("snapshot-dir", "", "stream rows from this .sxc snapshot directory in bounded batches (writing the snapshot on a miss) instead of keeping the city in memory (byte-identical output; DESIGN.md §14)")
+	clusterZoom := fs.Int("cluster-zoom", 0, "with -snapshot-dir: write (or reuse) a quadkey-clustered zoned sibling of the snapshot at this zoom and push the -bbox predicate into its scan, skipping row groups outside the box (byte-identical output; DESIGN.md §15); 0 disables")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *verify {
-		return runTilesVerify(out, *city, *scale, *seed)
 	}
 	if *zoom < 1 || *zoom > opendata.TileZoom {
 		return fmt.Errorf("tiles: -zoom must be in [1, %d]", opendata.TileZoom)
 	}
-	if *stream && *snapDir == "" {
-		return fmt.Errorf("tiles: -stream needs -snapshot-dir (streaming scans a .sxc file)")
+	if *format != "json" && *format != "csv" {
+		return fmt.Errorf("tiles: unknown format %q", *format)
 	}
-	if *clusterZoom != 0 && !*stream {
-		return fmt.Errorf("tiles: -cluster-zoom needs -stream (pushdown seeks through a streamed scan)")
+	if *metric != "" && *format != "json" {
+		return fmt.Errorf("tiles: -metric projects JSON output only; drop it or use -format json")
+	}
+	if *clusterZoom != 0 && *snapDir == "" {
+		return fmt.Errorf("tiles: -cluster-zoom needs -snapshot-dir (pushdown seeks through a snapshot scan)")
 	}
 	if *clusterZoom < 0 || *clusterZoom > opendata.MaxZoom {
 		return fmt.Errorf("tiles: -cluster-zoom must be in [1, %d] (or 0 to disable)", opendata.MaxZoom)
@@ -78,36 +69,28 @@ func runTiles(args []string, out io.Writer) error {
 		q.Range = &rng
 	}
 
-	fitCfg := core.Config{Parallelism: *par, FastFit: true}
+	tqcfg := tilequery.Config{City: *city, Parallelism: *par}
 	var tiles []opendata.ContextTile
-	if *stream {
+	if *snapDir != "" {
+		fitCfg := core.Config{Parallelism: *par, FastFit: true}
 		path, err := ensureSnapshot(*snapDir, *city, *scale, *seed, fitCfg)
 		if err != nil {
 			return err
 		}
-		tqcfg := tilequery.Config{City: *city, Parallelism: *par}
-		var ix *tilequery.Index
-		var ctr dataset.DecodeCounters
+		// The fit always streams the original (order-dependent) file; with
+		// -cluster-zoom the fold streams the clustered zoned sibling.
+		scanPath := path
 		if *clusterZoom > 0 {
-			// Fit still streams the original (order-dependent) file; the fold
-			// streams the clustered zoned sibling with the bbox pushed down.
-			zpath, err := experiments.ClusterSnapshot(path, *clusterZoom, 0, 0)
-			if err != nil {
+			if scanPath, err = experiments.ClusterSnapshot(path, *clusterZoom, 0, 0); err != nil {
 				return err
 			}
-			ix, ctr, err = experiments.StreamTileIndexPushdown(path, zpath, *city, fitCfg, *scanBatch, tqcfg, q.Range)
-			if err != nil {
-				return err
-			}
-			if ctr.BlocksScanned+ctr.BlocksSkipped == 0 {
-				return fmt.Errorf("tiles: clustered scan bound no zone-mapped groups (%+v)", ctr)
-			}
-		} else {
-			var err error
-			ix, ctr, err = experiments.StreamTileIndex(path, *city, fitCfg, *scanBatch, tqcfg)
-			if err != nil {
-				return err
-			}
+		}
+		ix, ctr, err := experiments.StreamTileIndex(path, scanPath, *city, fitCfg, 0, tqcfg, q.Range)
+		if err != nil {
+			return err
+		}
+		if *clusterZoom > 0 && ctr.BlocksScanned+ctr.BlocksSkipped == 0 {
+			return fmt.Errorf("tiles: clustered scan bound no zone-mapped groups (%+v)", ctr)
 		}
 		if ctr.ColumnsSkipped == 0 || ctr.SectionsSkipped == 0 {
 			return fmt.Errorf("tiles: streamed snapshot scan skipped nothing (%+v)", ctr)
@@ -116,36 +99,26 @@ func runTiles(args []string, out io.Writer) error {
 			return err
 		}
 	} else {
-		var rows *tilequery.Rows
-		var err error
-		if *snapDir != "" {
-			rows, err = snapshotTileRows(*snapDir, *city, *scale, *seed, fitCfg)
-		} else {
-			s := experiments.NewSuite(*scale, *seed)
-			s.Parallelism = *par
-			s.FastFit = true
-			rows, err = s.TileRows(*city)
-		}
+		s := experiments.NewSuite(*scale, *seed)
+		s.Parallelism = *par
+		s.FastFit = true
+		rows, err := s.TileRows(*city)
 		if err != nil {
 			return err
 		}
-		if tiles, err = tilequery.Aggregate(rows, tilequery.Config{City: *city, Parallelism: *par}, q); err != nil {
+		if tiles, err = tilequery.Aggregate(rows, tqcfg, q); err != nil {
 			return err
 		}
 	}
-	switch *format {
-	case "csv":
+	if *format == "csv" {
 		return tilequery.WriteTilesCSV(out, tiles)
-	case "json":
-		buf, err := tilequery.AppendTilesJSON(nil, *zoom, tiles, *metric)
-		if err != nil {
-			return err
-		}
-		buf = append(buf, '\n')
-		_, err = out.Write(buf)
+	}
+	buf, err := tilequery.AppendTilesJSON(nil, *zoom, tiles, *metric)
+	if err != nil {
 		return err
 	}
-	return fmt.Errorf("tiles: unknown format %q", *format)
+	_, err = out.Write(append(buf, '\n'))
+	return err
 }
 
 // ensureSnapshot returns the path of the city's snapshot in dir,
@@ -167,23 +140,6 @@ func ensureSnapshot(dir, city string, scale float64, seed int64, fitCfg core.Con
 	return path, nil
 }
 
-// snapshotTileRows reads the tile row view from the city's snapshot via
-// ensureSnapshot, and insists the pruned scan skipped columns.
-func snapshotTileRows(dir, city string, scale float64, seed int64, fitCfg core.Config) (*tilequery.Rows, error) {
-	path, err := ensureSnapshot(dir, city, scale, seed, fitCfg)
-	if err != nil {
-		return nil, err
-	}
-	rows, ctr, err := experiments.TileRowsFromSnapshot(path, city, fitCfg)
-	if err != nil {
-		return nil, err
-	}
-	if ctr.ColumnsSkipped == 0 || ctr.SectionsSkipped == 0 {
-		return nil, fmt.Errorf("tiles: pruned snapshot scan skipped nothing (%+v)", ctr)
-	}
-	return rows, nil
-}
-
 func parseBBox(s string, zoom int) (opendata.TileRange, error) {
 	parts := strings.Split(s, ",")
 	if len(parts) != 4 {
@@ -198,161 +154,4 @@ func parseBBox(s string, zoom int) (opendata.TileRange, error) {
 		f[i] = v
 	}
 	return opendata.TileRangeForBBox(f[0], f[1], f[2], f[3], zoom)
-}
-
-// runTilesVerify is the `make check` gate (DESIGN.md §13): one city's
-// tiles rendered every way the layer supports must be byte-identical.
-func runTilesVerify(out io.Writer, city string, scale float64, seed int64) error {
-	pars := []int{1, 4, 0}
-	fmt.Fprintf(out, "tiles-verify: city %s scale %g seed %d, parallelism %v\n", city, scale, seed, pars)
-
-	// Reference: in-memory rows, serial fit, serial aggregation.
-	mem := experiments.NewSuite(scale, seed)
-	mem.Parallelism = 1
-	mem.FastFit = true
-	memRows, err := mem.TileRows(city)
-	if err != nil {
-		return err
-	}
-	var want []byte
-	renderAll := func(rows *tilequery.Rows, par int) ([]byte, error) {
-		eng := tilequery.NewEngine(tilequery.Config{City: city, Parallelism: par}, 0)
-		if err := eng.AddRows(rows); err != nil {
-			return nil, err
-		}
-		var buf []byte
-		for _, zoom := range []int{opendata.TileZoom, 12} {
-			cold, err := eng.Tiles(tilequery.Query{Zoom: zoom})
-			if err != nil {
-				return nil, err
-			}
-			warm, err := eng.Tiles(tilequery.Query{Zoom: zoom})
-			if err != nil {
-				return nil, err
-			}
-			cb, err := tilequery.AppendTilesJSON(nil, zoom, cold, "")
-			if err != nil {
-				return nil, err
-			}
-			wb, err := tilequery.AppendTilesJSON(nil, zoom, warm, "")
-			if err != nil {
-				return nil, err
-			}
-			if !bytes.Equal(cb, wb) {
-				return nil, fmt.Errorf("tiles-verify: zoom %d cold/warm cache renderings differ", zoom)
-			}
-			buf = append(buf, cb...)
-		}
-		if st := eng.Stats(); st.CacheHits == 0 {
-			return nil, fmt.Errorf("tiles-verify: warm pass hit no cache entries (%+v)", st)
-		}
-		return buf, nil
-	}
-	for _, par := range pars {
-		got, err := renderAll(memRows, par)
-		if err != nil {
-			return err
-		}
-		if want == nil {
-			want = got
-		} else if !bytes.Equal(got, want) {
-			return fmt.Errorf("tiles-verify: in-memory rendering differs at parallelism %d", par)
-		}
-	}
-	fmt.Fprintf(out, "tiles-verify: in-memory renderings identical (%d bytes, zooms 16+12, cold+warm)\n", len(want))
-
-	// Snapshot path: write the snapshot to a scratch store, pruned-scan it
-	// back, and re-render everything.
-	dir, err := os.MkdirTemp("", "speedctx-tiles-verify-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	snap := experiments.NewSuite(scale, seed)
-	snap.Parallelism = 1
-	snap.FastFit = true
-	snap.SnapshotDir = dir
-	if _, err := snap.City(city); err != nil {
-		return err
-	}
-	path := (&dataset.SnapshotStore{Dir: dir}).Path(dataset.SnapshotKey{City: city, Seed: seed, Scale: scale})
-	snapRows, ctr, err := experiments.TileRowsFromSnapshot(path, city, core.Config{Parallelism: 1, FastFit: true})
-	if err != nil {
-		return err
-	}
-	if ctr.ColumnsSkipped == 0 || ctr.SectionsSkipped == 0 {
-		return fmt.Errorf("tiles-verify: pruned snapshot scan skipped nothing (%+v)", ctr)
-	}
-	for _, par := range pars {
-		got, err := renderAll(snapRows, par)
-		if err != nil {
-			return err
-		}
-		if !bytes.Equal(got, want) {
-			return fmt.Errorf("tiles-verify: snapshot rendering differs at parallelism %d", par)
-		}
-	}
-	fmt.Fprintf(out, "tiles-verify: snapshot renderings identical (decoded %d columns, skipped %d columns / %d sections / %d bytes)\n",
-		ctr.ColumnsDecoded, ctr.ColumnsSkipped, ctr.SectionsSkipped, ctr.BytesSkipped)
-
-	// Streamed path (DESIGN.md §14): the batched scan→classify→fold must
-	// render the same bytes at every batch size and fold parallelism.
-	var streamWant []byte
-	for _, batch := range []int{1, 4096, 1 << 30} {
-		for _, par := range pars {
-			ix, sctr, err := experiments.StreamTileIndex(path, city,
-				core.Config{Parallelism: 1, FastFit: true}, batch,
-				tilequery.Config{City: city, Parallelism: par})
-			if err != nil {
-				return err
-			}
-			if sctr != ctr {
-				return fmt.Errorf("tiles-verify: streamed scan counters %+v differ from pruned decode's %+v", sctr, ctr)
-			}
-			var buf []byte
-			for _, zoom := range []int{opendata.TileZoom, 12} {
-				tiles, err := ix.Tiles(tilequery.Query{Zoom: zoom})
-				if err != nil {
-					return err
-				}
-				if buf, err = tilequery.AppendTilesJSON(buf, zoom, tiles, ""); err != nil {
-					return err
-				}
-			}
-			if streamWant == nil {
-				// The engine path rendered cold+warm pairs; the index path
-				// renders each zoom once, so compare streamed runs against
-				// the first streamed rendering and pin that against the
-				// engine rendering below.
-				streamWant = buf
-				continue
-			}
-			if !bytes.Equal(buf, streamWant) {
-				return fmt.Errorf("tiles-verify: streamed rendering differs at batch %d parallelism %d", batch, par)
-			}
-		}
-	}
-	// The engine renderings concatenate cold+warm passes per zoom; rebuild
-	// the same shape from the streamed bytes' single pass for the final
-	// cross-path identity check.
-	ixRef := tilequery.NewIndex(tilequery.Config{City: city, Parallelism: 1})
-	if _, err := ixRef.AddRows(snapRows); err != nil {
-		return err
-	}
-	var refBuf []byte
-	for _, zoom := range []int{opendata.TileZoom, 12} {
-		tiles, err := ixRef.Tiles(tilequery.Query{Zoom: zoom})
-		if err != nil {
-			return err
-		}
-		if refBuf, err = tilequery.AppendTilesJSON(refBuf, zoom, tiles, ""); err != nil {
-			return err
-		}
-	}
-	if !bytes.Equal(streamWant, refBuf) {
-		return fmt.Errorf("tiles-verify: streamed rendering differs from materialized index rendering")
-	}
-	fmt.Fprintf(out, "tiles-verify: streamed renderings identical (batch {1,4096,whole} x parallelism %v)\n", pars)
-	fmt.Fprintln(out, "tiles-verify: OK")
-	return nil
 }

@@ -49,6 +49,21 @@ type Addrs struct {
 	Ingest string
 }
 
+// Ingest listener timeouts. A client that has not finished its request
+// headers within ingestReadHeaderTimeout, or leaves a keep-alive
+// connection idle for ingestIdleTimeout, is disconnected. Bodies and
+// responses stay unbounded: large batch uploads and tile renders may take
+// longer than any fixed limit.
+const (
+	ingestReadHeaderTimeout = 10 * time.Second
+	ingestIdleTimeout       = 2 * time.Minute
+)
+
+// newIngestHTTPServer wraps the ingest handler in the listener's server.
+func newIngestHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: ingestReadHeaderTimeout, IdleTimeout: ingestIdleTimeout}
+}
+
 // started is called once every enabled server is listening. Test seam: the
 // smoke test swaps it to learn the ephemeral ports.
 var started = func(Addrs) {}
@@ -145,7 +160,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 			Tiles:          tilequery.Config{Zoom: *tileZoom, Parallelism: *tilePar},
 			TileCacheTiles: *tileCache,
 		})
-		httpSrv = &http.Server{Handler: ingestSrv.Handler()}
+		httpSrv = newIngestHTTPServer(ingestSrv.Handler())
 		bound.Ingest = ln.Addr().String()
 		logf("ingest listening on %s (%d city models, dir %s)", bound.Ingest, len(models), *ingestDir)
 		go func() { httpErr <- httpSrv.Serve(ln) }()

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -291,5 +293,38 @@ func TestDaemonLiveRefreshMatchesColdRestart(t *testing.T) {
 	}
 	if err := shutdown2(); err != nil {
 		t.Fatalf("shutdown: %v", err)
+	}
+}
+
+// TestIngestServerDropsStalledHeaders: the ingest listener disconnects a
+// client that stalls mid-header once the header timeout (shortened here)
+// expires, instead of holding the connection open.
+func TestIngestServerDropsStalledHeaders(t *testing.T) {
+	srv := newIngestHTTPServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != ingestReadHeaderTimeout || srv.IdleTimeout != ingestIdleTimeout {
+		t.Fatalf("server timeouts %v/%v, want %v/%v", srv.ReadHeaderTimeout, srv.IdleTimeout, ingestReadHeaderTimeout, ingestIdleTimeout)
+	}
+	srv.ReadHeaderTimeout = 100 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /v1/ingest HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	var ne net.Error
+	if _, err := io.ReadAll(conn); errors.As(err, &ne) && ne.Timeout() {
+		t.Fatal("server held a mid-header connection open past its header timeout")
 	}
 }

@@ -17,7 +17,7 @@ import (
 // however many rows have been ingested. Because sketch merging is exact
 // (integer mass addition), FitFromSketches over any sharding/merge order of
 // the same rows produces byte-identical Results — the property the ingest
-// refresh loop and `make sketch-verify` rely on.
+// refresh loop relies on (TestFitFromSketchesShardMergeDeterminism).
 
 // GridSpec is the grid key of one sketch axis: bins centers spanning
 // [Lo, Hi]. Two sketches merge only when their specs match bit-for-bit.

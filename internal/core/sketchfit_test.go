@@ -64,10 +64,13 @@ func TestFitFromSketchesShardMergeDeterminism(t *testing.T) {
 	tiers := len(cat.UploadTiers())
 	for _, shards := range []int{1, 7, 64} {
 		parts := shardTierSketches(t, res, samples, spec, shards)
-		orders := [][]int{make([]int, shards), make([]int, shards)}
+		// Identity, reversed, and an odd-stride interleave (stride 5 is
+		// coprime to every swept shard count, so it is a permutation).
+		orders := [][]int{make([]int, shards), make([]int, shards), make([]int, shards)}
 		for i := 0; i < shards; i++ {
 			orders[0][i] = i
 			orders[1][i] = shards - 1 - i
+			orders[2][i] = i * 5 % shards
 		}
 		for oi, order := range orders {
 			merged, err := NewTierSketches(spec, tiers)

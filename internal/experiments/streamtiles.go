@@ -45,40 +45,40 @@ var fitSampleSelection = dataset.SnapshotSelection{
 	Ookla: dataset.Cols(dataset.OoklaColDownload, dataset.OoklaColUpload),
 }
 
-// StreamTileIndex builds a city's tile index straight from a .sxc
-// snapshot file without ever materializing the city's columns
-// (DESIGN.md §14). Two bounded-memory passes over the file:
+// tileSnapshotSelection is the pruned projection the tile fold pass
+// reads: five of the sixteen Ookla columns, no other sections. The fit
+// pass reads fitSampleSelection instead.
+var tileSnapshotSelection = dataset.SnapshotSelection{
+	Ookla: dataset.Cols(
+		dataset.OoklaColUserID, dataset.OoklaColAccess,
+		dataset.OoklaColDownload, dataset.OoklaColUpload,
+		dataset.OoklaColLatency,
+	),
+}
+
+// StreamTileIndex builds a city's tile index straight from .sxc snapshot
+// files without ever materializing the city's columns (DESIGN.md §14).
+// Two bounded-memory passes:
 //
-//  1. Stream <download, upload> to collect the fit samples, fit the BST
-//     under cfg, and wrap the result in a classifier.
-//  2. Stream the five tile columns; each batch's rows are classified one
-//     by one (ClassifyOne ≡ the batch fit's assignments) and folded
-//     straight into the integer-exact accumulators.
+//  1. Stream <download, upload> from fitPath to collect the fit samples,
+//     fit the BST under cfg, and wrap the result in a classifier. fitPath
+//     must hold the rows in canonical (unclustered) order, because
+//     core.Fit is sample-order-dependent.
+//  2. Stream the five tile columns from scanPath — fitPath itself, or its
+//     quadkey-clustered zoned sibling (see ClusterSnapshot); each batch's
+//     rows are classified one by one (ClassifyOne ≡ the batch fit's
+//     assignments) and folded straight into the integer-exact
+//     accumulators. A non-nil rng is pushed into this scan as a zone
+//     predicate (DESIGN.md §15), so groups outside it are skipped by seek.
 //
 // Because accumulation is a pure function of the row multiset and
-// ClassifyOne is bit-identical to Fit's per-sample assignment, the
-// resulting index renders byte-identical tiles to Aggregate over
-// TileRowsFromSnapshot — at every batchRows (<= 0 selects the default)
-// and every tqcfg.Parallelism. The returned counters describe the second
-// (tile-column) pass, mirroring TileRowsFromSnapshot's.
-func StreamTileIndex(path, cityID string, cfg core.Config, batchRows int, tqcfg tilequery.Config) (*tilequery.Index, dataset.DecodeCounters, error) {
-	return streamTileIndex(path, path, cityID, cfg, batchRows, tqcfg, nil)
-}
-
-// StreamTileIndexPushdown is StreamTileIndex with the two paths split and
-// a bbox predicate pushed into the fold pass (DESIGN.md §15): fit samples
-// stream from fitPath — the file in canonical (unclustered) row order,
-// because core.Fit is sample-order-dependent — while the tile columns
-// stream from scanPath, normally the quadkey-clustered zoned sibling
-// (see ClusterSnapshot), with groups outside rng skipped by seek. Tiles
-// rendered for rng are byte-identical to the unpushed index's: skipped
-// groups hold only rows placed outside the rectangle. nil rng degrades to
-// StreamTileIndex over the split paths.
-func StreamTileIndexPushdown(fitPath, scanPath, cityID string, cfg core.Config, batchRows int, tqcfg tilequery.Config, rng *opendata.TileRange) (*tilequery.Index, dataset.DecodeCounters, error) {
-	return streamTileIndex(fitPath, scanPath, cityID, cfg, batchRows, tqcfg, tqcfg.Pushdown(rng))
-}
-
-func streamTileIndex(fitPath, scanPath, cityID string, cfg core.Config, batchRows int, tqcfg tilequery.Config, pred *dataset.ScanPredicate) (*tilequery.Index, dataset.DecodeCounters, error) {
+// ClassifyOne is bit-identical to Fit's per-sample assignment, the index
+// renders tiles byte-identical to Suite.TileRows + Aggregate over the
+// generated city — at every batchRows (<= 0 selects the default) and
+// every tqcfg.Parallelism; with rng set, that holds for tiles inside rng,
+// since skipped groups hold only rows placed outside it. The returned
+// counters describe the second (tile-column) pass.
+func StreamTileIndex(fitPath, scanPath, cityID string, cfg core.Config, batchRows int, tqcfg tilequery.Config, rng *opendata.TileRange) (*tilequery.Index, dataset.DecodeCounters, error) {
 	var ctr dataset.DecodeCounters
 	cat, ok := plans.ByCity(cityID)
 	if !ok {
@@ -132,7 +132,7 @@ func streamTileIndex(fitPath, scanPath, cityID string, cfg core.Config, batchRow
 	}
 	defer src.Close()
 	sel := tileSnapshotSelection
-	sel.Predicate = pred
+	sel.Predicate = tqcfg.Pushdown(rng)
 	sc, err = dataset.NewBlockScanner(src, sel, batchRows)
 	if err != nil {
 		return nil, ctr, err

@@ -1,12 +1,7 @@
 package experiments
 
 import (
-	"fmt"
-	"os"
-
 	"speedctx/internal/core"
-	"speedctx/internal/dataset"
-	"speedctx/internal/plans"
 	"speedctx/internal/tilequery"
 )
 
@@ -37,58 +32,4 @@ func (s *Suite) TileRows(cityID string) (*tilequery.Rows, error) {
 		Tier:     tiers,
 		Access:   c.Access,
 	}, nil
-}
-
-// tileSnapshotSelection is the pruned projection the snapshot-backed tile
-// path reads: five of the sixteen Ookla columns, no other sections. The
-// fit consumes Download/Upload, the tile accumulators the rest.
-var tileSnapshotSelection = dataset.SnapshotSelection{
-	Ookla: dataset.Cols(
-		dataset.OoklaColUserID, dataset.OoklaColAccess,
-		dataset.OoklaColDownload, dataset.OoklaColUpload,
-		dataset.OoklaColLatency,
-	),
-}
-
-// TileRowsFromSnapshot builds the same row view as TileRows straight from
-// a .sxc snapshot file via a pruned column scan, refitting tiers from the
-// decoded samples under cfg. Because snapshot round trips are value-exact
-// and the fit is deterministic, the result equals TileRows over the
-// generated city whenever (city, seed, scale, fit config) match. The
-// decode counters are returned so callers can assert the scan skipped the
-// unrequested columns.
-func TileRowsFromSnapshot(path, cityID string, cfg core.Config) (*tilequery.Rows, dataset.DecodeCounters, error) {
-	var ctr dataset.DecodeCounters
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, ctr, err
-	}
-	snap, ctr, err := dataset.DecodeCitySnapshotPruned(data, tileSnapshotSelection)
-	if err != nil {
-		return nil, ctr, err
-	}
-	if snap.Ookla == nil {
-		return nil, ctr, fmt.Errorf("experiments: snapshot %s carries no Ookla section", path)
-	}
-	cat, ok := plans.ByCity(cityID)
-	if !ok {
-		return nil, ctr, fmt.Errorf("experiments: unknown city %q", cityID)
-	}
-	o := snap.Ookla
-	res, err := core.Fit(pairSamples(o.Download, o.Upload), cat, cfg)
-	if err != nil {
-		return nil, ctr, err
-	}
-	tiers := make([]int, len(res.Assignments))
-	for i := range res.Assignments {
-		tiers[i] = res.Assignments[i].Tier
-	}
-	return &tilequery.Rows{
-		UserID:   o.UserID,
-		Download: o.Download,
-		Upload:   o.Upload,
-		Latency:  o.Latency,
-		Tier:     tiers,
-		Access:   o.Access,
-	}, ctr, nil
 }

@@ -340,7 +340,7 @@ func (s *Server) handleTiles(w http.ResponseWriter, r *http.Request) {
 
 	// A bbox query takes the predicate-pushdown scan path by default
 	// (?push=0 forces the engine path); both render identical bytes — the
-	// identity the zonemap-verify matrix gates.
+	// identity TestZoneMapPushdownIdentity gates.
 	push := query.Range != nil && q.Get("push") != "0"
 	ts.mu.Lock()
 	var err error

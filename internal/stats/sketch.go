@@ -217,7 +217,7 @@ func (s *Sketch) SameGrid(o *Sketch) bool {
 // Merge adds o's masses into s. The bins accumulate in ascending index
 // order, but because the masses are integers the result is independent of
 // merge order and of how the underlying sample was sharded — the property
-// the sketch-verify gate pins. Merging a sketch with a different grid key
+// TestSketchMergeDeterminism pins. Merging a sketch with a different grid key
 // returns ErrSketchGrid and leaves s unchanged.
 func (s *Sketch) Merge(o *Sketch) error {
 	if !s.SameGrid(o) {
