@@ -237,7 +237,7 @@ func runLoad(args []string, out io.Writer) error {
 		if err := pipe.Close(); err != nil {
 			return err
 		}
-		snap, err := ingest.Compact(segDir)
+		snap, err := ingest.CompactWith(segDir, ingest.CompactOptions{})
 		if err != nil {
 			return err
 		}

@@ -34,11 +34,10 @@ import (
 	"speedctx/internal/core"
 	"speedctx/internal/dataset"
 	"speedctx/internal/experiments"
-	"speedctx/internal/geo"
-	"speedctx/internal/opendata"
 	"speedctx/internal/parallel"
 	"speedctx/internal/plans"
 	"speedctx/internal/report"
+	"speedctx/internal/tilequery"
 )
 
 func main() {
@@ -139,15 +138,15 @@ func challengeFile(s *experiments.Suite, city, input string, out io.Writer) erro
 			return err
 		}
 		defer f.Close()
-		recs, err = dataset.ReadOoklaCSV(f)
+		cols, err := dataset.ReadOoklaColumns(f, s.Parallelism)
 		if err != nil {
 			return err
 		}
-		cols := dataset.ColumnizeOokla(recs)
 		samples = make([]core.Sample, cols.Len())
 		for i := range samples {
 			samples[i] = core.Sample{Download: cols.Download[i], Upload: cols.Upload[i]}
 		}
+		recs = cols.Records()
 	}
 	cat, ok := plans.ByCity(city)
 	if !ok {
@@ -325,10 +324,17 @@ func generate(s *experiments.Suite, city, outDir string, out io.Writer) error {
 	}); err != nil {
 		return err
 	}
-	// Also emit the public-aggregate view (Ookla open-data tile schema).
-	tiles := opendata.Aggregate(b.Ookla, geo.LatLon{Lat: 34.42, Lon: -119.70}, 5)
+	// Also emit the public-aggregate view: the context-free tile fold,
+	// placed around the city's own centre.
+	c := b.OoklaCols()
+	tiles, err := tilequery.Aggregate(&tilequery.Rows{
+		UserID: c.UserID, Download: c.Download, Upload: c.Upload, Latency: c.Latency,
+	}, tilequery.Config{City: city, Parallelism: s.Parallelism}, tilequery.Query{})
+	if err != nil {
+		return err
+	}
 	return write("tiles-"+city+".csv", func(w io.Writer) error {
-		return opendata.WriteTilesCSV(w, tiles)
+		return tilequery.WriteTilesCSV(w, tiles)
 	})
 }
 

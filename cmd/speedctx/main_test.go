@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"encoding/csv"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -32,6 +34,11 @@ func TestUsageErrors(t *testing.T) {
 		{"-metric with CSV output", []string{"tiles", "-format", "csv", "-metric", "download"}},
 		{"unknown tiles format", []string{"tiles", "-format", "xml"}},
 		{"-cluster-zoom without -snapshot-dir", []string{"tiles", "-cluster-zoom", "16"}},
+		{"-bbox with three fields", []string{"tiles", "-scale", "0.002", "-bbox", "34.3,-119.8,34.5"}},
+		{"-bbox with a non-number", []string{"tiles", "-scale", "0.002", "-bbox", "34.3,x,34.5,-119.6"}},
+		{"-bbox of NaNs", []string{"tiles", "-scale", "0.002", "-bbox", "NaN,NaN,NaN,NaN"}},
+		{"-bbox with one NaN", []string{"tiles", "-scale", "0.002", "-bbox", "34.3,NaN,34.5,-119.6"}},
+		{"inverted -bbox", []string{"tiles", "-scale", "0.002", "-bbox", "34.5,-119.8,34.3,-119.6"}},
 	} {
 		var buf bytes.Buffer
 		if err := run(tc.args, &buf); err == nil {
@@ -88,6 +95,34 @@ func TestGenerateCommand(t *testing.T) {
 			t.Errorf("%s is empty", name)
 		}
 	}
+	// The public tile view is the tiles subcommand's fold minus context:
+	// the same placement, averages and counts in the first six columns.
+	written, err := os.ReadFile(filepath.Join(dir, "tiles-D.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := csvColumns(t, string(written), 6)
+	want := csvColumns(t, runCLI(t, "tiles", "-city", "D", "-scale", "0.005", "-format", "csv"), 6)
+	if len(want) < 2 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("tiles-D.csv (%d rows) differs from `speedctx tiles -format csv` (%d rows)", len(got), len(want))
+	}
+}
+
+// csvColumns parses a CSV document and keeps the first n columns of every
+// record.
+func csvColumns(t *testing.T, doc string, n int) [][]string {
+	t.Helper()
+	recs, err := csv.NewReader(strings.NewReader(doc)).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range recs {
+		if len(r) < n {
+			t.Fatalf("record %d has %d fields, want at least %d", i, len(r), n)
+		}
+		recs[i] = r[:n]
+	}
+	return recs
 }
 
 func TestBSTCommand(t *testing.T) {

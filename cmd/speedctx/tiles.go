@@ -19,8 +19,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"speedctx/internal/core"
 	"speedctx/internal/dataset"
@@ -62,9 +60,9 @@ func runTiles(args []string, out io.Writer) error {
 
 	q := tilequery.Query{Zoom: *zoom}
 	if *bbox != "" {
-		rng, err := parseBBox(*bbox, *zoom)
+		rng, err := opendata.ParseBBox(*bbox, *zoom)
 		if err != nil {
-			return err
+			return fmt.Errorf("tiles: -bbox: %w", err)
 		}
 		q.Range = &rng
 	}
@@ -138,20 +136,4 @@ func ensureSnapshot(dir, city string, scale float64, seed int64, fitCfg core.Con
 		}
 	}
 	return path, nil
-}
-
-func parseBBox(s string, zoom int) (opendata.TileRange, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != 4 {
-		return opendata.TileRange{}, fmt.Errorf("tiles: -bbox wants minLat,minLon,maxLat,maxLon")
-	}
-	var f [4]float64
-	for i, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return opendata.TileRange{}, fmt.Errorf("tiles: bad bbox coordinate %q", p)
-		}
-		f[i] = v
-	}
-	return opendata.TileRangeForBBox(f[0], f[1], f[2], f[3], zoom)
 }

@@ -16,8 +16,7 @@
 // compacted into one canonical snapshot at shutdown (quadkey-clustered
 // and zone-mapped with -ingest-cluster-zoom). The same server
 // serves GET /v1/tiles — contextualized per-quadkey aggregates folded
-// live from the sealed segments (DESIGN.md §13; -tile-zoom, -tile-par,
-// -tile-cache).
+// live from the sealed segments (DESIGN.md §13; -tile-zoom, -tile-cache).
 package main
 
 import (
@@ -97,11 +96,9 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	ingestDepth := fs.Int("ingest-depth", 0, "per-shard queue depth in rows (0 = default 4096)")
 	ingestCompact := fs.Bool("ingest-compact", true, "compact segments into one canonical snapshot at shutdown")
 	ingestClusterZoom := fs.Int("ingest-cluster-zoom", 0, "cluster the shutdown compaction by quadkey at this zoom into a zoned v3 snapshot, so bbox tile queries over it can skip row groups by zone map (DESIGN.md §15); 0 keeps the canonical v2 order")
-	ingestScanBatch := fs.Int("ingest-scan-batch", 0, "rows per streamed segment-scan batch for tile folds, sketch priming and compaction — bounds scan memory, never changes output (0 = default)")
 	refitRows := fs.Int("ingest-refit-rows", 0, "refit a city's model once this many sealed rows await folding (0 = no row trigger)")
 	refitAge := fs.Duration("ingest-refit-age", 0, "refit a city's model once it is this old and sealed rows await folding (0 = no age trigger)")
 	tileZoom := fs.Int("tile-zoom", 0, "base aggregation zoom for /v1/tiles (0 = default 16)")
-	tilePar := fs.Int("tile-par", 0, "segment-fold parallelism for /v1/tiles: 0 = all CPUs, 1 = serial (responses are identical at every setting)")
 	tileCache := fs.Int("tile-cache", 0, "tile result cache capacity in tiles (0 = default)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -136,13 +133,12 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 			return err
 		}
 		pipe, err = ingest.NewPipeline(ingest.PipelineConfig{
-			Dir:           *ingestDir,
-			BatchRows:     *ingestBatch,
-			MaxBatchAge:   *ingestAge,
-			QueueShards:   *ingestShards,
-			QueueDepth:    *ingestDepth,
-			Sketches:      specs,
-			ScanBatchRows: *ingestScanBatch,
+			Dir:         *ingestDir,
+			BatchRows:   *ingestBatch,
+			MaxBatchAge: *ingestAge,
+			QueueShards: *ingestShards,
+			QueueDepth:  *ingestDepth,
+			Sketches:    specs,
 		})
 		if err != nil {
 			return err
@@ -157,7 +153,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 			RefitAge:       *refitAge,
 			FitConfig:      fitCfg,
 			Logf:           logf,
-			Tiles:          tilequery.Config{Zoom: *tileZoom, Parallelism: *tilePar},
+			Tiles:          tilequery.Config{Zoom: *tileZoom},
 			TileCacheTiles: *tileCache,
 		})
 		httpSrv = newIngestHTTPServer(ingestSrv.Handler())
@@ -206,10 +202,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 			firstErr = err
 		}
 		if *ingestCompact {
-			out, err := ingest.CompactWith(*ingestDir, ingest.CompactOptions{
-				BatchRows:   *ingestScanBatch,
-				ClusterZoom: *ingestClusterZoom,
-			})
+			out, err := ingest.CompactWith(*ingestDir, ingest.CompactOptions{ClusterZoom: *ingestClusterZoom})
 			if err != nil {
 				if firstErr == nil {
 					firstErr = err

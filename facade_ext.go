@@ -2,10 +2,11 @@ package speedctx
 
 import (
 	"speedctx/internal/challenge"
-	"speedctx/internal/geo"
+	"speedctx/internal/dataset"
 	"speedctx/internal/mbaraw"
 	"speedctx/internal/opendata"
 	"speedctx/internal/stats"
+	"speedctx/internal/tilequery"
 )
 
 // Extended public surface: the challenge-evidence screen (§8
@@ -40,16 +41,18 @@ func ScreenChallenge(recs []OoklaRecord, res *BSTResult, cat *Catalog, p Challen
 	return challenge.BuildReport(recs, res, cat, p)
 }
 
-// Tile is one row of the Ookla open-data aggregate schema.
-type Tile = opendata.Tile
+// Tile is one row of the contextualized quadkey tile schema: the Ookla
+// open-data columns plus the tier mix and access split.
+type Tile = opendata.ContextTile
 
-// LatLon is a geographic coordinate.
-type LatLon = geo.LatLon
-
-// AggregateTiles folds per-test records into zoom-16 quadkey tiles (the
-// public Ookla open-data schema).
-func AggregateTiles(recs []OoklaRecord, center LatLon, seed int64) []Tile {
-	return opendata.Aggregate(recs, center, seed)
+// AggregateTiles folds one city's per-test records into zoom-16 quadkey
+// tiles (the public Ookla open-data view), placing each subscriber around
+// the city's centre exactly as every other tile surface does.
+func AggregateTiles(city string, recs []OoklaRecord) ([]Tile, error) {
+	c := dataset.ColumnizeOokla(recs)
+	return tilequery.Aggregate(&tilequery.Rows{
+		UserID: c.UserID, Download: c.Download, Upload: c.Upload, Latency: c.Latency,
+	}, tilequery.Config{City: city}, tilequery.Query{})
 }
 
 // MBAThroughputRow is one row of the FCC MBA raw release

@@ -242,10 +242,11 @@ func TestOoklaCSVRoundTrip(t *testing.T) {
 	if err := WriteOoklaCSV(&buf, recs); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadOoklaCSV(&buf)
+	cols, err := ReadOoklaColumns(&buf, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	back := cols.Records()
 	if len(back) != len(recs) {
 		t.Fatalf("round trip len %d != %d", len(back), len(recs))
 	}
@@ -270,10 +271,11 @@ func TestMLabCSVRoundTrip(t *testing.T) {
 	if err := WriteMLabCSV(&buf, rows); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadMLabCSV(&buf)
+	cols, err := ReadMLabColumns(&buf, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	back := cols.Records()
 	if len(back) != len(rows) {
 		t.Fatalf("round trip len %d != %d", len(back), len(rows))
 	}
@@ -295,10 +297,11 @@ func TestMBACSVRoundTrip(t *testing.T) {
 	if err := WriteMBACSV(&buf, recs); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadMBACSV(&buf)
+	cols, err := ReadMBAColumns(&buf, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	back := cols.Records()
 	for i := range recs {
 		a, b := recs[i], back[i]
 		if !a.Timestamp.Equal(b.Timestamp) {
@@ -312,25 +315,25 @@ func TestMBACSVRoundTrip(t *testing.T) {
 }
 
 func TestCSVErrors(t *testing.T) {
-	if _, err := ReadOoklaCSV(strings.NewReader("")); err == nil {
+	if _, err := ReadOoklaColumns(strings.NewReader(""), 1); err == nil {
 		t.Error("empty ookla csv should error")
 	}
-	if _, err := ReadMLabCSV(strings.NewReader("")); err == nil {
+	if _, err := ReadMLabColumns(strings.NewReader(""), 1); err == nil {
 		t.Error("empty mlab csv should error")
 	}
-	if _, err := ReadMBACSV(strings.NewReader("")); err == nil {
+	if _, err := ReadMBAColumns(strings.NewReader(""), 1); err == nil {
 		t.Error("empty mba csv should error")
 	}
 	bad := strings.Join(ooklaHeader, ",") + "\n1,2,A\n"
-	if _, err := ReadOoklaCSV(strings.NewReader(bad)); err == nil {
+	if _, err := ReadOoklaColumns(strings.NewReader(bad), 1); err == nil {
 		t.Error("short ookla row should error")
 	}
 	badTime := strings.Join(mlabHeader, ",") + "\n1,a,b,A,ISP,1,notatime,download,1,1,1\n"
-	if _, err := ReadMLabCSV(strings.NewReader(badTime)); err == nil {
+	if _, err := ReadMLabColumns(strings.NewReader(badTime), 1); err == nil {
 		t.Error("bad mlab timestamp should error")
 	}
 	badDir := strings.Join(mlabHeader, ",") + "\n1,a,b,A,ISP,1,2021-01-01T00:00:00Z,sideways,1,1,1\n"
-	if _, err := ReadMLabCSV(strings.NewReader(badDir)); err == nil {
+	if _, err := ReadMLabColumns(strings.NewReader(badDir), 1); err == nil {
 		t.Error("bad mlab direction should error")
 	}
 }

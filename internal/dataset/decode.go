@@ -735,6 +735,8 @@ func readMBAColumns(r io.Reader, par, chunks int) (*MBAColumns, error) {
 // columnar form — no intermediate row structs — decoding newline-aligned
 // chunks concurrently over par workers (parallel.Workers semantics: 0 =
 // all CPUs, 1 = serial). Output is bit-identical at every setting.
+// Malformed numeric fields and unrecognized platform/access/band values
+// fail with a row-numbered error; Records converts to row form.
 func ReadOoklaColumns(r io.Reader, par int) (*OoklaColumns, error) {
 	return readOoklaColumns(r, par, 0)
 }
@@ -749,48 +751,4 @@ func ReadMLabColumns(r io.Reader, par int) (*MLabRowColumns, error) {
 // ReadOoklaColumns for the concurrency contract.
 func ReadMBAColumns(r io.Reader, par int) (*MBAColumns, error) {
 	return readMBAColumns(r, par, 0)
-}
-
-// ReadOoklaCSV parses the speedctx Ookla CSV format. Malformed numeric
-// fields and unrecognized platform/access/band values fail with a
-// row-numbered error.
-func ReadOoklaCSV(r io.Reader) ([]OoklaRecord, error) {
-	return ReadOoklaCSVPar(r, 1)
-}
-
-// ReadOoklaCSVPar is ReadOoklaCSV decoding chunks over par workers.
-func ReadOoklaCSVPar(r io.Reader, par int) ([]OoklaRecord, error) {
-	c, err := ReadOoklaColumns(r, par)
-	if err != nil {
-		return nil, err
-	}
-	return c.Records(), nil
-}
-
-// ReadMLabCSV parses NDT rows with the same strictness as ReadOoklaCSV.
-func ReadMLabCSV(r io.Reader) ([]MLabRow, error) {
-	return ReadMLabCSVPar(r, 1)
-}
-
-// ReadMLabCSVPar is ReadMLabCSV decoding chunks over par workers.
-func ReadMLabCSVPar(r io.Reader, par int) ([]MLabRow, error) {
-	c, err := ReadMLabColumns(r, par)
-	if err != nil {
-		return nil, err
-	}
-	return c.Records(), nil
-}
-
-// ReadMBACSV parses MBA records with the same strictness as ReadOoklaCSV.
-func ReadMBACSV(r io.Reader) ([]MBARecord, error) {
-	return ReadMBACSVPar(r, 1)
-}
-
-// ReadMBACSVPar is ReadMBACSV decoding chunks over par workers.
-func ReadMBACSVPar(r io.Reader, par int) ([]MBARecord, error) {
-	c, err := ReadMBAColumns(r, par)
-	if err != nil {
-		return nil, err
-	}
-	return c.Records(), nil
 }

@@ -77,19 +77,19 @@ func TestDecodeChunkInvariance(t *testing.T) {
 	}
 }
 
-// TestReadCSVParMatchesSerial covers the record-slice API: the parallel
-// readers must reproduce the serial ones exactly.
+// TestReadCSVParMatchesSerial covers the record view: records rebuilt
+// from a parallel column read must reproduce the serial read's exactly.
 func TestReadCSVParMatchesSerial(t *testing.T) {
 	data := ooklaCSVFixture(t, 300)
-	serial, err := ReadOoklaCSV(bytes.NewReader(data))
+	serial, err := ReadOoklaColumns(bytes.NewReader(data), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ReadOoklaCSVPar(bytes.NewReader(data), 0)
+	par, err := ReadOoklaColumns(bytes.NewReader(data), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(serial, par) {
+	if !reflect.DeepEqual(serial.Records(), par.Records()) {
 		t.Fatal("parallel ookla records differ from serial")
 	}
 }
@@ -153,7 +153,7 @@ func ooklaCSVWithRow(fields []string) string {
 // now fail with an error naming the row and column.
 func TestDecodeStrictErrors(t *testing.T) {
 	// The template itself parses.
-	if _, err := ReadOoklaCSV(strings.NewReader(ooklaCSVWithRow(ooklaRowTemplate))); err != nil {
+	if _, err := ReadOoklaColumns(strings.NewReader(ooklaCSVWithRow(ooklaRowTemplate)), 1); err != nil {
 		t.Fatalf("template row: %v", err)
 	}
 	cases := []struct {
@@ -177,7 +177,7 @@ func TestDecodeStrictErrors(t *testing.T) {
 	for _, tc := range cases {
 		row := append([]string(nil), ooklaRowTemplate...)
 		row[tc.field] = tc.value
-		_, err := ReadOoklaCSV(strings.NewReader(ooklaCSVWithRow(row)))
+		_, err := ReadOoklaColumns(strings.NewReader(ooklaCSVWithRow(row)), 1)
 		if err == nil {
 			t.Errorf("field %d = %q: want error, got nil", tc.field, tc.value)
 			continue
@@ -192,24 +192,24 @@ func TestDecodeStrictErrors(t *testing.T) {
 	// Band is legitimately empty when has_radio_info=false.
 	row := append([]string(nil), ooklaRowTemplate...)
 	row[7], row[8] = "false", ""
-	if _, err := ReadOoklaCSV(strings.NewReader(ooklaCSVWithRow(row))); err != nil {
+	if _, err := ReadOoklaColumns(strings.NewReader(ooklaCSVWithRow(row)), 1); err != nil {
 		t.Errorf("radio-less row with empty band: %v", err)
 	}
 	// Header must match exactly.
 	bad := strings.Replace(strings.Join(ooklaHeader, ","), "test_id", "row_id", 1) +
 		"\n" + strings.Join(ooklaRowTemplate, ",") + "\n"
-	if _, err := ReadOoklaCSV(strings.NewReader(bad)); err == nil {
+	if _, err := ReadOoklaColumns(strings.NewReader(bad), 1); err == nil {
 		t.Error("foreign header should error")
 	}
 
 	// MLab and MBA strict errors.
 	mlabBad := strings.Join(mlabHeader, ",") + "\n1,a,b,A,ISP,notanasn,2021-01-01T00:00:00Z,download,1,1,1\n"
-	if _, err := ReadMLabCSV(strings.NewReader(mlabBad)); err == nil ||
+	if _, err := ReadMLabColumns(strings.NewReader(mlabBad), 1); err == nil ||
 		!strings.Contains(err.Error(), "asn") {
 		t.Errorf("mlab bad asn: %v", err)
 	}
 	mbaBad := strings.Join(mbaHeader, ",") + "\n1,TX,ISP,tract,2021-01-01T00:00:00Z,1,1,bogus,1,1\n"
-	if _, err := ReadMBACSV(strings.NewReader(mbaBad)); err == nil ||
+	if _, err := ReadMBAColumns(strings.NewReader(mbaBad), 1); err == nil ||
 		!strings.Contains(err.Error(), "plan_down") {
 		t.Errorf("mba bad plan_down: %v", err)
 	}
@@ -259,19 +259,19 @@ func TestDecodeMalformedStructure(t *testing.T) {
 		{"no header", "1,2\n"},
 		{"empty", ""},
 	} {
-		if _, err := ReadOoklaCSV(strings.NewReader(tc.body)); err == nil {
+		if _, err := ReadOoklaColumns(strings.NewReader(tc.body), 1); err == nil {
 			t.Errorf("%s: want error", tc.name)
 		}
 	}
 	// Trailing blank lines and a missing final newline are fine.
 	ok := head + strings.Join(ooklaRowTemplate, ",")
-	if _, err := ReadOoklaCSV(strings.NewReader(ok)); err != nil {
+	if _, err := ReadOoklaColumns(strings.NewReader(ok), 1); err != nil {
 		t.Errorf("missing final newline: %v", err)
 	}
 	ok2 := head + strings.Join(ooklaRowTemplate, ",") + "\n\n\n"
-	recs, err := ReadOoklaCSV(strings.NewReader(ok2))
-	if err != nil || len(recs) != 1 {
-		t.Errorf("trailing blank lines: %d recs, %v", len(recs), err)
+	cols, err := ReadOoklaColumns(strings.NewReader(ok2), 1)
+	if err != nil || cols.Len() != 1 {
+		t.Errorf("trailing blank lines: %v, %v", cols, err)
 	}
 }
 

@@ -24,9 +24,9 @@ func FuzzReadOoklaCSV(f *testing.F) {
 	f.Add(strings.Join(ooklaHeader, ",") + "\n1,2\n")
 	f.Add("garbage,\"unterminated\n")
 	f.Fuzz(func(t *testing.T, data string) {
-		recs, err := ReadOoklaCSV(strings.NewReader(data))
+		cols, err := ReadOoklaColumns(strings.NewReader(data), 1)
 		if err == nil {
-			for _, r := range recs {
+			for _, r := range cols.Records() {
 				_ = r.Platform.String()
 			}
 		}
@@ -42,10 +42,10 @@ func FuzzReadMLabCSV(f *testing.F) {
 	f.Add("")
 	f.Add(strings.Join(mlabHeader, ",") + "\nx\n")
 	f.Fuzz(func(t *testing.T, data string) {
-		rows, err := ReadMLabCSV(strings.NewReader(data))
+		cols, err := ReadMLabColumns(strings.NewReader(data), 1)
 		if err == nil {
 			// Parsed rows must survive association without panics.
-			_ = Associate(rows)
+			_ = Associate(cols.Records())
 		}
 	})
 }
@@ -59,7 +59,7 @@ func FuzzReadMBACSV(f *testing.F) {
 	f.Add("")
 	f.Add(strings.Join(mbaHeader, ",") + "\n,,,,,,,,,\n")
 	f.Fuzz(func(t *testing.T, data string) {
-		_, _ = ReadMBACSV(strings.NewReader(data))
+		_, _ = ReadMBAColumns(strings.NewReader(data), 1)
 	})
 }
 

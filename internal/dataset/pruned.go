@@ -8,9 +8,10 @@ package dataset
 // the same way. Queries declare the columns they touch via a
 // SnapshotSelection; everything else is never materialized. The selective
 // and the full decoder are the same code path — DecodeCitySnapshot is
-// DecodeCitySnapshotPruned with everything selected — so a selected column
-// decodes to bytes identical to what a full decode would produce, by
-// construction (and by TestDecodePrunedMatchesFull / FuzzDecodePruned).
+// decodeCitySnapshotSel with everything selected, and NewBlockScanner
+// streams any selection — so a selected column decodes to bytes identical
+// to what a full decode would produce, by construction (and by
+// TestDecodePrunedMatchesFull / FuzzDecodePruned).
 
 // ColumnSet selects columns of one section by id: bit i selects column id
 // i (ids are 1-based, following each section's CSV header order). The zero
@@ -129,16 +130,4 @@ type DecodeCounters struct {
 	BlocksScanned int
 	BlocksSkipped int
 	RowsSkipped   int64
-}
-
-// DecodeCitySnapshotPruned decodes only the selected columns of a snapshot
-// image. Unselected columns are nil in the result; unselected sections are
-// absent. Integrity is verified over exactly the read set: magic and
-// versions always, plus each materialized column against its per-block
-// checksum — corruption in a column the query never asked for is invisible
-// to a pruned scan, the same way it is invisible to a reader that seeks
-// past it. A full selection takes the whole-file checksum path instead
-// (which covers every block) — see decodeCitySnapshotSel.
-func DecodeCitySnapshotPruned(data []byte, sel SnapshotSelection) (*CitySnapshot, DecodeCounters, error) {
-	return decodeCitySnapshotSel(data, sel)
 }

@@ -65,7 +65,7 @@ func TestDecodePrunedMatchesFull(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			pruned, ctr, err := DecodeCitySnapshotPruned(data, tc.sel)
+			pruned, ctr, err := decodeCitySnapshotSel(data, tc.sel)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -160,7 +160,7 @@ func checkSection(t *testing.T, name string, sel ColumnSet, full, pruned *OoklaC
 func TestDecodePrunedCounters(t *testing.T) {
 	snap := &CitySnapshot{Ookla: ColumnizeOokla(GenerateOokla(plans.CityA(), 50, 3))}
 	data := encodeSnapshot(t, snap)
-	_, ctr, err := DecodeCitySnapshotPruned(data, SnapshotSelection{Ookla: Cols(OoklaColDownload, OoklaColUpload)})
+	_, ctr, err := decodeCitySnapshotSel(data, SnapshotSelection{Ookla: Cols(OoklaColDownload, OoklaColUpload)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestDecodePrunedEnvelope(t *testing.T) {
 	for pos := 0; pos < len(data)-8; pos++ {
 		flip := append([]byte(nil), data...)
 		flip[pos] ^= 0x40
-		if _, _, err := DecodeCitySnapshotPruned(flip, sel); err == nil {
+		if _, _, err := decodeCitySnapshotSel(flip, sel); err == nil {
 			t.Fatalf("flipped byte at %d decoded under full column selection", pos)
 		}
 	}
@@ -195,7 +195,7 @@ func TestDecodePrunedEnvelope(t *testing.T) {
 	// is the contract — but never to a full decode.
 	flip := append([]byte(nil), data...)
 	flip[len(flip)/2] ^= 0x01 // lands in some Ookla column payload
-	if _, _, err := DecodeCitySnapshotPruned(flip, SnapshotSelection{Sketches: true}); err != nil {
+	if _, _, err := decodeCitySnapshotSel(flip, SnapshotSelection{Sketches: true}); err != nil {
 		t.Fatalf("corruption outside the read set failed a disjoint pruned decode: %v", err)
 	}
 	if _, err := DecodeCitySnapshot(flip); err == nil {
@@ -206,10 +206,10 @@ func TestDecodePrunedEnvelope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := DecodeCitySnapshotPruned(stale, SelectAll()); err == nil {
+	if _, _, err := decodeCitySnapshotSel(stale, SelectAll()); err == nil {
 		t.Fatal("stale snapshot decoded")
 	}
-	if _, _, err := DecodeCitySnapshotPruned(stale, SnapshotSelection{}); err == nil {
+	if _, _, err := decodeCitySnapshotSel(stale, SnapshotSelection{}); err == nil {
 		t.Fatal("stale snapshot decoded under zero selection")
 	}
 }
@@ -239,7 +239,7 @@ func FuzzDecodePruned(f *testing.F) {
 			MLab: ColumnSet(otherSel), MBA: ColumnSet(otherSel), Ingest: ColumnSet(otherSel),
 			Sketches: sketches,
 		}
-		pruned, _, perr := DecodeCitySnapshotPruned(b, sel)
+		pruned, _, perr := decodeCitySnapshotSel(b, sel)
 		full, ferr := DecodeCitySnapshot(b)
 		if ferr != nil {
 			return // pruned may legitimately succeed where full fails: it skips payload validation

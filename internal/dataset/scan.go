@@ -14,11 +14,10 @@ package dataset
 // bounded read window per column when scanning an on-disk file — however
 // large the file is.
 //
-// The scanner is also the only decode engine: DecodeCitySnapshot and
-// DecodeCitySnapshotPruned run it with whole-section batches and fresh
-// (non-reused) buffers, so a streamed column is bit-identical to its
-// materialized decode by construction, not by parallel maintenance of two
-// decoders.
+// The scanner is also the only decode engine: DecodeCitySnapshot runs it
+// with whole-section batches and fresh (non-reused) buffers, so a streamed
+// column is bit-identical to its materialized decode by construction, not
+// by parallel maintenance of two decoders.
 //
 // Integrity is selection-scoped exactly as in §13: a streaming scan
 // verifies each selected block against its per-block checksum. Over an

@@ -131,7 +131,7 @@ func TestBlockScannerMatchesDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range scanSelections() {
-		want, wantCtr, err := DecodeCitySnapshotPruned(data, tc.sel)
+		want, wantCtr, err := decodeCitySnapshotSel(data, tc.sel)
 		if err != nil {
 			t.Fatalf("%s: pruned decode: %v", tc.name, err)
 		}
@@ -207,7 +207,7 @@ func TestBlockScannerLargeFileWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	sel := SnapshotSelection{Ingest: AllColumns}
-	want, _, err := DecodeCitySnapshotPruned(data, sel)
+	want, _, err := decodeCitySnapshotSel(data, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestBlockScannerZeroRowSection(t *testing.T) {
 	if batches != 1 {
 		t.Fatalf("zero-row section yielded %d batches, want 1", batches)
 	}
-	want, _, err := DecodeCitySnapshotPruned(data, sel)
+	want, _, err := decodeCitySnapshotSel(data, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +415,7 @@ func FuzzBlockScanner(f *testing.F) {
 			// outcomes can legitimately differ on forged images.
 			sel.Android = 0
 		}
-		pruned, prunedCtr, perr := DecodeCitySnapshotPruned(b, sel)
+		pruned, prunedCtr, perr := decodeCitySnapshotSel(b, sel)
 		got, gotCtr, serr := collectScan(byteSource(b), sel, int(batch%512)+1)
 		if perr != nil {
 			if serr == nil {

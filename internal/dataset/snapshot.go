@@ -151,10 +151,16 @@ func DecodeCitySnapshot(data []byte) (*CitySnapshot, error) {
 }
 
 // decodeCitySnapshotSel is the one decode path: the full decoder runs it
-// with everything selected, the pruned decoder (DecodeCitySnapshotPruned)
-// with the query's selection. Both are whole-section-batch runs of the
-// block scanner with fresh buffers, so a pruned or streamed column is
-// bit-identical to its full decode by construction.
+// with everything selected, the pruned-decode tests with a query's
+// selection. Both are whole-section-batch runs of the block scanner with
+// fresh buffers, so a pruned or streamed column is bit-identical to its
+// full decode by construction. Unselected columns are nil in the result;
+// unselected sections are absent. Integrity is verified over exactly the
+// read set: magic and versions always, plus each materialized column
+// against its per-block checksum — corruption in a column the query never
+// asked for is invisible to a pruned decode, the same way it is invisible
+// to a reader that seeks past it. A full selection takes the whole-file
+// checksum path instead (which covers every block).
 func decodeCitySnapshotSel(data []byte, sel SnapshotSelection) (*CitySnapshot, DecodeCounters, error) {
 	var none DecodeCounters
 	const headerMin = 4 + 2 + 1 + 1 + 8
@@ -679,7 +685,7 @@ func EncodeIngestSegment(c *IngestColumns) ([]byte, error) {
 
 // EncodeIngestSegmentSketches is EncodeIngestSegment with the segment's
 // per-city tier sketches alongside the rows, so readers (the ingest refresh
-// loop, Compact) can merge the segment's mass contribution without
+// loop, CompactWith) can merge the segment's mass contribution without
 // re-binning the raw columns.
 func EncodeIngestSegmentSketches(c *IngestColumns, sketches []SketchBundle) ([]byte, error) {
 	return encodeCitySnapshot(&CitySnapshot{Ingest: c, Sketches: sketches}, DataVersion)

@@ -73,11 +73,11 @@ func TestZonedSnapshotRoundtrip(t *testing.T) {
 		t.Fatalf("zoned encode carries format version %d", binary.LittleEndian.Uint16(zoned[4:6]))
 	}
 	for _, tc := range scanSelections() {
-		want, _, err := DecodeCitySnapshotPruned(plain, tc.sel)
+		want, _, err := decodeCitySnapshotSel(plain, tc.sel)
 		if err != nil {
 			t.Fatalf("%s: v2 decode: %v", tc.name, err)
 		}
-		got, ctr, err := DecodeCitySnapshotPruned(zoned, tc.sel)
+		got, ctr, err := decodeCitySnapshotSel(zoned, tc.sel)
 		if err != nil {
 			t.Fatalf("%s: v3 decode: %v", tc.name, err)
 		}
@@ -138,7 +138,7 @@ func TestZonedPushdownNeverDropsMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	sel := SnapshotSelection{Ingest: AllColumns}
-	full, _, err := DecodeCitySnapshotPruned(data, sel)
+	full, _, err := decodeCitySnapshotSel(data, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestZonedPushdownNeverDropsMatches(t *testing.T) {
 		}
 		psel := sel
 		psel.Predicate = p
-		got, ctr, err := DecodeCitySnapshotPruned(data, psel)
+		got, ctr, err := decodeCitySnapshotSel(data, psel)
 		if err != nil {
 			t.Fatalf("trial %d: pushdown decode: %v", trial, err)
 		}
@@ -232,7 +232,7 @@ func TestZonedPredicateSafety(t *testing.T) {
 		{"narrow-match", zoned, &ScanPredicate{Quadkey: narrow}, true},
 	} {
 		sel := SnapshotSelection{Ingest: AllColumns, Predicate: tc.p}
-		got, ctr, err := DecodeCitySnapshotPruned(tc.data, sel)
+		got, ctr, err := decodeCitySnapshotSel(tc.data, sel)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

@@ -7,12 +7,12 @@ import (
 	"speedctx/internal/challenge"
 	"speedctx/internal/core"
 	"speedctx/internal/device"
-	"speedctx/internal/geo"
 	"speedctx/internal/netsim"
 	"speedctx/internal/opendata"
 	"speedctx/internal/population"
 	"speedctx/internal/report"
 	"speedctx/internal/stats"
+	"speedctx/internal/tilequery"
 )
 
 // ChallengeReport runs the §8 challenge-evidence screen over a city's Ookla
@@ -60,27 +60,27 @@ func (s *Suite) AggregationLoss() (*report.Table, error) {
 		return nil, err
 	}
 	// Individual-test baseline: stage-1 accuracy against truth.
-	samples := make([]core.Sample, len(b.Ookla))
-	truth := make([]int, len(b.Ookla))
-	for i, r := range b.Ookla {
-		samples[i] = core.Sample{Download: r.DownloadMbps, Upload: r.UploadMbps}
-		truth[i] = r.TruthTier
-	}
+	samples := b.OoklaSampleView()
 	res, err := core.Fit(samples, b.Catalog, b.coreCfg())
 	if err != nil {
 		return nil, err
 	}
-	ev, err := core.Evaluate(res, truth)
+	ev, err := core.Evaluate(res, b.OoklaCols().TruthTier)
 	if err != nil {
 		return nil, err
 	}
 
 	// Tile aggregates: each tile's mean <down, up> becomes one sample,
 	// scored against the tile's majority true tier.
-	tiles, majority := opendata.AggregateWithMajority(b.Ookla, geo.LatLon{Lat: 34.42, Lon: -119.70}, s.Seed)
+	tiles, err := s.aggregationTiles("A")
+	if err != nil {
+		return nil, err
+	}
 	tileSamples := make([]core.Sample, len(tiles))
-	for i, ts := range opendata.TileSamples(tiles) {
-		tileSamples[i] = core.Sample{Download: ts.Download, Upload: ts.Upload}
+	majority := make([]int, len(tiles))
+	for i, t := range tiles {
+		tileSamples[i] = core.Sample{Download: float64(t.AvgDKbps) / 1000, Upload: float64(t.AvgUKbps) / 1000}
+		majority[i] = majorityTier(t.TierCounts)
 	}
 	tileRes, err := core.Fit(tileSamples, b.Catalog, b.coreCfg())
 	if err != nil {
@@ -101,6 +101,37 @@ func (s *Suite) AggregationLoss() (*report.Table, error) {
 		fmt.Sprintf("%.1f%%", 100*tileEv.UploadAccuracy()),
 		fmt.Sprintf("%.1f%%", 100*tileEv.TierAccuracy()))
 	return t, nil
+}
+
+// aggregationTiles folds a city's Ookla tests into the public tile view
+// through the same tilequery fold every other tile surface uses, with the
+// ground-truth tier as the tier mix.
+func (s *Suite) aggregationTiles(cityID string) ([]opendata.ContextTile, error) {
+	b, err := s.City(cityID)
+	if err != nil {
+		return nil, err
+	}
+	c := b.OoklaCols()
+	rows := &tilequery.Rows{
+		UserID:   c.UserID,
+		Download: c.Download,
+		Upload:   c.Upload,
+		Latency:  c.Latency,
+		Tier:     c.TruthTier,
+	}
+	return tilequery.Aggregate(rows, tilequery.Config{City: cityID, Parallelism: s.Parallelism}, tilequery.Query{})
+}
+
+// majorityTier returns the most frequent tier of a tile's mix, breaking
+// ties toward the lower tier.
+func majorityTier(counts []int) int {
+	best := 0
+	for tier, n := range counts {
+		if n > counts[best] {
+			best = tier
+		}
+	}
+	return best
 }
 
 // BottleneckCensus diagnoses a sample of simulated test scenarios and

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"speedctx/internal/dataset"
@@ -117,5 +118,50 @@ func TestTileRowsSnapshotIdentity(t *testing.T) {
 				t.Fatalf("pushdown scan scanned %d / skipped %d groups, want both > 0", ctr.BlocksScanned, ctr.BlocksSkipped)
 			}
 		})
+	}
+}
+
+// TestAggregationTilesMatchTileRows: the tiles the aggregation-loss table
+// scores come from the same fold every other tile surface serves, so they
+// equal the Suite.TileRows rendering on placement, averages and counts;
+// only the tier mix differs (ground truth here, BST tiers there).
+func TestAggregationTilesMatchTileRows(t *testing.T) {
+	s := NewSuite(0.002, 2021)
+	s.Parallelism = 1
+	s.FastFit = true
+	got, err := s.aggregationTiles("A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := s.TileRows("A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := tilequery.Aggregate(rows, tilequery.Config{City: "A"}, tilequery.Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) || len(want) == 0 {
+		t.Fatalf("%d aggregation tiles, %d TileRows tiles", len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		g.WiFi, g.Ethernet, g.TierCounts = w.WiFi, w.Ethernet, w.TierCounts
+		if !reflect.DeepEqual(g, w) {
+			t.Fatalf("tile %d: aggregation %+v, TileRows %+v", i, got[i], w)
+		}
+	}
+	for _, tc := range []struct {
+		counts []int
+		want   int
+	}{
+		{[]int{5}, 0},
+		{[]int{0, 3, 3}, 1},
+		{[]int{1, 2, 4, 4, 0}, 2},
+		{[]int{0, 0, 1}, 2},
+	} {
+		if got := majorityTier(tc.counts); got != tc.want {
+			t.Errorf("majorityTier(%v) = %d, want %d", tc.counts, got, tc.want)
+		}
 	}
 }

@@ -283,7 +283,7 @@ func TestCompactBatchedIdentity(t *testing.T) {
 		for _, par := range identityPars {
 			for _, batch := range identityBatches {
 				dir, _ := f.seal(t, split)
-				path, err := CompactBatched(dir, par, batch)
+				path, err := CompactWith(dir, CompactOptions{Par: par, BatchRows: batch})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -14,7 +14,7 @@
 // block — backpressure, never drops — which surfaces to clients as slower
 // acks, exactly like a loaded collector should behave. Sealed segments are
 // written with the store's atomic tempfile+rename discipline and are
-// internally sorted by a stable total key; Compact merges every segment
+// internally sorted by a stable total key; CompactWith merges every segment
 // into one canonical snapshot whose bytes depend only on the ingested row
 // set — not on worker count, shard count, queue depth, or arrival
 // interleaving.
@@ -53,10 +53,6 @@ type PipelineConfig struct {
 	QueueShards int
 	// QueueDepth is each shard's capacity in rows. Default 4096.
 	QueueDepth int
-	// ScanBatchRows is the row-batch size of the streamed segment scans
-	// (sketch priming, tile folds, compaction; DESIGN.md §14). It bounds
-	// scan memory and never affects results. 0 = dataset.DefaultScanBatchRows.
-	ScanBatchRows int
 	// Sketches declares the per-city sketch grids (DESIGN.md §12). For
 	// each listed city the pipeline accumulates mergeable tier sketches:
 	// every sealed segment embeds the sketches of its own rows (bucketed
@@ -179,17 +175,10 @@ func (p *Pipeline) primeSketches() error {
 		}
 		p.sealedSk[city] = ts
 	}
-	entries, err := os.ReadDir(p.cfg.Dir)
+	files, err := listSegments(p.cfg.Dir)
 	if err != nil {
 		return err
 	}
-	var files []string
-	for _, e := range entries {
-		if name := e.Name(); e.Type().IsRegular() && strings.HasSuffix(name, segmentSuffix) {
-			files = append(files, name)
-		}
-	}
-	sort.Strings(files)
 	for _, name := range files {
 		if err := p.foldSegmentSketches(filepath.Join(p.cfg.Dir, name)); err != nil {
 			return fmt.Errorf("ingest: prime sketches from %s: %w", name, err)
@@ -206,7 +195,7 @@ func (p *Pipeline) primeSketches() error {
 // or by streaming its raw rows when a bundle is absent or on a foreign
 // grid), then folded in — so a partially bad segment never half-merges.
 func (p *Pipeline) foldSegmentSketches(path string) error {
-	bundles, err := scanSegmentBundles(path, p.cfg.ScanBatchRows)
+	bundles, err := scanSegmentBundles(path)
 	if err != nil {
 		return err
 	}
@@ -220,7 +209,7 @@ func (p *Pipeline) foldSegmentSketches(path string) error {
 			// Absent bundles or a foreign grid: rebuild this city's
 			// contribution by re-binning the segment's raw rows off a
 			// second, column-pruned stream.
-			if seg, err = rebinCitySamples(path, city, spec, p.cfg.ScanBatchRows); err != nil {
+			if seg, err = rebinCitySamples(path, city, spec, 0); err != nil {
 				return err
 			}
 		}
@@ -536,34 +525,29 @@ func (p *Pipeline) Stats() (queued, sealedRows, segments uint64) {
 
 const (
 	segmentSuffix = ".sxc"
-	// CompactedName is the canonical snapshot Compact writes.
+	// CompactedName is the canonical snapshot CompactWith writes.
 	CompactedName = "ingest.sxc"
 )
 
-// Compact merges every sealed segment in dir (and any previous compacted
-// snapshot) into the single canonical snapshot CompactedName, sorted by the
-// stable row key, then removes the merged segments. The result's bytes are
-// a function of the ingested row set alone: any worker count, shard count,
-// or arrival interleaving that drained the same rows compacts to the same
-// file — the determinism contract the tests gate.
-//
-// The merge scan streams every segment concurrently (DESIGN.md §14):
-// per-file block scanners decode in parallel and the per-segment payloads
-// reduce in sorted file order, so decode overlaps the fold while the
-// output bytes stay independent of worker count.
-func Compact(dir string) (string, error) {
-	return CompactBatched(dir, 0, 0)
+// listSegments returns the names of the regular segment files in dir,
+// sorted — the file order every segment reader folds in.
+func listSegments(dir string) ([]string, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	for _, e := range entries {
+		if name := e.Name(); e.Type().IsRegular() && strings.HasSuffix(name, segmentSuffix) {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	return names, nil
 }
 
-// CompactBatched is Compact with the concurrency knobs exposed: par
-// segments scan at once (0 = all CPUs) in batches of batchRows rows
-// (0 = dataset.DefaultScanBatchRows). Neither affects the output bytes.
-func CompactBatched(dir string, par, batchRows int) (string, error) {
-	return CompactWith(dir, CompactOptions{Par: par, BatchRows: batchRows})
-}
-
-// CompactOptions tunes CompactWith. The zero value reproduces Compact:
-// all-CPU scans, default batches, unclustered v2 output.
+// CompactOptions tunes CompactWith. The zero value means all-CPU scans,
+// default batches and unclustered v2 output.
 type CompactOptions struct {
 	// Par is the number of segments scanned concurrently (0 = all CPUs).
 	Par int
@@ -585,28 +569,27 @@ type CompactOptions struct {
 	LocSeed int64
 }
 
-// CompactWith is Compact with every knob exposed. Clustered or not, the
-// output bytes depend only on the ingested row set and the options — both
-// sort orders are total and deterministic.
+// CompactWith merges every sealed segment in dir (and any previous
+// compacted snapshot) into the single canonical snapshot CompactedName,
+// then removes the merged segments. The result's bytes are a function of
+// the ingested row set and the options alone: any worker count, shard
+// count, or arrival interleaving that drained the same rows compacts to
+// the same file — both sort orders are total and deterministic.
+//
+// The merge scan streams every segment concurrently (DESIGN.md §14):
+// per-file block scanners decode in parallel and the per-segment payloads
+// reduce in sorted file order, so decode overlaps the fold while the
+// output bytes stay independent of worker count.
 func CompactWith(dir string, opts CompactOptions) (string, error) {
-	par, batchRows := opts.Par, opts.BatchRows
-	entries, err := os.ReadDir(dir)
+	files, err := listSegments(dir)
 	if err != nil {
 		return "", err
 	}
-	var files []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.Type().IsRegular() && strings.HasSuffix(name, segmentSuffix) {
-			files = append(files, name)
-		}
-	}
-	sort.Strings(files)
 	paths := make([]string, len(files))
 	for i, name := range files {
 		paths[i] = filepath.Join(dir, name)
 	}
-	segs, err := scanSegmentsForCompact(paths, par, batchRows)
+	segs, err := scanSegmentsForCompact(paths, opts.Par, opts.BatchRows)
 	if err != nil {
 		return "", fmt.Errorf("ingest: compact: %w", err)
 	}

@@ -65,7 +65,7 @@ func compactBytes(t *testing.T, rows []dataset.IngestRow, cfg PipelineConfig, pr
 	if queued != uint64(len(rows)) || sealed != uint64(len(rows)) {
 		t.Fatalf("queued=%d sealed=%d, want %d rows (no drops)", queued, sealed, len(rows))
 	}
-	out, err := Compact(cfg.Dir)
+	out, err := CompactWith(cfg.Dir, CompactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,14 +212,14 @@ func TestCompactIsIdempotent(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Compact(dir); err != nil {
+	if _, err := CompactWith(dir, CompactOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	first, err := os.ReadFile(filepath.Join(dir, CompactedName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Compact(dir); err != nil {
+	if _, err := CompactWith(dir, CompactOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	second, err := os.ReadFile(filepath.Join(dir, CompactedName))

@@ -79,13 +79,13 @@ func rebinCitySamples(path, city string, spec CitySketchSpec, batchRows int) (*c
 // scanSegmentBundles streams just a segment's sketch section — the scan
 // seeks past every row block, so this reads a few KiB however many rows
 // the segment holds.
-func scanSegmentBundles(path string, batchRows int) ([]dataset.SketchBundle, error) {
+func scanSegmentBundles(path string) ([]dataset.SketchBundle, error) {
 	src, err := dataset.OpenFileSource(path)
 	if err != nil {
 		return nil, err
 	}
 	defer src.Close()
-	sc, err := dataset.NewBlockScanner(src, dataset.SnapshotSelection{Sketches: true}, batchRows)
+	sc, err := dataset.NewBlockScanner(src, dataset.SnapshotSelection{Sketches: true}, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -113,7 +113,7 @@ type ServerConfig struct {
 	Logf func(format string, args ...any)
 	// Tiles configures the /v1/tiles aggregation layer. The zero value
 	// serves zoom-16 tiles with the default location seed and all-CPU
-	// folds; Parallelism and LocSeed never change response bytes.
+	// folds; Parallelism never changes response bytes.
 	Tiles tilequery.Config
 	// TileCacheTiles bounds the tile result cache (0 = the tilequery
 	// default).
@@ -173,7 +173,7 @@ func NewServer(pipe *Pipeline, models map[string]*CityModel, cfg ServerConfig) *
 		modelCities = append(modelCities, city)
 	}
 	sort.Strings(modelCities)
-	s.tiles = newTileServer(pipe.cfg.Dir, cfg.Tiles, cfg.TileCacheTiles, pipe.cfg.ScanBatchRows, modelCities)
+	s.tiles = newTileServer(pipe.cfg.Dir, cfg.Tiles, cfg.TileCacheTiles, modelCities)
 	now := time.Now().UnixNano()
 	for city, m := range models {
 		st := &cityState{base: m.Base}

@@ -186,7 +186,7 @@ func serveAndCompact(t *testing.T, rows []dataset.IngestRow, cfg PipelineConfig,
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	out, err := Compact(dir)
+	out, err := CompactWith(dir, CompactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestServerSnapshotLoadsAsCitySnapshot(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	out, err := Compact(dir)
+	out, err := CompactWith(dir, CompactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,11 +3,9 @@ package ingest
 import (
 	"fmt"
 	"net/http"
-	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 
 	"speedctx/internal/dataset"
@@ -29,19 +27,18 @@ var tileSelection = dataset.SnapshotSelection{
 // tileServer folds sealed .sxc segments into a tilequery engine and serves
 // GET /v1/tiles. Folds are incremental: each request lists the segment
 // directory and folds only files it has not seen; a vanished file (the
-// batcher never removes segments, so that means Compact ran) resets the
+// batcher never removes segments, so that means CompactWith ran) resets the
 // engine and refolds the directory. Because tile aggregation is
 // integer-exact and placement is order-independent, any fold history over
 // the same sealed rows — live seal-by-seal, cold-restart refold, or
 // post-compaction refold — yields byte-identical responses.
 type tileServer struct {
-	mu        sync.Mutex
-	dir       string
-	cfg       tilequery.Config
-	eng       *tilequery.Engine
-	folded    map[string]bool
-	batchRows int
-	cities    []string // sorted serving-model cities, for pushdown attribution
+	mu     sync.Mutex
+	dir    string
+	cfg    tilequery.Config
+	eng    *tilequery.Engine
+	folded map[string]bool
+	cities []string // sorted serving-model cities, for pushdown attribution
 
 	// Cumulative streamed-scan counters across folds, for /statsz: proof
 	// the serving path never materializes unrequested columns (and, on
@@ -72,14 +69,13 @@ type cityPushStats struct {
 	blocksSkipped int64
 }
 
-func newTileServer(dir string, cfg tilequery.Config, cacheTiles, batchRows int, cities []string) *tileServer {
+func newTileServer(dir string, cfg tilequery.Config, cacheTiles int, cities []string) *tileServer {
 	return &tileServer{
 		dir:        dir,
 		cfg:        cfg,
 		eng:        tilequery.NewEngine(cfg, cacheTiles),
 		push:       tilequery.NewIndex(cfg),
 		folded:     make(map[string]bool),
-		batchRows:  batchRows,
 		cities:     cities,
 		pushByCity: make(map[string]*cityPushStats),
 	}
@@ -88,18 +84,13 @@ func newTileServer(dir string, cfg tilequery.Config, cacheTiles, batchRows int, 
 // refresh folds segments sealed since the last call, resetting first if
 // compaction rewrote the directory.
 func (ts *tileServer) refresh() error {
-	entries, err := os.ReadDir(ts.dir)
+	names, err := listSegments(ts.dir)
 	if err != nil {
 		return err
 	}
-	present := make(map[string]bool, len(entries))
-	var names []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.Type().IsRegular() && strings.HasSuffix(name, segmentSuffix) {
-			present[name] = true
-			names = append(names, name)
-		}
+	present := make(map[string]bool, len(names))
+	for _, name := range names {
+		present[name] = true
 	}
 	for name := range ts.folded {
 		if !present[name] {
@@ -109,7 +100,6 @@ func (ts *tileServer) refresh() error {
 			break
 		}
 	}
-	sort.Strings(names)
 	for _, name := range names {
 		if ts.folded[name] {
 			continue
@@ -141,7 +131,7 @@ func (ts *tileServer) foldSegment(name string) error {
 		return err
 	}
 	defer src.Close()
-	sc, err := dataset.NewBlockScanner(src, tileSelection, ts.batchRows)
+	sc, err := dataset.NewBlockScanner(src, tileSelection, 0)
 	if err != nil {
 		return err
 	}
@@ -169,17 +159,10 @@ func (ts *tileServer) foldSegment(name string) error {
 // rendered tiles are byte-identical to the engine path's. Unclustered (v2)
 // segments carry no zone maps and stream whole. Callers hold ts.mu.
 func (ts *tileServer) tilesPushdown(query tilequery.Query) ([]opendata.ContextTile, error) {
-	entries, err := os.ReadDir(ts.dir)
+	names, err := listSegments(ts.dir)
 	if err != nil {
 		return nil, err
 	}
-	var names []string
-	for _, e := range entries {
-		if name := e.Name(); e.Type().IsRegular() && strings.HasSuffix(name, segmentSuffix) {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
 	sel := tileSelection
 	sel.Predicate = ts.cfg.Pushdown(query.Range)
 	ix := ts.push
@@ -225,7 +208,7 @@ func (ts *tileServer) scanSegmentInto(ix *tilequery.Index, name string, sel data
 		return dataset.DecodeCounters{}, err
 	}
 	defer src.Close()
-	sc, err := dataset.NewBlockScanner(src, sel, ts.batchRows)
+	sc, err := dataset.NewBlockScanner(src, sel, 0)
 	if err != nil {
 		return dataset.DecodeCounters{}, err
 	}
@@ -316,21 +299,7 @@ func (s *Server) handleTiles(w http.ResponseWriter, r *http.Request) {
 	}
 	query := tilequery.Query{Zoom: zoom}
 	if v := q.Get("bbox"); v != "" {
-		parts := strings.Split(v, ",")
-		if len(parts) != 4 {
-			http.Error(w, "ingest: bbox wants minLat,minLon,maxLat,maxLon", http.StatusBadRequest)
-			return
-		}
-		var f [4]float64
-		for i, p := range parts {
-			x, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-			if err != nil {
-				http.Error(w, "ingest: bad bbox coordinate "+p, http.StatusBadRequest)
-				return
-			}
-			f[i] = x
-		}
-		rng, err := opendata.TileRangeForBBox(f[0], f[1], f[2], f[3], zoom)
+		rng, err := opendata.ParseBBox(v, zoom)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return

@@ -93,7 +93,7 @@ func TestTilesEndpointIdentity(t *testing.T) {
 
 	// Compaction rewrites the directory into one segment; the replayed fold
 	// must reproduce the same bytes.
-	if _, err := Compact(dir); err != nil {
+	if _, err := CompactWith(dir, CompactOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, after := getTiles(t, client, ts.URL, ""); !bytes.Equal(after, live) {
@@ -175,7 +175,11 @@ func TestTilesEndpointQueries(t *testing.T) {
 	}
 
 	// Parameter validation.
-	for _, bad := range []string{"?zoom=0", "?zoom=17", "?zoom=x", "?bbox=1,2,3", "?bbox=9,9,1,1", "?metric=nope"} {
+	for _, bad := range []string{
+		"?zoom=0", "?zoom=17", "?zoom=x", "?metric=nope",
+		"?bbox=1,2,3", "?bbox=1,x,3,4", "?bbox=9,9,1,1", // field count, non-number, inverted
+		"?bbox=NaN,NaN,NaN,NaN", "?bbox=34.3,NaN,34.5,-119.6", "?bbox=34.3,-119.8,Inf,-119.6",
+	} {
 		if code, body := getTiles(t, client, ts.URL, bad); code != http.StatusBadRequest {
 			t.Fatalf("%s = %d (%.80s), want 400", bad, code, body)
 		}
@@ -281,7 +285,7 @@ func TestTilesPushdownClustered(t *testing.T) {
 	if err := p2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Compact(dir2); err != nil {
+	if _, err := CompactWith(dir2, CompactOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	code, flat := getTiles(t, client2, ts2.URL, bbox)

@@ -109,10 +109,8 @@ func WriteContextTilesCSV(w io.Writer, tiles []ContextTile) error {
 	return cw.Error()
 }
 
-// DefaultLocSeed is the location-derivation seed the CLIs and the ingest
-// server use unless overridden — the same seed the legacy `generate`
-// command has always passed to Aggregate, kept so tile placements stay
-// comparable across tools.
+// DefaultLocSeed is the location-derivation seed every tile fold uses
+// unless overridden, so tile placements stay comparable across tools.
 const DefaultLocSeed = 5
 
 // CityCenter returns the fixed pseudo-center of a study city — the anchor
@@ -142,10 +140,10 @@ func CityCenter(id string) geo.LatLon {
 
 // UserLocation derives a subscriber's stable pseudo-location: a point in
 // the ±0.1° city-sized box around center, keyed by (seed, userID) through
-// a counter-based hash. Unlike the sequential RNG in Aggregate (whose
-// placements depend on first-seen record order), the hash makes a user's
-// location independent of row order and of which subset of their tests a
-// reader scans — the property that lets snapshot scans, in-memory
+// a counter-based hash. Unlike a sequential RNG (whose placements would
+// depend on first-seen record order), the hash makes a user's location
+// independent of row order and of which subset of their tests a reader
+// scans — the property that lets snapshot scans, in-memory
 // generation and incremental segment folds land every test in the same
 // tile.
 func UserLocation(center geo.LatLon, seed int64, userID int) geo.LatLon {

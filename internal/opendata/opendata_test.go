@@ -1,15 +1,8 @@
 package opendata
 
 import (
-	"bytes"
-	"math"
-	"strings"
 	"testing"
 	"testing/quick"
-
-	"speedctx/internal/dataset"
-	"speedctx/internal/geo"
-	"speedctx/internal/plans"
 )
 
 func TestQuadkeyKnownValues(t *testing.T) {
@@ -82,90 +75,5 @@ func TestTileBoundsContainPoint(t *testing.T) {
 	// Zoom-16 tiles are small: well under 0.01 degrees.
 	if maxLat-minLat > 0.01 || maxLon-minLon > 0.01 {
 		t.Errorf("tile too large: %v x %v degrees", maxLat-minLat, maxLon-minLon)
-	}
-}
-
-func TestAggregateAndRoundTrip(t *testing.T) {
-	recs := dataset.GenerateOokla(plans.CityA(), 3000, 61)
-	center := geo.LatLon{Lat: 34.42, Lon: -119.70}
-	tiles := Aggregate(recs, center, 5)
-	if len(tiles) < 50 {
-		t.Fatalf("only %d tiles; users not spread", len(tiles))
-	}
-	totalTests := 0
-	for _, tl := range tiles {
-		totalTests += tl.Tests
-		if tl.Devices < 1 || tl.Devices > tl.Tests {
-			t.Fatalf("tile %s devices %d vs tests %d", tl.Quadkey, tl.Devices, tl.Tests)
-		}
-		if tl.AvgDKbps <= 0 || tl.AvgUKbps <= 0 {
-			t.Fatalf("tile %s has non-positive speeds", tl.Quadkey)
-		}
-		if len(tl.Quadkey) != TileZoom {
-			t.Fatalf("tile key %q wrong length", tl.Quadkey)
-		}
-	}
-	if totalTests != len(recs) {
-		t.Errorf("tile tests sum to %d, want %d", totalTests, len(recs))
-	}
-	// Sorted by quadkey.
-	for i := 1; i < len(tiles); i++ {
-		if tiles[i].Quadkey < tiles[i-1].Quadkey {
-			t.Fatal("tiles not sorted")
-		}
-	}
-
-	var buf bytes.Buffer
-	if err := WriteTilesCSV(&buf, tiles); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadTilesCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(tiles) {
-		t.Fatalf("round trip %d != %d", len(back), len(tiles))
-	}
-	for i := range tiles {
-		if tiles[i] != back[i] {
-			t.Fatalf("tile %d mismatch: %+v vs %+v", i, tiles[i], back[i])
-		}
-	}
-}
-
-func TestAggregateDeterminism(t *testing.T) {
-	recs := dataset.GenerateOokla(plans.CityB(), 500, 62)
-	center := geo.LatLon{Lat: 40, Lon: -100}
-	a := Aggregate(recs, center, 9)
-	b := Aggregate(recs, center, 9)
-	if len(a) != len(b) {
-		t.Fatal("non-deterministic tile count")
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("non-deterministic tiles")
-		}
-	}
-}
-
-func TestReadTilesErrors(t *testing.T) {
-	if _, err := ReadTilesCSV(strings.NewReader("")); err == nil {
-		t.Error("empty csv should error")
-	}
-	bad := strings.Join(tileHeader, ",") + "\nzzz,1,2,3,4,5\n"
-	if _, err := ReadTilesCSV(strings.NewReader(bad)); err == nil {
-		t.Error("bad quadkey should error")
-	}
-	short := strings.Join(tileHeader, ",") + "\n0123,1\n"
-	if _, err := ReadTilesCSV(strings.NewReader(short)); err == nil {
-		t.Error("short row should error")
-	}
-}
-
-func TestTileSamples(t *testing.T) {
-	tiles := []Tile{{AvgDKbps: 115000, AvgUKbps: 12000}}
-	s := TileSamples(tiles)
-	if math.Abs(s[0].Download-115) > 1e-9 || math.Abs(s[0].Upload-12) > 1e-9 {
-		t.Errorf("samples = %+v", s)
 	}
 }

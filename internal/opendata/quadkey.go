@@ -4,9 +4,10 @@
 // paper cites as Ookla's public aggregate release).
 //
 // The package exists to make a point the paper argues (§8): aggregated
-// tiles strip the per-measurement context BST needs. The Aggregate function
-// turns synthetic per-test records into tiles, and the experiments package
-// shows tier recovery collapsing on them.
+// tiles strip the per-measurement context BST needs. It holds the tile
+// geometry and the ContextTile schema; internal/tilequery folds per-test
+// rows into tiles, and the experiments package shows tier recovery
+// collapsing on them.
 package opendata
 
 import (
@@ -91,12 +92,6 @@ func QuadkeyToTile(qk string) (x, y, zoom int, err error) {
 		}
 	}
 	return x, y, zoom, nil
-}
-
-// Quadkey encodes a WGS84 coordinate at TileZoom.
-func Quadkey(lat, lon float64) string {
-	x, y := LatLonToTile(lat, lon, TileZoom)
-	return TileToQuadkey(x, y, TileZoom)
 }
 
 // TileBounds returns the WGS84 bounding box of a tile.

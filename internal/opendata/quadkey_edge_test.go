@@ -1,6 +1,7 @@
 package opendata
 
 import (
+	"math"
 	"sort"
 	"testing"
 
@@ -167,6 +168,38 @@ func TestTileRangeForBBox(t *testing.T) {
 	if _, err := TileRangeForBBox(0, 0, 1, 1, MaxZoom+1); err == nil {
 		t.Fatal("zoom above MaxZoom accepted")
 	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, b := range [][4]float64{
+		{nan, nan, nan, nan},
+		{34.3, nan, 34.5, -119.6},
+		{34.3, -119.8, inf, -119.6},
+		{-inf, -119.8, 34.5, -119.6},
+	} {
+		if r, err := TileRangeForBBox(b[0], b[1], b[2], b[3], TileZoom); err == nil {
+			t.Fatalf("non-finite bbox %v accepted as %+v", b, r)
+		}
+	}
+}
+
+func TestParseBBox(t *testing.T) {
+	want, err := TileRangeForBBox(34.3, -119.8, 34.5, -119.6, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ParseBBox("34.3, -119.8,34.5,-119.6", 12); err != nil || got != want {
+		t.Fatalf("ParseBBox = %+v, %v; want %+v", got, err, want)
+	}
+	for _, bad := range []string{
+		"", "34.3,-119.8,34.5", "34.3,-119.8,34.5,-119.6,1", // field count
+		"34.3,x,34.5,-119.6",                      // not a number
+		"NaN,NaN,NaN,NaN", "34.3,NaN,34.5,-119.6", // NaN
+		"34.3,-119.8,+Inf,-119.6", // infinite
+		"34.5,-119.8,34.3,-119.6", // inverted
+	} {
+		if r, err := ParseBBox(bad, 12); err == nil {
+			t.Errorf("ParseBBox(%q) accepted as %+v", bad, r)
+		}
+	}
 }
 
 func TestPackQuadkeyOrder(t *testing.T) {
@@ -219,10 +252,10 @@ func TestUserLocationStable(t *testing.T) {
 	if a == b {
 		t.Fatal("seed does not influence location")
 	}
-	seen := map[string]bool{}
+	seen := map[uint64]bool{}
 	for userID := 0; userID < 100; userID++ {
 		loc := UserLocation(center, DefaultLocSeed, userID)
-		seen[Quadkey(loc.Lat, loc.Lon)] = true
+		seen[PackQuadkey(LatLonToTile(loc.Lat, loc.Lon, TileZoom))] = true
 	}
 	if len(seen) < 50 {
 		t.Fatalf("100 users land on only %d zoom-16 tiles", len(seen))
@@ -230,13 +263,13 @@ func TestUserLocationStable(t *testing.T) {
 }
 
 func TestCityCenters(t *testing.T) {
-	seen := map[string]bool{}
+	seen := map[uint64]bool{}
 	for _, id := range []string{"A", "B", "C", "D", "E", "zz"} {
 		c := CityCenter(id)
 		if c.Lat < -85 || c.Lat > 85 || c.Lon < -180 || c.Lon >= 180 {
 			t.Fatalf("city %q center out of range: %+v", id, c)
 		}
-		key := Quadkey(c.Lat, c.Lon)
+		key := PackQuadkey(LatLonToTile(c.Lat, c.Lon, TileZoom))
 		if seen[key] {
 			t.Fatalf("city %q shares a tile with another center", id)
 		}

@@ -1,6 +1,11 @@
 package opendata
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"strconv"
+	"strings"
+)
 
 // Quadkey prefix/range helpers for the tile query layer (DESIGN.md §13).
 // A quadkey prefix names a rectangle of descendant tiles, and a bounding
@@ -90,10 +95,16 @@ func WholeZoom(zoom int) TileRange {
 // TileRangeForBBox returns the tile rectangle covering a WGS84 bounding
 // box at zoom. Latitudes clamp to the Web-Mercator limits and longitudes
 // to [-180, 180), matching LatLonToTile; north latitude maps to the
-// smaller tile y.
+// smaller tile y. NaN and infinite coordinates are rejected: they would
+// clamp to an arbitrary edge of the world instead of naming a box.
 func TileRangeForBBox(minLat, minLon, maxLat, maxLon float64, zoom int) (TileRange, error) {
 	if zoom < 0 || zoom > MaxZoom {
 		return TileRange{}, fmt.Errorf("opendata: zoom %d outside [0, %d]", zoom, MaxZoom)
+	}
+	for _, v := range [...]float64{minLat, minLon, maxLat, maxLon} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return TileRange{}, fmt.Errorf("opendata: non-finite bounding box (%g,%g)-(%g,%g)", minLat, minLon, maxLat, maxLon)
+		}
 	}
 	if minLat > maxLat || minLon > maxLon {
 		return TileRange{}, fmt.Errorf("opendata: inverted bounding box (%g,%g)-(%g,%g)", minLat, minLon, maxLat, maxLon)
@@ -101,6 +112,24 @@ func TileRangeForBBox(minLat, minLon, maxLat, maxLon float64, zoom int) (TileRan
 	minX, minY := LatLonToTile(maxLat, minLon, zoom)
 	maxX, maxY := LatLonToTile(minLat, maxLon, zoom)
 	return TileRange{Zoom: zoom, MinX: minX, MinY: minY, MaxX: maxX, MaxY: maxY}, nil
+}
+
+// ParseBBox parses a "minLat,minLon,maxLat,maxLon" bounding box and
+// returns the tile rectangle covering it at zoom (see TileRangeForBBox).
+func ParseBBox(s string, zoom int) (TileRange, error) {
+	parts := strings.Split(s, ",")
+	if len(parts) != 4 {
+		return TileRange{}, fmt.Errorf("opendata: bbox %q wants minLat,minLon,maxLat,maxLon", s)
+	}
+	var f [4]float64
+	for i, p := range parts {
+		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
+		if err != nil {
+			return TileRange{}, fmt.Errorf("opendata: bad bbox coordinate %q", p)
+		}
+		f[i] = v
+	}
+	return TileRangeForBBox(f[0], f[1], f[2], f[3], zoom)
 }
 
 // PrefixRange returns the rectangle of tiles at zoom whose quadkeys start

@@ -198,20 +198,14 @@ func BenchmarkTileScan(b *testing.B) {
 		// Peak working set of the materialized path: the five decoded
 		// 1M-row columns resident at once.
 		peak := measurePeakBytes(func(sample func()) {
-			snap, _, err := dataset.DecodeCitySnapshotPruned(data, tileScanSelection)
-			if err != nil {
-				b.Fatal(err)
-			}
+			snap, _ := wholeSection(b, data, tileScanSelection)
 			sample()
 			runtime.KeepAlive(snap)
 		})
 		b.ResetTimer()
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
-			snap, ctr, err := dataset.DecodeCitySnapshotPruned(data, tileScanSelection)
-			if err != nil {
-				b.Fatal(err)
-			}
+			snap, ctr := wholeSection(b, data, tileScanSelection)
 			if ctr.ColumnsSkipped == 0 || ctr.SectionsSkipped == 0 {
 				b.Fatal("pruned scan skipped nothing")
 			}

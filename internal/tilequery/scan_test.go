@@ -45,6 +45,25 @@ func scanFixtureBytes(t *testing.T, n int) []byte {
 	return data
 }
 
+// wholeSection drains a scan of data under sel in whole-section batches —
+// the materialized pruned decode — and returns the last section's batch
+// with the scan's counters. sel must name a single row section.
+func wholeSection(tb testing.TB, data []byte, sel dataset.SnapshotSelection) (dataset.ColumnsBatch, dataset.DecodeCounters) {
+	tb.Helper()
+	sc, err := dataset.NewBlockScanner(dataset.BytesSource(data), sel, 1<<30)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var b dataset.ColumnsBatch
+	for sc.Scan() {
+		b = *sc.Batch()
+	}
+	if err := sc.Err(); err != nil {
+		tb.Fatal(err)
+	}
+	return b, sc.Counters()
+}
+
 func renderIxJSON(t *testing.T, ix *Index) []byte {
 	t.Helper()
 	var out []byte
@@ -64,7 +83,7 @@ func renderIxJSON(t *testing.T, ix *Index) []byte {
 
 // TestAddScanMatchesAddRows: folding a snapshot through the block scanner
 // at any batch size and parallelism renders byte-identical tiles to
-// folding the materialized pruned decode, for both the Ookla and the
+// folding the materialized whole-section scan, for both the Ookla and the
 // ingest row-view mappings.
 func TestAddScanMatchesAddRows(t *testing.T) {
 	const n = 5000
@@ -84,10 +103,7 @@ func TestAddScanMatchesAddRows(t *testing.T) {
 	for name, sel := range sels {
 		t.Run(name, func(t *testing.T) {
 			cfg := Config{City: "A", Parallelism: 1}
-			snap, _, err := dataset.DecodeCitySnapshotPruned(data, sel)
-			if err != nil {
-				t.Fatal(err)
-			}
+			snap, _ := wholeSection(t, data, sel)
 			ref := NewIndex(cfg)
 			var refRows *Rows
 			if name == "ookla" {

@@ -111,9 +111,16 @@ func TestFacadeExtensions(t *testing.T) {
 		t.Error("no meets-plan verdicts")
 	}
 
-	tiles := speedctx.AggregateTiles(data.Ookla, speedctx.LatLon{Lat: 34.4, Lon: -119.7}, 1)
-	if len(tiles) == 0 {
-		t.Fatal("no tiles")
+	tiles, err := speedctx.AggregateTiles("A", data.Ookla)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tests := 0
+	for _, tl := range tiles {
+		tests += tl.Tests
+	}
+	if len(tiles) == 0 || tests != len(data.Ookla) {
+		t.Fatalf("%d tiles hold %d tests, want %d", len(tiles), tests, len(data.Ookla))
 	}
 
 	mw := speedctx.MannWhitney([]float64{1, 2, 3, 4, 5}, []float64{1, 2, 3, 4, 5})
