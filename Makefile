@@ -23,11 +23,14 @@ race:
 	$(GO) test -race ./...
 
 # race-scan re-runs the streaming-scan packages under the race detector
-# with scan parallelism forced through the parallel merge paths — the
-# pooled batch buffers and per-file scanners of DESIGN.md §14 must stay
-# race-clean when segments decode concurrently.
+# at GOMAXPROCS 1 and 4 (-cpu 1,4). Every "all CPUs" parallelism knob
+# resolves to GOMAXPROCS (internal/parallel.Workers), so the second pass
+# forces the parallel merge paths even on a 1- or 2-core box — the pooled
+# batch buffers and per-file scanners of DESIGN.md §14 must stay
+# race-clean when segments decode concurrently — while the first pins the
+# serial paths the plain `race` run skips on multi-core machines.
 race-scan:
-	$(GO) test -race ./internal/dataset/... ./internal/tilequery/... ./internal/ingest/...
+	$(GO) test -race -cpu 1,4 ./internal/dataset/... ./internal/tilequery/... ./internal/ingest/...
 
 # bench-smoke runs one iteration of the parallel stats and dataset
 # generation benchmarks — enough to catch a broken benchmark without paying
@@ -70,15 +73,21 @@ bench-baseline:
 	  $(GO) test -run NONE -bench 'TileScan' -benchtime 3x -count 3 -benchmem -timeout 30m ./internal/tilequery/ ; \
 	  $(GO) test -run NONE -bench 'TileAggregate' -benchtime 10x -count 3 ./internal/tilequery/ ; \
 	  $(GO) test -run NONE -bench 'TileQuery' -benchtime 200x -count 5 ./internal/tilequery/ ) \
-		| scripts/bench2json.sh > BENCH_pr10.json
-	@cat BENCH_pr10.json
+		| scripts/bench2json.sh > BENCH_pr16.json
+	@cat BENCH_pr16.json
 
 # bench-compare gates the committed perf trajectory: fail if any benchmark
 # shared with an earlier baseline regressed >10% (machine-normalized; see
 # scripts/bench_compare.sh). The TileScanPushdown mode={full,push} entries
 # — the headline of the zone-map predicate pushdown layer (DESIGN.md §15)
-# — are new in BENCH_pr10; future PRs gate against them.
+# — are new in BENCH_pr10; future PRs gate against them. The committed
+# BENCH_pr16 keeps only the generation entries (GenerateOokla,
+# GenerateMLab, AllSnapshot) of its bench-baseline run, after the
+# exponential loss skip-ahead (DESIGN.md §9), so it gates against the files
+# that carry generation entries (BENCH_pr4 on); BENCH_pr3 and BENCH_pr1
+# hold stats entries only.
 bench-compare:
+	scripts/bench_compare.sh BENCH_pr16.json BENCH_pr10.json BENCH_pr9.json BENCH_pr8.json BENCH_pr7.json BENCH_pr6.json BENCH_pr5.json BENCH_pr4.json
 	scripts/bench_compare.sh BENCH_pr10.json BENCH_pr9.json BENCH_pr8.json BENCH_pr7.json BENCH_pr6.json BENCH_pr5.json BENCH_pr4.json BENCH_pr3.json BENCH_pr1.json
 
 # snapshot-verify is the end-to-end identity gate for the snapshot store

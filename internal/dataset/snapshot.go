@@ -62,12 +62,24 @@ const SnapshotFormatVersion = 2
 // encodes still emit version 2 byte-for-byte; the decoder accepts both.
 const SnapshotFormatVersionZoned = 3
 
-// DataVersion tags the semantics of generated data: it must be bumped
-// whenever the generators change output for a fixed (seed, scale, city) —
-// e.g. PR 4's move to per-subscriber RNG streams — and whenever
-// experiments.PaperCounts or the scaling rule changes. Snapshots recorded
-// under another data version are stale and ignored.
+// DataVersion tags the meaning of the rows every .sxc file carries — the
+// column semantics of generated and ingested sections alike. It is written
+// into every snapshot, sealed ingest segment and compacted store, and any
+// file recorded under another data version is rejected as stale, so
+// bumping it orphans every live ingest store. Bump it only when a stored
+// column changes meaning. A change to what the generators emit for a fixed
+// (seed, scale, city) bumps GeneratorVersion instead.
 const DataVersion = 2
+
+// GeneratorVersion tags the output of the synthetic-data generators: it
+// must be bumped whenever they change output for a fixed (seed, scale,
+// city) — a new RNG stream layout, a new sampler inside the TCP simulator,
+// a change to experiments.PaperCounts or the scaling rule. It keys the
+// generated-city SnapshotStore only, so a bump re-generates cached cities
+// without touching ingest segments. Version 1 is everything up to and
+// including the per-subscriber streams of DESIGN.md §9; version 2 moved
+// tcpmodel's random loss to the exponential skip-ahead.
+const GeneratorVersion = 2
 
 var snapshotMagic = [4]byte{'S', 'X', 'C', '1'}
 

@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -225,6 +226,52 @@ func TestSnapshotStore(t *testing.T) {
 	hostile := st.Path(SnapshotKey{City: "../../etc/passwd", Seed: 1, Scale: 1})
 	if filepath.Dir(hostile) != filepath.Clean(st.Dir) {
 		t.Errorf("hostile city escaped store dir: %q", hostile)
+	}
+}
+
+// TestSnapshotStoreGeneratorVersionMiss pins the generator-version half of
+// the store key: a valid snapshot saved under an earlier generator version
+// (same data version, so the file itself decodes fine) must be a miss, so
+// a warm -snapshot-dir never serves rows an older sampler drew.
+func TestSnapshotStoreGeneratorVersionMiss(t *testing.T) {
+	st := &SnapshotStore{Dir: t.TempDir()}
+	key := SnapshotKey{City: "A", Seed: 2021, Scale: 0.02}
+	if err := st.Save(key, snapshotFixture(t)); err != nil {
+		t.Fatal(err)
+	}
+	cur := filepath.Base(st.Path(key))
+	if tag := fmt.Sprintf("_g%d_v%d.sxc", GeneratorVersion, DataVersion); !strings.HasSuffix(cur, tag) {
+		t.Fatalf("path %q does not embed generator and data version %q", cur, tag)
+	}
+	data, err := os.ReadFile(st.Path(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeCitySnapshot(data); err != nil {
+		t.Fatalf("saved entry does not decode: %v", err)
+	}
+	old := []string{
+		// The name generator version 1 saved under (no generator tag).
+		"cityA_seed2021_scale0.02_v2.sxc",
+		// The name of the previous version in today's scheme.
+		strings.Replace(cur, fmt.Sprintf("_g%d_", GeneratorVersion), fmt.Sprintf("_g%d_", GeneratorVersion-1), 1),
+	}
+	for _, name := range old {
+		if name == cur {
+			t.Fatalf("previous-version name %q equals the current one", name)
+		}
+		if err := os.Rename(st.Path(key), filepath.Join(st.Dir, name)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Load(key); err == nil {
+			t.Errorf("entry saved as %q (earlier generator version) should miss", name)
+		}
+		if err := os.Rename(filepath.Join(st.Dir, name), st.Path(key)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := st.Load(key); err != nil {
+		t.Errorf("current entry should hit: %v", err)
 	}
 }
 

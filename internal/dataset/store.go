@@ -8,10 +8,13 @@ import (
 )
 
 // SnapshotStore is a directory of .sxc city snapshots keyed by
-// (city, seed, scale, data version). The data version is baked into the
-// filename as well as the file header, so bumping DataVersion orphans old
-// cache entries instead of forcing every Load through a decode-and-reject
-// cycle; stale files are simply never consulted again.
+// (city, seed, scale, generator version, data version). Both versions are
+// baked into the filename (the data version is in the file header too),
+// so bumping either orphans old cache entries instead of forcing every
+// Load through a decode-and-reject cycle; stale files are simply never
+// consulted again. Only the filename carries GeneratorVersion: a stale
+// generator's rows are well-formed, so nothing in the file could reject
+// them.
 //
 // Store semantics are cache semantics: Load errors (missing file, torn
 // write, checksum mismatch, foreign version) all mean "miss" to callers,
@@ -43,8 +46,8 @@ func (k SnapshotKey) filename() string {
 			city = append(city, '_')
 		}
 	}
-	return fmt.Sprintf("city%s_seed%d_scale%s_v%d.sxc",
-		city, k.Seed, strconv.FormatFloat(k.Scale, 'g', -1, 64), DataVersion)
+	return fmt.Sprintf("city%s_seed%d_scale%s_g%d_v%d.sxc",
+		city, k.Seed, strconv.FormatFloat(k.Scale, 'g', -1, 64), GeneratorVersion, DataVersion)
 }
 
 // Path returns the file path a key maps to.

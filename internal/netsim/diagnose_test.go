@@ -87,25 +87,30 @@ func TestDiagnoseZeroLossUnbounded(t *testing.T) {
 func TestDiagnoseMatchesSimulation(t *testing.T) {
 	// The diagnosis should predict the ballpark of the simulated
 	// measurement: the binding cap is within ~2x of the realized
-	// download for a spread of scenarios.
-	cases := []Scenario{
-		diagScenario(t),
-		func() Scenario {
+	// download for a spread of scenarios. Each case runs 64 consecutive
+	// seeds and asserts the band on the median ratio. The loss-limited
+	// single-connection case spreads ~0.7-2.4 across seeds, so one seed
+	// says little; the other two hold the band on every seed as well.
+	cases := []struct {
+		sc      Scenario
+		perSeed bool
+	}{
+		{diagScenario(t), true},
+		{func() Scenario {
 			sc := diagScenario(t)
 			sc.Home = HomeLink{WiFi: wifi.Link{Band: wifi.Band24GHz, RSSI: -55, Contention: 0.4}}
 			sc.Device = device.Device{Platform: device.Android, KernelMemMB: 8192}
 			return sc
-		}(),
-		func() Scenario {
+		}(), true},
+		{func() Scenario {
 			sc := diagScenario(t)
 			sc.Vendor = VendorNDT
 			sc.Access.LossRate = 5e-5
 			return sc
-		}(),
+		}(), false},
 	}
-	for i, sc := range cases {
-		d := Diagnose(sc)
-		m := Run(sc, stats.NewRNG(int64(100+i)))
+	for i, c := range cases {
+		d := Diagnose(c.sc)
 		binding := d.AccessCap
 		switch d.Bottleneck {
 		case BottleneckWiFi:
@@ -115,10 +120,19 @@ func TestDiagnoseMatchesSimulation(t *testing.T) {
 		case BottleneckMethodology:
 			binding = d.MethodologyCap
 		}
-		ratio := float64(m.Download) / float64(binding)
-		if ratio < 0.3 || ratio > 1.5 {
-			t.Errorf("case %d (%v): measured %v vs binding cap %v (ratio %v)",
-				i, d.Bottleneck, m.Download, binding, ratio)
+		ratios := make([]float64, 0, 64)
+		for k := 0; k < 64; k++ {
+			m := Run(c.sc, stats.NewRNG(int64(100+i+k)))
+			ratio := float64(m.Download) / float64(binding)
+			if c.perSeed && (ratio < 0.3 || ratio > 1.5) {
+				t.Errorf("case %d seed %d (%v): measured %v vs binding cap %v (ratio %v)",
+					i, 100+i+k, d.Bottleneck, m.Download, binding, ratio)
+			}
+			ratios = append(ratios, ratio)
+		}
+		if m := stats.Median(ratios); m < 0.3 || m > 1.5 {
+			t.Errorf("case %d (%v): median measured/binding-cap ratio over 64 seeds = %v, want within [0.3, 1.5]",
+				i, d.Bottleneck, m)
 		}
 	}
 }

@@ -55,6 +55,7 @@ type Path struct {
 	RTT time.Duration
 	// LossRate is the random per-packet loss probability on top of
 	// queue-overflow drops (transmission errors, cross-traffic bursts).
+	// Values >= 1 lose every packet.
 	LossRate float64
 	// BufferPackets is the droptail queue size at the bottleneck. Zero
 	// selects a buffer of one bandwidth-delay product.
@@ -156,6 +157,7 @@ type flow struct {
 	ssthresh  float64
 	slowStart bool
 	delivered float64 // measured-interval packets
+	toLoss    float64 // packets until this flow's next random loss
 }
 
 // Simulate runs the round-based AIMD model of spec over path, drawing loss
@@ -196,19 +198,32 @@ func Simulate(path Path, spec TestSpec, rng *stats.RNG) Result {
 		}
 	}
 
+	// Random loss is sampled by exponential skip-ahead instead of a
+	// per-round Bernoulli draw. Packets are lost independently with
+	// probability p, so the packet count to a flow's next random loss is
+	// geometric; its continuous counterpart is exponential with hazard
+	// -ln(1-p) per packet. A round of cwnd packets loses iff that count
+	// falls below cwnd, which happens with probability exactly
+	// 1-(1-p)^cwnd, and memorylessness makes the residual after a clean
+	// round a fresh draw of the same law. So the transfer is identical in
+	// distribution to flipping a 1-(1-p)^cwnd coin per flow-round, at one
+	// exponential draw per loss instead of one Exp and one uniform per
+	// flow-round. Rounds that lose to queue overflow, and BBR flows,
+	// never consult the count, exactly as they never drew the coin.
+	hazard := 0.0
+	if path.LossRate >= 1 {
+		hazard = math.Inf(1) // every packet lost: every round loses
+	} else if path.LossRate > 0 {
+		hazard = -math.Log1p(-path.LossRate)
+	}
+	randomLoss := hazard > 0 && spec.Congestion != BBR
+
 	flows := make([]flow, nconn)
 	for i := range flows {
 		flows[i] = flow{cwnd: iw, ssthresh: math.Inf(1), slowStart: true}
-	}
-
-	// The per-round random-loss probability is 1 - (1-p)^cwnd. The base
-	// is fixed for the whole transfer, so hoist its log out of the round
-	// loop: exp(cwnd*log(1-p)) costs one Exp where Pow costs a full
-	// log/exp decomposition. This line dominates dataset generation
-	// (every synthetic speed test simulates hundreds of rounds here).
-	logKeep := 0.0
-	if path.LossRate > 0 {
-		logKeep = math.Log1p(-path.LossRate)
+		if randomLoss {
+			flows[i].toLoss = rng.Exponential(1) / hazard
+		}
 	}
 
 	res := Result{Rounds: rounds}
@@ -260,15 +275,22 @@ func Simulate(path Path, spec TestSpec, rng *stats.RNG) Result {
 				continue
 			}
 			lost := overflowLoss
-			if !lost && path.LossRate > 0 {
-				// Probability at least one of cwnd packets is
-				// randomly lost.
-				pLoss := 1 - math.Exp(f.cwnd*logKeep)
-				lost = rng.Float64() < pLoss
+			if !lost && randomLoss {
+				if f.toLoss < f.cwnd {
+					lost = true
+					f.toLoss = rng.Exponential(1) / hazard
+				} else {
+					f.toLoss -= f.cwnd
+				}
 			}
 			if lost {
 				lossThisRound = true
-				f.ssthresh = math.Max(f.cwnd/2, 2)
+				// cwnd is positive and finite, so a plain compare is
+				// math.Max without its NaN and signed-zero handling.
+				f.ssthresh = f.cwnd / 2
+				if f.ssthresh < 2 {
+					f.ssthresh = 2
+				}
 				f.cwnd = f.ssthresh
 				f.slowStart = false
 				continue

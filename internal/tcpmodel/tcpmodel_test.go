@@ -52,19 +52,25 @@ func TestSimulateLowRateSaturates(t *testing.T) {
 
 func TestSingleVsMultiConnectionGap(t *testing.T) {
 	// The core §6.3 mechanism: at high provisioned rates, one connection
-	// underestimates while eight saturate.
+	// underestimates while eight saturate. One seed pair is one draw of a
+	// wide ratio distribution (single seeds range ~1.8-10.7), so the band
+	// is asserted on the median over 64 consecutive seed pairs; the
+	// ordering and the multi-connection saturation hold on every pair.
 	path := Path{Capacity: 800, RTT: 25 * time.Millisecond, LossRate: 3e-5}
-	ndt := Simulate(path, NDTSpec(), stats.NewRNG(2))
-	ookla := Simulate(path, OoklaSpec(), stats.NewRNG(3))
-	if ookla.Utilization < 0.85 {
-		t.Errorf("multi-connection utilization = %v, want > 0.85", ookla.Utilization)
+	ratios := make([]float64, 0, 64)
+	for k := int64(0); k < 64; k++ {
+		ndt := Simulate(path, NDTSpec(), stats.NewRNG(2+k))
+		ookla := Simulate(path, OoklaSpec(), stats.NewRNG(3+k))
+		if ookla.Utilization < 0.85 {
+			t.Errorf("seed pair %d: multi-connection utilization = %v, want > 0.85", k, ookla.Utilization)
+		}
+		if ndt.Goodput >= ookla.Goodput {
+			t.Errorf("seed pair %d: single connection (%v) should lag multi (%v)", k, ndt.Goodput, ookla.Goodput)
+		}
+		ratios = append(ratios, float64(ookla.Goodput)/float64(ndt.Goodput))
 	}
-	if ndt.Goodput >= ookla.Goodput {
-		t.Errorf("single connection (%v) should lag multi (%v)", ndt.Goodput, ookla.Goodput)
-	}
-	ratio := float64(ookla.Goodput) / float64(ndt.Goodput)
-	if ratio < 1.2 || ratio > 4 {
-		t.Errorf("vendor gap ratio = %v, want within [1.2, 4]", ratio)
+	if m := stats.Median(ratios); m < 1.2 || m > 4 {
+		t.Errorf("median vendor gap ratio over 64 seed pairs = %v, want within [1.2, 4]", m)
 	}
 }
 

@@ -19,13 +19,17 @@
 # warm-up only ever inflates an early sample.
 exec awk '
 /^Benchmark/ {
+	# go test appends "-N" to every name when GOMAXPROCS N > 1; drop it
+	# so recordings from machines with different core counts share keys.
+	name = $1
+	sub(/-[0-9]+$/, "", name)
 	# Fields: name iters v1 u1 v2 u2 ... — walk the value/unit pairs.
 	for (f = 3; f + 1 <= NF; f += 2) {
 		v = $f; gsub(/,/, "", v); v = v + 0
 		u = $(f + 1)
-		if (u == "ns/op") key = $1
-		else if (u ~ /-lat-ns$/ || u == "rows/s") key = $1 ":" u
-		else if (u == "B/op" || u == "peak-bytes") key = $1 ":" u
+		if (u == "ns/op") key = name
+		else if (u ~ /-lat-ns$/ || u == "rows/s") key = name ":" u
+		else if (u == "B/op" || u == "peak-bytes") key = name ":" u
 		else continue
 		if (u == "rows/s") {
 			if (!(key in best) || v > best[key]) best[key] = v
