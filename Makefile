@@ -1,14 +1,18 @@
 # Developer entry points. `make check` is the PR gate: it must stay green
-# on every change (vet + build + race-clean tests + a benchmark smoke that
-# proves the perf harness still runs). The byte- and bit-identity gates of
+# on every change (gofmt + vet + build + race-clean tests + a benchmark
+# smoke that proves the perf harness still runs). The byte- and bit-identity gates of
 # the streamed scan, zone-map pushdown, sketch and tile layers are Go tests
 # (DESIGN.md §12-§15), so `race` and `race-scan` run them.
 
 GO ?= go
 
-.PHONY: check vet build test race race-scan bench bench-smoke bench-baseline bench-compare snapshot-verify load-smoke perfbench perfbench-test
+.PHONY: check fmt vet build test race race-scan bench bench-smoke bench-baseline bench-compare snapshot-verify load-smoke perfbench perfbench-test
 
-check: vet build race race-scan bench-smoke bench-compare snapshot-verify load-smoke perfbench-test
+check: fmt vet build race race-scan bench-smoke bench-compare snapshot-verify load-smoke perfbench-test
+
+# fmt fails when any tracked .go file is not gofmt-clean, listing them.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')) && test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
 vet:
 	$(GO) vet ./...

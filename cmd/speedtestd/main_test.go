@@ -157,10 +157,11 @@ func TestDaemonIngestMode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compacted snapshot missing: %v", err)
 	}
-	cols, err := dataset.DecodeIngestSegment(data)
+	snap, err := dataset.DecodeCitySnapshot(data)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cols := snap.Ingest
 	if cols.Len() != 5 {
 		t.Fatalf("snapshot rows = %d, want 5", cols.Len())
 	}

@@ -141,7 +141,6 @@ var platformByName = func() map[string]device.Platform {
 	return m
 }()
 
-
 var mlabHeader = []string{
 	"row_id", "client_ip", "server_ip", "city", "isp", "asn", "timestamp",
 	"direction", "speed_mbps", "min_rtt_ms", "truth_tier",
@@ -173,7 +172,6 @@ func WriteMLabCSV(w io.Writer, rows []MLabRow) error {
 	return b.flush()
 }
 
-
 var mbaHeader = []string{
 	"unit_id", "state", "isp", "census_tract", "timestamp",
 	"download_mbps", "upload_mbps", "plan_down_mbps", "plan_up_mbps", "tier",
@@ -203,4 +201,3 @@ func WriteMBACSV(w io.Writer, recs []MBARecord) error {
 	}
 	return b.flush()
 }
-

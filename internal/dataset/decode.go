@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"time"
 
-	"speedctx/internal/device"
 	"speedctx/internal/parallel"
 	"speedctx/internal/wifi"
 )
@@ -263,7 +262,7 @@ func decodeCSV[C any](r io.Reader, par, chunks int, name string, header []string
 	}
 	bounds := splitRecords(body, chunks)
 	parts := parallel.Map(par, len(bounds)-1, func(i int) chunkPart[C] {
-		cols, rows, err := decodeChunk(body[bounds[i] : bounds[i+1]])
+		cols, rows, err := decodeChunk(body[bounds[i]:bounds[i+1]])
 		return chunkPart[C]{cols: cols, rows: rows, err: err}
 	})
 	total := 0
@@ -551,36 +550,6 @@ func ooklaChunk(data []byte) (*OoklaColumns, int, error) {
 	}
 }
 
-// concat appends every part's slice in chunk order into one slice sized n.
-func concat[T any](n int, parts []*OoklaColumns, pick func(*OoklaColumns) []T) []T {
-	out := make([]T, 0, n)
-	for _, p := range parts {
-		out = append(out, pick(p)...)
-	}
-	return out
-}
-
-func mergeOokla(parts []*OoklaColumns, n int) *OoklaColumns {
-	return &OoklaColumns{
-		Download:       concat(n, parts, func(c *OoklaColumns) []float64 { return c.Download }),
-		Upload:         concat(n, parts, func(c *OoklaColumns) []float64 { return c.Upload }),
-		Latency:        concat(n, parts, func(c *OoklaColumns) []float64 { return c.Latency }),
-		RSSI:           concat(n, parts, func(c *OoklaColumns) []float64 { return c.RSSI }),
-		MaxTheoretical: concat(n, parts, func(c *OoklaColumns) []float64 { return c.MaxTheoretical }),
-		TestID:         concat(n, parts, func(c *OoklaColumns) []int { return c.TestID }),
-		UserID:         concat(n, parts, func(c *OoklaColumns) []int { return c.UserID }),
-		TruthTier:      concat(n, parts, func(c *OoklaColumns) []int { return c.TruthTier }),
-		KernelMemMB:    concat(n, parts, func(c *OoklaColumns) []int { return c.KernelMemMB }),
-		City:           concat(n, parts, func(c *OoklaColumns) []string { return c.City }),
-		ISP:            concat(n, parts, func(c *OoklaColumns) []string { return c.ISP }),
-		Platform:       concat(n, parts, func(c *OoklaColumns) []device.Platform { return c.Platform }),
-		Access:         concat(n, parts, func(c *OoklaColumns) []AccessType { return c.Access }),
-		HasRadioInfo:   concat(n, parts, func(c *OoklaColumns) []bool { return c.HasRadioInfo }),
-		Band:           concat(n, parts, func(c *OoklaColumns) []wifi.Band { return c.Band }),
-		Timestamp:      concat(n, parts, func(c *OoklaColumns) []time.Time { return c.Timestamp }),
-	}
-}
-
 // mlabChunk decodes one chunk of NDT rows into partial columns.
 func mlabChunk(data []byte) (*MLabRowColumns, int, error) {
 	c := &MLabRowColumns{}
@@ -628,31 +597,6 @@ func mlabChunk(data []byte) (*MLabRowColumns, int, error) {
 	}
 }
 
-// concatM is concat over MLabRowColumns parts.
-func concatM[T any](n int, parts []*MLabRowColumns, pick func(*MLabRowColumns) []T) []T {
-	out := make([]T, 0, n)
-	for _, p := range parts {
-		out = append(out, pick(p)...)
-	}
-	return out
-}
-
-func mergeMLab(parts []*MLabRowColumns, n int) *MLabRowColumns {
-	return &MLabRowColumns{
-		Speed:     concatM(n, parts, func(c *MLabRowColumns) []float64 { return c.Speed }),
-		MinRTT:    concatM(n, parts, func(c *MLabRowColumns) []float64 { return c.MinRTT }),
-		RowID:     concatM(n, parts, func(c *MLabRowColumns) []int { return c.RowID }),
-		ASN:       concatM(n, parts, func(c *MLabRowColumns) []int { return c.ASN }),
-		TruthTier: concatM(n, parts, func(c *MLabRowColumns) []int { return c.TruthTier }),
-		ClientIP:  concatM(n, parts, func(c *MLabRowColumns) []string { return c.ClientIP }),
-		ServerIP:  concatM(n, parts, func(c *MLabRowColumns) []string { return c.ServerIP }),
-		City:      concatM(n, parts, func(c *MLabRowColumns) []string { return c.City }),
-		ISP:       concatM(n, parts, func(c *MLabRowColumns) []string { return c.ISP }),
-		Direction: concatM(n, parts, func(c *MLabRowColumns) []MLabDirection { return c.Direction }),
-		Timestamp: concatM(n, parts, func(c *MLabRowColumns) []time.Time { return c.Timestamp }),
-	}
-}
-
 // mbaChunk decodes one chunk of MBA rows into partial columns.
 func mbaChunk(data []byte) (*MBAColumns, int, error) {
 	c := &MBAColumns{}
@@ -693,42 +637,18 @@ func mbaChunk(data []byte) (*MBAColumns, int, error) {
 	}
 }
 
-// concatB is concat over MBAColumns parts.
-func concatB[T any](n int, parts []*MBAColumns, pick func(*MBAColumns) []T) []T {
-	out := make([]T, 0, n)
-	for _, p := range parts {
-		out = append(out, pick(p)...)
-	}
-	return out
-}
-
-func mergeMBA(parts []*MBAColumns, n int) *MBAColumns {
-	return &MBAColumns{
-		Download:    concatB(n, parts, func(c *MBAColumns) []float64 { return c.Download }),
-		Upload:      concatB(n, parts, func(c *MBAColumns) []float64 { return c.Upload }),
-		PlanDown:    concatB(n, parts, func(c *MBAColumns) []float64 { return c.PlanDown }),
-		PlanUp:      concatB(n, parts, func(c *MBAColumns) []float64 { return c.PlanUp }),
-		UnitID:      concatB(n, parts, func(c *MBAColumns) []int { return c.UnitID }),
-		Tier:        concatB(n, parts, func(c *MBAColumns) []int { return c.Tier }),
-		State:       concatB(n, parts, func(c *MBAColumns) []string { return c.State }),
-		ISP:         concatB(n, parts, func(c *MBAColumns) []string { return c.ISP }),
-		CensusTract: concatB(n, parts, func(c *MBAColumns) []string { return c.CensusTract }),
-		Timestamp:   concatB(n, parts, func(c *MBAColumns) []time.Time { return c.Timestamp }),
-	}
-}
-
 // readOoklaColumns is ReadOoklaColumns with an explicit chunk count (<= 0 =
 // auto); the determinism tests sweep it.
 func readOoklaColumns(r io.Reader, par, chunks int) (*OoklaColumns, error) {
-	return decodeCSV(r, par, chunks, "ookla", ooklaHeader, ooklaChunk, mergeOokla)
+	return decodeCSV(r, par, chunks, "ookla", ooklaHeader, ooklaChunk, ooklaLayout.concat)
 }
 
 func readMLabColumns(r io.Reader, par, chunks int) (*MLabRowColumns, error) {
-	return decodeCSV(r, par, chunks, "mlab", mlabHeader, mlabChunk, mergeMLab)
+	return decodeCSV(r, par, chunks, "mlab", mlabHeader, mlabChunk, mlabLayout.concat)
 }
 
 func readMBAColumns(r io.Reader, par, chunks int) (*MBAColumns, error) {
-	return decodeCSV(r, par, chunks, "mba", mbaHeader, mbaChunk, mergeMBA)
+	return decodeCSV(r, par, chunks, "mba", mbaHeader, mbaChunk, mbaLayout.concat)
 }
 
 // ReadOoklaColumns parses the speedctx Ookla CSV format straight into

@@ -36,10 +36,11 @@ func TestIngestSegmentRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols, err := DecodeIngestSegment(buf)
+	snap, err := DecodeCitySnapshot(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cols := snap.Ingest
 	got := cols.Rows()
 	if len(got) != len(rows) {
 		t.Fatalf("rows = %d, want %d", len(got), len(rows))
@@ -69,10 +70,11 @@ func TestIngestSegmentIEEEExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols, err := DecodeIngestSegment(buf)
+	snap, err := DecodeCitySnapshot(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cols := snap.Ingest
 	for i, v := range specials {
 		if math.Float64bits(cols.Download[i]) != math.Float64bits(v) {
 			t.Errorf("download[%d] bits changed: %x != %x", i,
@@ -123,20 +125,20 @@ func TestDecodeIngestSegmentRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeIngestSegment(buf[:len(buf)-3]); err == nil {
+	if _, err := DecodeCitySnapshot(buf[:len(buf)-3]); err == nil {
 		t.Error("truncated segment decoded")
 	}
 	flip := append([]byte(nil), buf...)
 	flip[len(flip)/2] ^= 0x40
-	if _, err := DecodeIngestSegment(flip); err == nil {
+	if _, err := DecodeCitySnapshot(flip); err == nil {
 		t.Error("corrupted segment decoded")
 	}
-	// A valid city snapshot without an ingest section is not a segment.
-	citySnap, err := EncodeIngestSegment(ColumnizeIngest(nil))
+	// An empty ingest section still decodes as a (zero-row) section.
+	empty, err := EncodeIngestSegment(ColumnizeIngest(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeIngestSegment(citySnap); err != nil {
+	if snap, err := DecodeCitySnapshot(empty); err != nil || snap.Ingest == nil {
 		t.Errorf("empty ingest section should decode: %v", err)
 	}
 }

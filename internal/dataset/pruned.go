@@ -2,7 +2,7 @@ package dataset
 
 // Column-pruned .sxc decoding (DESIGN.md §13). The snapshot format
 // length-prefixes every column block and fixes the column order per section
-// kind, so a reader that does not want a column can skip it with a seek
+// kind (the layout tables, layout.go), so a reader that does not want a column can skip it with a seek
 // (read the id byte and the payload length, advance) instead of a decode,
 // and a reader that wants no column of a section can skip the whole section
 // the same way. Queries declare the columns they touch via a
@@ -70,15 +70,9 @@ const (
 	IngestColConfidence
 )
 
-// Column counts per section kind: how many blocks a skipping reader must
-// seek over. These are structural constants of the format version.
-const (
-	ooklaSectionCols  = 16
-	mlabSectionCols   = 11
-	mbaSectionCols    = 10
-	ingestSectionCols = 11
-	sketchSectionCols = 8
-)
+// sketchSectionCols is the sketch section's block count; the row
+// sections' counts are the lengths of their layout tables (layout.go).
+const sketchSectionCols = 8
 
 // SnapshotSelection declares, per section kind, which columns a query
 // touches. A zero set skips that section; the zero SnapshotSelection skips

@@ -17,7 +17,9 @@ package dataset
 // The scanner is also the only decode engine: DecodeCitySnapshot runs it
 // with whole-section batches and fresh (non-reused) buffers, so a streamed
 // column is bit-identical to its materialized decode by construction, not
-// by parallel maintenance of two decoders.
+// by parallel maintenance of two decoders. It binds each block to its
+// struct field through the section's layout table (layout.go), the same
+// table the encoders write from.
 //
 // Integrity is selection-scoped exactly as in §13: a streaming scan
 // verifies each selected block against its per-block checksum. Over an
@@ -572,15 +574,13 @@ func (s *BlockScanner) parseDirectory() error {
 func sectionColumnCount(kind byte) (int, bool) {
 	switch kind {
 	case snapKindOokla, snapKindAndroid, snapKindOoklaZoned:
-		return ooklaSectionCols, true
-	case snapKindIngestZoned:
-		return ingestSectionCols, true
+		return len(ooklaLayout.cols), true
 	case snapKindMLab:
-		return mlabSectionCols, true
+		return len(mlabLayout.cols), true
 	case snapKindMBA:
-		return mbaSectionCols, true
-	case snapKindIngest:
-		return ingestSectionCols, true
+		return len(mbaLayout.cols), true
+	case snapKindIngest, snapKindIngestZoned:
+		return len(ingestLayout.cols), true
 	case snapKindSketch:
 		return sketchSectionCols, true
 	}
@@ -726,211 +726,31 @@ func (s *BlockScanner) runBatch(n int) error {
 }
 
 // bindSection builds cursors and decode closures for the selected columns
-// of one row section and points the output batch at the right container.
+// of one row section and points the output batch at the right container:
+// the scanner's reused one, or a fresh one in decode mode.
 func (s *BlockScanner) bindSection(ss scanSection, sel ColumnSet) error {
 	s.exec = s.exec[:0]
-	s.out = ColumnsBatch{SectionRows: ss.rows}
+	s.out = ColumnsBatch{Kind: int(ss.kind), SectionRows: ss.rows}
 	switch ss.kind {
 	case snapKindOokla, snapKindAndroid:
-		if ss.kind == snapKindOokla {
-			s.out.Kind = SectionOokla
-		} else {
-			s.out.Kind = SectionAndroid
-		}
-		if !s.fresh {
-			s.out.Ookla = &s.ookla
-		} else {
-			s.out.Ookla = &OoklaColumns{}
-		}
-		return s.bindOokla(ss, sel, s.out.Ookla)
+		s.out.Ookla = container(&s.ookla, s.fresh)
+		return ooklaLayout.bind(s, ss, sel, s.out.Ookla)
 	case snapKindMLab:
-		s.out.Kind = SectionMLab
-		if !s.fresh {
-			s.out.MLab = &s.mlab
-		} else {
-			s.out.MLab = &MLabRowColumns{}
-		}
-		return s.bindMLab(ss, sel, s.out.MLab)
+		s.out.MLab = container(&s.mlab, s.fresh)
+		return mlabLayout.bind(s, ss, sel, s.out.MLab)
 	case snapKindMBA:
-		s.out.Kind = SectionMBA
-		if !s.fresh {
-			s.out.MBA = &s.mba
-		} else {
-			s.out.MBA = &MBAColumns{}
-		}
-		return s.bindMBA(ss, sel, s.out.MBA)
+		s.out.MBA = container(&s.mba, s.fresh)
+		return mbaLayout.bind(s, ss, sel, s.out.MBA)
 	case snapKindIngest:
-		s.out.Kind = SectionIngest
-		if !s.fresh {
-			s.out.Ingest = &s.ingest
-		} else {
-			s.out.Ingest = &IngestColumns{}
-		}
-		return s.bindIngest(ss, sel, s.out.Ingest)
+		s.out.Ingest = container(&s.ingest, s.fresh)
+		return ingestLayout.bind(s, ss, sel, s.out.Ingest)
 	}
 	return s.fail("unknown section kind %d", ss.kind)
 }
 
-func (s *BlockScanner) bindOokla(ss scanSection, sel ColumnSet, c *OoklaColumns) error {
-	*c = OoklaColumns{}
-	rows := ss.rows
-	for _, bi := range ss.cols {
-		if !sel.Has(bi.id) {
-			continue
-		}
-		var err error
-		switch bi.id {
-		case OoklaColTestID:
-			err = execInts(s, bi, rows, &c.TestID)
-		case OoklaColUserID:
-			err = execInts(s, bi, rows, &c.UserID)
-		case OoklaColCity:
-			err = execStrings(s, bi, rows, &c.City)
-		case OoklaColISP:
-			err = execStrings(s, bi, rows, &c.ISP)
-		case OoklaColTimestamp:
-			err = execTimes(s, bi, rows, &c.Timestamp)
-		case OoklaColPlatform:
-			err = execBytes(s, bi, rows, &c.Platform)
-		case OoklaColAccess:
-			err = execStrings(s, bi, rows, &c.Access)
-		case OoklaColHasRadioInfo:
-			err = execBools(s, bi, rows, &c.HasRadioInfo)
-		case OoklaColBand:
-			err = execBytes(s, bi, rows, &c.Band)
-		case OoklaColRSSI:
-			err = execFloats(s, bi, rows, &c.RSSI)
-		case OoklaColMaxTheoretical:
-			err = execFloats(s, bi, rows, &c.MaxTheoretical)
-		case OoklaColKernelMemMB:
-			err = execInts(s, bi, rows, &c.KernelMemMB)
-		case OoklaColDownload:
-			err = execFloats(s, bi, rows, &c.Download)
-		case OoklaColUpload:
-			err = execFloats(s, bi, rows, &c.Upload)
-		case OoklaColLatency:
-			err = execFloats(s, bi, rows, &c.Latency)
-		case OoklaColTruthTier:
-			err = execInts(s, bi, rows, &c.TruthTier)
-		}
-		if err != nil {
-			return err
-		}
+func container[S any](reused *S, fresh bool) *S {
+	if fresh {
+		return new(S)
 	}
-	return nil
-}
-
-func (s *BlockScanner) bindMLab(ss scanSection, sel ColumnSet, c *MLabRowColumns) error {
-	*c = MLabRowColumns{}
-	rows := ss.rows
-	for _, bi := range ss.cols {
-		if !sel.Has(bi.id) {
-			continue
-		}
-		var err error
-		switch bi.id {
-		case 1:
-			err = execInts(s, bi, rows, &c.RowID)
-		case 2:
-			err = execStrings(s, bi, rows, &c.ClientIP)
-		case 3:
-			err = execStrings(s, bi, rows, &c.ServerIP)
-		case 4:
-			err = execStrings(s, bi, rows, &c.City)
-		case 5:
-			err = execStrings(s, bi, rows, &c.ISP)
-		case 6:
-			err = execInts(s, bi, rows, &c.ASN)
-		case 7:
-			err = execTimes(s, bi, rows, &c.Timestamp)
-		case 8:
-			err = execStrings(s, bi, rows, &c.Direction)
-		case 9:
-			err = execFloats(s, bi, rows, &c.Speed)
-		case 10:
-			err = execFloats(s, bi, rows, &c.MinRTT)
-		case 11:
-			err = execInts(s, bi, rows, &c.TruthTier)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (s *BlockScanner) bindMBA(ss scanSection, sel ColumnSet, c *MBAColumns) error {
-	*c = MBAColumns{}
-	rows := ss.rows
-	for _, bi := range ss.cols {
-		if !sel.Has(bi.id) {
-			continue
-		}
-		var err error
-		switch bi.id {
-		case 1:
-			err = execInts(s, bi, rows, &c.UnitID)
-		case 2:
-			err = execStrings(s, bi, rows, &c.State)
-		case 3:
-			err = execStrings(s, bi, rows, &c.ISP)
-		case 4:
-			err = execStrings(s, bi, rows, &c.CensusTract)
-		case 5:
-			err = execTimes(s, bi, rows, &c.Timestamp)
-		case 6:
-			err = execFloats(s, bi, rows, &c.Download)
-		case 7:
-			err = execFloats(s, bi, rows, &c.Upload)
-		case 8:
-			err = execFloats(s, bi, rows, &c.PlanDown)
-		case 9:
-			err = execFloats(s, bi, rows, &c.PlanUp)
-		case 10:
-			err = execInts(s, bi, rows, &c.Tier)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (s *BlockScanner) bindIngest(ss scanSection, sel ColumnSet, c *IngestColumns) error {
-	*c = IngestColumns{}
-	rows := ss.rows
-	for _, bi := range ss.cols {
-		if !sel.Has(bi.id) {
-			continue
-		}
-		var err error
-		switch bi.id {
-		case IngestColTestID:
-			err = execInts(s, bi, rows, &c.TestID)
-		case IngestColUserID:
-			err = execInts(s, bi, rows, &c.UserID)
-		case IngestColCity:
-			err = execStrings(s, bi, rows, &c.City)
-		case IngestColISP:
-			err = execStrings(s, bi, rows, &c.ISP)
-		case IngestColTimestamp:
-			err = execTimes(s, bi, rows, &c.Timestamp)
-		case IngestColDownload:
-			err = execFloats(s, bi, rows, &c.Download)
-		case IngestColUpload:
-			err = execFloats(s, bi, rows, &c.Upload)
-		case IngestColLatency:
-			err = execFloats(s, bi, rows, &c.Latency)
-		case IngestColUploadTier:
-			err = execInts(s, bi, rows, &c.UploadTier)
-		case IngestColTier:
-			err = execInts(s, bi, rows, &c.Tier)
-		case IngestColConfidence:
-			err = execFloats(s, bi, rows, &c.Confidence)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return reused
 }

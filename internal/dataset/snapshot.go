@@ -25,7 +25,10 @@ import (
 //
 // Each section is: u8 kind | uvarint row count | column blocks in a fixed
 // per-kind order. Each column block is: u8 column id | uvarint payload
-// length | payload. Payload encodings by column type:
+// length | 8-byte payload checksum | payload. A row section's block ids,
+// codecs and struct fields are one table per kind (layout.go), which both
+// the encoders below and the block scanner walk. Payload encodings by
+// column type:
 //
 //   - int and timestamp columns: per-row zigzag varint of the delta to the
 //     previous row. Timestamp payloads start with a precision flag byte:
@@ -203,15 +206,15 @@ func decodeCitySnapshotSel(data []byte, sel SnapshotSelection) (*CitySnapshot, D
 		// single batch, which the merge adopts wholesale.
 		switch b.Kind {
 		case SectionOokla:
-			snap.Ookla = appendOoklaBatch(snap.Ookla, b.Ookla)
+			snap.Ookla = ooklaLayout.appendBatch(snap.Ookla, b.Ookla)
 		case SectionMLab:
-			snap.MLabRows = b.MLab
+			snap.MLabRows = mlabLayout.appendBatch(snap.MLabRows, b.MLab)
 		case SectionMBA:
-			snap.MBA = b.MBA
+			snap.MBA = mbaLayout.appendBatch(snap.MBA, b.MBA)
 		case SectionAndroid:
-			snap.Android = appendOoklaBatch(snap.Android, b.Ookla)
+			snap.Android = ooklaLayout.appendBatch(snap.Android, b.Ookla)
 		case SectionIngest:
-			snap.Ingest = appendIngestBatch(snap.Ingest, b.Ingest)
+			snap.Ingest = ingestLayout.appendBatch(snap.Ingest, b.Ingest)
 		case SectionSketch:
 			snap.Sketches = b.Sketches
 		}
@@ -220,62 +223,6 @@ func decodeCitySnapshotSel(data []byte, sel SnapshotSelection) (*CitySnapshot, D
 		return nil, none, err
 	}
 	return snap, sc.Counters(), nil
-}
-
-// appendCol concatenates one column across zoned-group batches. The first
-// batch is adopted as-is (preserving nil-ness of unselected columns);
-// later groups append.
-func appendCol[T any](dst, src []T) []T {
-	if src == nil {
-		return dst
-	}
-	if dst == nil {
-		return src
-	}
-	return append(dst, src...)
-}
-
-// appendOoklaBatch folds one Ookla batch into the accumulated section columns.
-func appendOoklaBatch(dst, src *OoklaColumns) *OoklaColumns {
-	if dst == nil {
-		return src
-	}
-	dst.TestID = appendCol(dst.TestID, src.TestID)
-	dst.UserID = appendCol(dst.UserID, src.UserID)
-	dst.City = appendCol(dst.City, src.City)
-	dst.ISP = appendCol(dst.ISP, src.ISP)
-	dst.Timestamp = appendCol(dst.Timestamp, src.Timestamp)
-	dst.Platform = appendCol(dst.Platform, src.Platform)
-	dst.Access = appendCol(dst.Access, src.Access)
-	dst.HasRadioInfo = appendCol(dst.HasRadioInfo, src.HasRadioInfo)
-	dst.Band = appendCol(dst.Band, src.Band)
-	dst.RSSI = appendCol(dst.RSSI, src.RSSI)
-	dst.MaxTheoretical = appendCol(dst.MaxTheoretical, src.MaxTheoretical)
-	dst.KernelMemMB = appendCol(dst.KernelMemMB, src.KernelMemMB)
-	dst.Download = appendCol(dst.Download, src.Download)
-	dst.Upload = appendCol(dst.Upload, src.Upload)
-	dst.Latency = appendCol(dst.Latency, src.Latency)
-	dst.TruthTier = appendCol(dst.TruthTier, src.TruthTier)
-	return dst
-}
-
-// appendIngestBatch folds one ingest batch into the accumulated section columns.
-func appendIngestBatch(dst, src *IngestColumns) *IngestColumns {
-	if dst == nil {
-		return src
-	}
-	dst.TestID = appendCol(dst.TestID, src.TestID)
-	dst.UserID = appendCol(dst.UserID, src.UserID)
-	dst.City = appendCol(dst.City, src.City)
-	dst.ISP = appendCol(dst.ISP, src.ISP)
-	dst.Timestamp = appendCol(dst.Timestamp, src.Timestamp)
-	dst.Download = appendCol(dst.Download, src.Download)
-	dst.Upload = appendCol(dst.Upload, src.Upload)
-	dst.Latency = appendCol(dst.Latency, src.Latency)
-	dst.UploadTier = appendCol(dst.UploadTier, src.UploadTier)
-	dst.Tier = appendCol(dst.Tier, src.Tier)
-	dst.Confidence = appendCol(dst.Confidence, src.Confidence)
-	return dst
 }
 
 // encodeCitySnapshot renders the full file image; dataVersion is a
@@ -304,50 +251,26 @@ func encodeCitySnapshotOpts(snap *CitySnapshot, dataVersion uint64, zopts *ZoneO
 		}
 	}
 	e.buf = append(e.buf, byte(sections))
-	if snap.Ookla != nil {
-		var err error
-		if zopts != nil {
-			err = encodeOoklaSectionZoned(e, snapKindOoklaZoned, snap.Ookla, zopts)
-		} else {
-			err = encodeOoklaSection(e, snapKindOokla, snap.Ookla)
-		}
-		if err != nil {
-			return nil, err
-		}
+	err := encodeRows(e, &ooklaLayout, snap.Ookla, snapKindOokla, snapKindOoklaZoned, zopts)
+	if err == nil {
+		err = encodeRows(e, &mlabLayout, snap.MLabRows, snapKindMLab, 0, nil)
 	}
-	if snap.MLabRows != nil {
-		if err := encodeMLabSection(e, snap.MLabRows); err != nil {
-			return nil, err
-		}
+	if err == nil {
+		err = encodeRows(e, &mbaLayout, snap.MBA, snapKindMBA, 0, nil)
 	}
-	if snap.MBA != nil {
-		if err := encodeMBASection(e, snap.MBA); err != nil {
-			return nil, err
-		}
+	if err == nil {
+		err = encodeRows(e, &ooklaLayout, snap.Android, snapKindAndroid, 0, nil)
 	}
-	if snap.Android != nil {
-		if err := encodeOoklaSection(e, snapKindAndroid, snap.Android); err != nil {
-			return nil, err
-		}
+	if err == nil {
+		err = encodeRows(e, &ingestLayout, snap.Ingest, snapKindIngest, snapKindIngestZoned, zopts)
 	}
-	if snap.Ingest != nil {
-		var err error
-		if zopts != nil {
-			err = encodeIngestSectionZoned(e, snap.Ingest, zopts)
-		} else {
-			err = encodeIngestSection(e, snap.Ingest)
-		}
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	if len(snap.Sketches) > 0 {
 		if err := encodeSketchSection(e, snap.Sketches); err != nil {
 			return nil, err
 		}
-	}
-	if e.err != nil {
-		return nil, e.err
 	}
 	return binary.LittleEndian.AppendUint64(e.buf, snapshotChecksum(e.buf)), nil
 }
@@ -393,7 +316,6 @@ func snapshotChecksum(p []byte) uint64 {
 type snapEnc struct {
 	buf     []byte
 	scratch []byte
-	err     error
 }
 
 // column writes one block: id, payload length, the payload's own checksum,
@@ -505,141 +427,16 @@ func appendBytes[T ~int](b []byte, v []T) []byte {
 	return b
 }
 
-// checkLens verifies every column of a section has the section row count
-// before encoding.
-func checkLens(kind string, n int, lens ...int) error {
-	for _, l := range lens {
-		if l != n {
-			return fmt.Errorf("dataset: %s snapshot section: ragged columns (%d vs %d rows)", kind, l, n)
-		}
+// encodeRows writes a present row section under kind, or as a zoned
+// section under zonedKind when zopts is set.
+func encodeRows[S any](e *snapEnc, l *layout[S], c *S, kind, zonedKind byte, zopts *ZoneOptions) error {
+	switch {
+	case c == nil:
+		return nil
+	case zopts != nil:
+		return l.encodeZoned(e, zonedKind, c, zopts)
 	}
-	return nil
-}
-
-// Section encoders. Column ids follow the CSV header order of each
-// dataset; the decode side is the scanner's bind tables (scan.go), which
-// must list the same ids in the same order.
-
-func encodeOoklaSection(e *snapEnc, kind byte, c *OoklaColumns) error {
-	n := c.Len()
-	if err := checkLens("ookla", n, len(c.TestID), len(c.UserID), len(c.City), len(c.ISP),
-		len(c.Timestamp), len(c.Platform), len(c.Access), len(c.HasRadioInfo), len(c.Band),
-		len(c.RSSI), len(c.MaxTheoretical), len(c.KernelMemMB), len(c.Upload),
-		len(c.Latency), len(c.TruthTier)); err != nil {
-		return err
-	}
-	e.section(kind, n)
-	return appendOoklaColumns(e, c)
-}
-
-// appendOoklaColumns emits the Ookla column blocks, ids 1..16. Zoned
-// encodes call it once per row group over sub-sliced columns; every codec
-// restarts per payload, so a group decodes exactly like a small section.
-func appendOoklaColumns(e *snapEnc, c *OoklaColumns) error {
-	e.column(1, appendDeltaInts(e.scratch[:0], c.TestID))
-	e.column(2, appendDeltaInts(e.scratch[:0], c.UserID))
-	e.column(3, appendStrings(e.scratch[:0], c.City))
-	e.column(4, appendStrings(e.scratch[:0], c.ISP))
-	ts, err := appendTimes(e.scratch[:0], c.Timestamp)
-	if err != nil {
-		return err
-	}
-	e.column(5, ts)
-	e.column(6, appendBytes(e.scratch[:0], c.Platform))
-	e.column(7, appendStrings(e.scratch[:0], c.Access))
-	e.column(8, appendBools(e.scratch[:0], c.HasRadioInfo))
-	e.column(9, appendBytes(e.scratch[:0], c.Band))
-	e.column(10, appendFloats(e.scratch[:0], c.RSSI))
-	e.column(11, appendFloats(e.scratch[:0], c.MaxTheoretical))
-	e.column(12, appendDeltaInts(e.scratch[:0], c.KernelMemMB))
-	e.column(13, appendFloats(e.scratch[:0], c.Download))
-	e.column(14, appendFloats(e.scratch[:0], c.Upload))
-	e.column(15, appendFloats(e.scratch[:0], c.Latency))
-	e.column(16, appendDeltaInts(e.scratch[:0], c.TruthTier))
-	return nil
-}
-
-func encodeMLabSection(e *snapEnc, c *MLabRowColumns) error {
-	n := c.Len()
-	if err := checkLens("mlab", n, len(c.RowID), len(c.ClientIP), len(c.ServerIP),
-		len(c.City), len(c.ISP), len(c.ASN), len(c.Timestamp), len(c.Direction),
-		len(c.MinRTT), len(c.TruthTier)); err != nil {
-		return err
-	}
-	e.section(snapKindMLab, n)
-	e.column(1, appendDeltaInts(e.scratch[:0], c.RowID))
-	e.column(2, appendStrings(e.scratch[:0], c.ClientIP))
-	e.column(3, appendStrings(e.scratch[:0], c.ServerIP))
-	e.column(4, appendStrings(e.scratch[:0], c.City))
-	e.column(5, appendStrings(e.scratch[:0], c.ISP))
-	e.column(6, appendDeltaInts(e.scratch[:0], c.ASN))
-	ts, err := appendTimes(e.scratch[:0], c.Timestamp)
-	if err != nil {
-		return err
-	}
-	e.column(7, ts)
-	e.column(8, appendStrings(e.scratch[:0], c.Direction))
-	e.column(9, appendFloats(e.scratch[:0], c.Speed))
-	e.column(10, appendFloats(e.scratch[:0], c.MinRTT))
-	e.column(11, appendDeltaInts(e.scratch[:0], c.TruthTier))
-	return nil
-}
-
-func encodeMBASection(e *snapEnc, c *MBAColumns) error {
-	n := c.Len()
-	if err := checkLens("mba", n, len(c.UnitID), len(c.State), len(c.ISP),
-		len(c.CensusTract), len(c.Timestamp), len(c.Upload), len(c.PlanDown),
-		len(c.PlanUp), len(c.Tier)); err != nil {
-		return err
-	}
-	e.section(snapKindMBA, n)
-	e.column(1, appendDeltaInts(e.scratch[:0], c.UnitID))
-	e.column(2, appendStrings(e.scratch[:0], c.State))
-	e.column(3, appendStrings(e.scratch[:0], c.ISP))
-	e.column(4, appendStrings(e.scratch[:0], c.CensusTract))
-	ts, err := appendTimes(e.scratch[:0], c.Timestamp)
-	if err != nil {
-		return err
-	}
-	e.column(5, ts)
-	e.column(6, appendFloats(e.scratch[:0], c.Download))
-	e.column(7, appendFloats(e.scratch[:0], c.Upload))
-	e.column(8, appendFloats(e.scratch[:0], c.PlanDown))
-	e.column(9, appendFloats(e.scratch[:0], c.PlanUp))
-	e.column(10, appendDeltaInts(e.scratch[:0], c.Tier))
-	return nil
-}
-
-func encodeIngestSection(e *snapEnc, c *IngestColumns) error {
-	n := c.Len()
-	if err := checkLens("ingest", n, len(c.TestID), len(c.UserID), len(c.City),
-		len(c.ISP), len(c.Timestamp), len(c.Upload), len(c.Latency),
-		len(c.UploadTier), len(c.Tier), len(c.Confidence)); err != nil {
-		return err
-	}
-	e.section(snapKindIngest, n)
-	return appendIngestColumns(e, c)
-}
-
-// appendIngestColumns emits the ingest column blocks, ids 1..11; zoned
-// encodes call it once per row group (see appendOoklaColumns).
-func appendIngestColumns(e *snapEnc, c *IngestColumns) error {
-	e.column(1, appendDeltaInts(e.scratch[:0], c.TestID))
-	e.column(2, appendDeltaInts(e.scratch[:0], c.UserID))
-	e.column(3, appendStrings(e.scratch[:0], c.City))
-	e.column(4, appendStrings(e.scratch[:0], c.ISP))
-	ts, err := appendTimes(e.scratch[:0], c.Timestamp)
-	if err != nil {
-		return err
-	}
-	e.column(5, ts)
-	e.column(6, appendFloats(e.scratch[:0], c.Download))
-	e.column(7, appendFloats(e.scratch[:0], c.Upload))
-	e.column(8, appendFloats(e.scratch[:0], c.Latency))
-	e.column(9, appendDeltaInts(e.scratch[:0], c.UploadTier))
-	e.column(10, appendDeltaInts(e.scratch[:0], c.Tier))
-	e.column(11, appendFloats(e.scratch[:0], c.Confidence))
-	return nil
+	return l.encode(e, kind, c)
 }
 
 // encodeSketchSection renders the sketch section: one row per bundle, with
@@ -701,16 +498,4 @@ func EncodeIngestSegment(c *IngestColumns) ([]byte, error) {
 // re-binning the raw columns.
 func EncodeIngestSegmentSketches(c *IngestColumns, sketches []SketchBundle) ([]byte, error) {
 	return encodeCitySnapshot(&CitySnapshot{Ingest: c, Sketches: sketches}, DataVersion)
-}
-
-// DecodeIngestSegment decodes a sealed ingest segment image.
-func DecodeIngestSegment(data []byte) (*IngestColumns, error) {
-	snap, err := DecodeCitySnapshot(data)
-	if err != nil {
-		return nil, err
-	}
-	if snap.Ingest == nil {
-		return nil, errors.New("dataset: snapshot carries no ingest section")
-	}
-	return snap.Ingest, nil
 }

@@ -229,6 +229,45 @@ func TestSnapshotStore(t *testing.T) {
 	}
 }
 
+// TestWriteFileAtomicFailedRename: when the final rename fails (here the
+// target is a non-empty directory), the write reports the error, removes
+// its tempfile, and leaves the old target untouched; a later write over a
+// regular file replaces it whole.
+func TestWriteFileAtomicFailedRename(t *testing.T) {
+	dir := t.TempDir()
+	target := filepath.Join(dir, "store.sxc")
+	if err := os.Mkdir(target, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	old := filepath.Join(target, "old")
+	if err := os.WriteFile(old, []byte("old bytes"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(target, []byte("new bytes")); err == nil {
+		t.Fatal("rename over a non-empty directory succeeded")
+	}
+	if got, err := os.ReadFile(old); err != nil || string(got) != "old bytes" {
+		t.Fatalf("old target changed: %q, %v", got, err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "store.sxc" {
+		t.Fatalf("failed write left %d entries behind: %v", len(entries), entries)
+	}
+
+	file := filepath.Join(dir, "seg.sxc")
+	for _, want := range []string{"first, longer image", "second"} {
+		if err := WriteFileAtomic(file, []byte(want)); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(file); err != nil || string(got) != want {
+			t.Fatalf("read back %q, %v; want %q", got, err, want)
+		}
+	}
+}
+
 // TestSnapshotStoreGeneratorVersionMiss pins the generator-version half of
 // the store key: a valid snapshot saved under an earlier generator version
 // (same data version, so the file itself decodes fine) must be a miss, so

@@ -66,8 +66,8 @@ func (st *SnapshotStore) Load(k SnapshotKey) (*CitySnapshot, error) {
 	return DecodeCitySnapshot(data)
 }
 
-// Save atomically writes the snapshot for a key: encode, write to a
-// tempfile in the store directory, fsync-free rename into place.
+// Save atomically writes the snapshot for a key: encode, then
+// WriteFileAtomic into the store directory.
 func (st *SnapshotStore) Save(k SnapshotKey, snap *CitySnapshot) error {
 	buf, err := encodeCitySnapshot(snap, DataVersion)
 	if err != nil {
@@ -76,7 +76,17 @@ func (st *SnapshotStore) Save(k SnapshotKey, snap *CitySnapshot) error {
 	if err := os.MkdirAll(st.Dir, 0o755); err != nil {
 		return err
 	}
-	f, err := os.CreateTemp(st.Dir, k.filename()+".tmp")
+	return WriteFileAtomic(st.Path(k), buf)
+}
+
+// WriteFileAtomic is the tempfile-and-rename write every .sxc file goes
+// through (store saves, ingest seals, compactions, clustered siblings):
+// buf lands in a tempfile beside path, which is then renamed over it, so
+// readers see the old file or the new one, never a torn one, and a failed
+// write leaves the old file intact and no tempfile behind. There is no
+// fsync, so the rename survives a process crash but not a power loss.
+func WriteFileAtomic(path string, buf []byte) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp")
 	if err != nil {
 		return err
 	}
@@ -90,7 +100,7 @@ func (st *SnapshotStore) Save(k SnapshotKey, snap *CitySnapshot) error {
 		os.Remove(tmp)
 		return err
 	}
-	if err := os.Rename(tmp, st.Path(k)); err != nil {
+	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return err
 	}

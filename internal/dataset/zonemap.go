@@ -384,122 +384,6 @@ func parseZoneDir(p []byte, ncols, totalRows int) (*zoneDir, error) {
 	return d, nil
 }
 
-// ooklaSlice aliases rows [lo, hi) of every column.
-func ooklaSlice(c *OoklaColumns, lo, hi int) *OoklaColumns {
-	return &OoklaColumns{
-		TestID: c.TestID[lo:hi], UserID: c.UserID[lo:hi],
-		City: c.City[lo:hi], ISP: c.ISP[lo:hi],
-		Timestamp: c.Timestamp[lo:hi], Platform: c.Platform[lo:hi],
-		Access: c.Access[lo:hi], HasRadioInfo: c.HasRadioInfo[lo:hi],
-		Band: c.Band[lo:hi], RSSI: c.RSSI[lo:hi],
-		MaxTheoretical: c.MaxTheoretical[lo:hi], KernelMemMB: c.KernelMemMB[lo:hi],
-		Download: c.Download[lo:hi], Upload: c.Upload[lo:hi],
-		Latency: c.Latency[lo:hi], TruthTier: c.TruthTier[lo:hi],
-	}
-}
-
-// ingestSlice aliases rows [lo, hi) of every column.
-func ingestSlice(c *IngestColumns, lo, hi int) *IngestColumns {
-	return &IngestColumns{
-		TestID: c.TestID[lo:hi], UserID: c.UserID[lo:hi],
-		City: c.City[lo:hi], ISP: c.ISP[lo:hi],
-		Timestamp: c.Timestamp[lo:hi],
-		Download:  c.Download[lo:hi], Upload: c.Upload[lo:hi],
-		Latency: c.Latency[lo:hi], UploadTier: c.UploadTier[lo:hi],
-		Tier: c.Tier[lo:hi], Confidence: c.Confidence[lo:hi],
-	}
-}
-
-// encodeOoklaSectionZoned renders an Ookla (or Android) section as a
-// zoned v3 section under kind.
-func encodeOoklaSectionZoned(e *snapEnc, kind byte, c *OoklaColumns, opts *ZoneOptions) error {
-	n := c.Len()
-	if err := checkLens("ookla", n, len(c.TestID), len(c.UserID), len(c.City), len(c.ISP),
-		len(c.Timestamp), len(c.Platform), len(c.Access), len(c.HasRadioInfo), len(c.Band),
-		len(c.RSSI), len(c.MaxTheoretical), len(c.KernelMemMB), len(c.Upload),
-		len(c.Latency), len(c.TruthTier)); err != nil {
-		return err
-	}
-	keys := make([]uint64, n)
-	for i := range keys {
-		keys[i] = opts.Quadkey(c.City[i], c.UserID[i])
-	}
-	spans := zoneGroupSpans(n, opts.blockRows())
-	var zb zoneDirBuilder
-	zb.header(opts, len(spans))
-	for _, sp := range spans {
-		lo, hi := sp[0], sp[1]
-		g := ooklaSlice(c, lo, hi)
-		zb.group(hi-lo, keys[lo:hi])
-		zb.ints(g.TestID) // 1
-		zb.ints(g.UserID) // 2
-		zb.none()         // 3 City
-		zb.none()         // 4 ISP
-		zb.none()         // 5 Timestamp
-		zb.none()         // 6 Platform
-		zb.none()         // 7 Access
-		zb.none()         // 8 HasRadioInfo
-		zb.none()         // 9 Band
-		zb.floats(g.RSSI) // 10
-		zb.floats(g.MaxTheoretical)
-		zb.ints(g.KernelMemMB)
-		zb.floats(g.Download)
-		zb.floats(g.Upload)
-		zb.floats(g.Latency)
-		zb.ints(g.TruthTier)
-	}
-	e.section(kind, n)
-	e.zoneDir(zb.b)
-	for _, sp := range spans {
-		if err := appendOoklaColumns(e, ooklaSlice(c, sp[0], sp[1])); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// encodeIngestSectionZoned renders the ingest section as a zoned v3
-// section.
-func encodeIngestSectionZoned(e *snapEnc, c *IngestColumns, opts *ZoneOptions) error {
-	n := c.Len()
-	if err := checkLens("ingest", n, len(c.TestID), len(c.UserID), len(c.City),
-		len(c.ISP), len(c.Timestamp), len(c.Upload), len(c.Latency),
-		len(c.UploadTier), len(c.Tier), len(c.Confidence)); err != nil {
-		return err
-	}
-	keys := make([]uint64, n)
-	for i := range keys {
-		keys[i] = opts.Quadkey(c.City[i], c.UserID[i])
-	}
-	spans := zoneGroupSpans(n, opts.blockRows())
-	var zb zoneDirBuilder
-	zb.header(opts, len(spans))
-	for _, sp := range spans {
-		lo, hi := sp[0], sp[1]
-		g := ingestSlice(c, lo, hi)
-		zb.group(hi-lo, keys[lo:hi])
-		zb.ints(g.TestID) // 1
-		zb.ints(g.UserID) // 2
-		zb.none()         // 3 City
-		zb.none()         // 4 ISP
-		zb.none()         // 5 Timestamp
-		zb.floats(g.Download)
-		zb.floats(g.Upload)
-		zb.floats(g.Latency)
-		zb.ints(g.UploadTier)
-		zb.ints(g.Tier)
-		zb.floats(g.Confidence)
-	}
-	e.section(snapKindIngestZoned, n)
-	e.zoneDir(zb.b)
-	for _, sp := range spans {
-		if err := appendIngestColumns(e, ingestSlice(c, sp[0], sp[1])); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // EncodeCitySnapshotZoned renders a format-v3 file image: the Ookla and
 // Ingest sections become zoned (kinds 7 and 8) under opts; every other
 // section keeps its v2 layout. Same rows + same options ⇒ same bytes.
@@ -553,45 +437,11 @@ func SortIngestRowsClustered(rows []IngestRow, key func(city string, userID int)
 // permutation stable, so a canonical input order yields a canonical
 // clustered order.
 func ClusterOoklaColumns(c *OoklaColumns, key func(city string, userID int) uint64) *OoklaColumns {
-	n := c.Len()
-	keys := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		keys[i] = key(c.City[i], c.UserID[i])
-	}
-	perm := make([]int, n)
+	keys := zoneKeys(key, c.City, c.UserID)
+	perm := make([]int, len(keys))
 	for i := range perm {
 		perm[i] = i
 	}
 	sort.SliceStable(perm, func(a, b int) bool { return keys[perm[a]] < keys[perm[b]] })
-	out := &OoklaColumns{}
-	out.TestID = permuteInts(c.TestID, perm)
-	out.UserID = permuteInts(c.UserID, perm)
-	out.City = permuteSlice(c.City, perm)
-	out.ISP = permuteSlice(c.ISP, perm)
-	out.Timestamp = permuteSlice(c.Timestamp, perm)
-	out.Platform = permuteSlice(c.Platform, perm)
-	out.Access = permuteSlice(c.Access, perm)
-	out.HasRadioInfo = permuteSlice(c.HasRadioInfo, perm)
-	out.Band = permuteSlice(c.Band, perm)
-	out.RSSI = permuteSlice(c.RSSI, perm)
-	out.MaxTheoretical = permuteSlice(c.MaxTheoretical, perm)
-	out.KernelMemMB = permuteInts(c.KernelMemMB, perm)
-	out.Download = permuteSlice(c.Download, perm)
-	out.Upload = permuteSlice(c.Upload, perm)
-	out.Latency = permuteSlice(c.Latency, perm)
-	out.TruthTier = permuteInts(c.TruthTier, perm)
-	return out
-}
-
-func permuteInts(src []int, perm []int) []int { return permuteSlice(src, perm) }
-
-func permuteSlice[T any](src []T, perm []int) []T {
-	if src == nil {
-		return nil
-	}
-	out := make([]T, len(perm))
-	for i, p := range perm {
-		out[i] = src[p]
-	}
-	return out
+	return ooklaLayout.permute(c, perm)
 }

@@ -400,11 +400,11 @@ func TestV2PinnedFixture(t *testing.T) {
 		t.Fatalf("v2 encode drifted from pinned fixture:\n got %s\nwant %s",
 			hex.EncodeToString(data), v2IngestFixtureHex)
 	}
-	got, err := DecodeIngestSegment(want)
+	got, err := DecodeCitySnapshot(want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Rows(), rows) {
+	if !reflect.DeepEqual(got.Ingest.Rows(), rows) {
 		t.Fatal("pinned v2 fixture decoded to different rows")
 	}
 }

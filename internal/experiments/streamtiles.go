@@ -14,7 +14,8 @@ import (
 
 // ClusterSnapshot writes the quadkey-clustered zoned sibling of a .sxc
 // snapshot: Ookla columns permuted into ascending cluster-key order and
-// re-encoded as a format-v3 zoned file at `<path minus .sxc>.z<zoom>.sxc`.
+// re-encoded as a format-v3 zoned file at `<path minus .sxc>.z<zoom>.sxc`,
+// written atomically so a concurrent reader never sees a torn sibling.
 // The sibling holds the same row multiset, so every order-independent
 // consumer (the tile fold) reads it interchangeably; order-dependent ones
 // (the fit pass) must keep reading the original. Returns the sibling path.
@@ -36,7 +37,7 @@ func ClusterSnapshot(path string, zoom, blockRows int, locSeed int64) (string, e
 		return "", err
 	}
 	out := strings.TrimSuffix(path, ".sxc") + fmt.Sprintf(".z%d.sxc", opts.Zoom)
-	return out, os.WriteFile(out, buf, 0o644)
+	return out, dataset.WriteFileAtomic(out, buf)
 }
 
 // fitSampleSelection is the two-column projection the streamed fit pass

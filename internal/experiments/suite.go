@@ -151,8 +151,8 @@ type CityBundle struct {
 	mbaEval    *core.Evaluation
 	mbaErr     error
 
-	platformOnce   sync.Once
-	platformSlabs  []platformSlice
+	platformOnce  sync.Once
+	platformSlabs []platformSlice
 
 	cfg core.Config // Suite.BSTConfig() at bundle creation
 }

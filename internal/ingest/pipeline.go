@@ -354,7 +354,7 @@ func (p *Pipeline) seal(batch []dataset.IngestRow, seq int) {
 		buf, err = dataset.EncodeIngestSegmentSketches(dataset.ColumnizeIngest(batch), bundles)
 	}
 	if err == nil {
-		err = writeAtomic(p.segmentPath(seq), buf)
+		err = dataset.WriteFileAtomic(p.segmentPath(seq), buf)
 	}
 	if err != nil {
 		p.mu.Lock()
@@ -456,31 +456,6 @@ func (p *Pipeline) SketchCounts() map[string]int {
 
 func (p *Pipeline) segmentPath(seq int) string {
 	return filepath.Join(p.cfg.Dir, fmt.Sprintf("seg-%08d%s", seq, segmentSuffix))
-}
-
-// writeAtomic is the store's tempfile+rename discipline: readers never see
-// a partial segment, and crashed writers leave only removable temp files.
-func writeAtomic(path string, buf []byte) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
 }
 
 // Close drains and seals everything: it stops intake (subsequent Submits
@@ -642,7 +617,7 @@ func CompactWith(dir string, opts CompactOptions) (string, error) {
 		return "", err
 	}
 	out := filepath.Join(dir, CompactedName)
-	if err := writeAtomic(out, buf); err != nil {
+	if err := dataset.WriteFileAtomic(out, buf); err != nil {
 		return "", err
 	}
 	for _, name := range files {

@@ -347,10 +347,11 @@ func TestServerSnapshotLoadsAsCitySnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols, err := dataset.DecodeIngestSegment(data)
+	snap, err := dataset.DecodeCitySnapshot(data)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cols := snap.Ingest
 	if cols.Len() != 50 {
 		t.Fatalf("snapshot rows = %d, want 50", cols.Len())
 	}
