@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race race-scan bench bench-smoke bench-baseline bench-compare snapshot-verify load-smoke perfbench perfbench-test
+.PHONY: check fmt vet build test race race-scan fuzz-smoke bench bench-smoke bench-baseline bench-compare snapshot-verify load-smoke perfbench perfbench-test
 
-check: fmt vet build race race-scan bench-smoke bench-compare snapshot-verify load-smoke perfbench-test
+check: fmt vet build race race-scan fuzz-smoke bench-smoke bench-compare snapshot-verify load-smoke perfbench-test
 
 # fmt fails when any tracked .go file is not gofmt-clean, listing them.
 fmt:
@@ -35,6 +35,16 @@ race:
 # serial paths the plain `race` run skips on multi-core machines.
 race-scan:
 	$(GO) test -race -cpu 1,4 ./internal/dataset/... ./internal/tilequery/... ./internal/ingest/...
+
+# fuzz-smoke runs each fuzz target of internal/dataset (the CSV readers
+# with their write/read/write oracle, the snapshot decoders and the block
+# scanner, NDT association) for 5 s of new inputs; go test -fuzz takes one
+# target per call. A failing input lands in internal/dataset/testdata/fuzz.
+fuzz-smoke:
+	@for t in $$($(GO) test -list '^Fuzz' ./internal/dataset | grep '^Fuzz'); do \
+		echo "fuzz $$t"; \
+		$(GO) test -run NONE -fuzz "^$$t$$" -fuzztime 5s ./internal/dataset || exit 1; \
+	done
 
 # bench-smoke runs one iteration of the parallel stats and dataset
 # generation benchmarks — enough to catch a broken benchmark without paying

@@ -310,17 +310,17 @@ func generate(s *experiments.Suite, city, outDir string, out io.Writer) error {
 		return nil
 	}
 	if err := write("ookla-"+city+".csv", func(w io.Writer) error {
-		return dataset.WriteOoklaCSV(w, b.Ookla)
+		return dataset.WriteOoklaCSV(w, b.OoklaCols())
 	}); err != nil {
 		return err
 	}
 	if err := write("mlab-"+city+".csv", func(w io.Writer) error {
-		return dataset.WriteMLabCSV(w, b.MLabRows)
+		return dataset.WriteMLabCSV(w, dataset.ColumnizeMLabRows(b.MLabRows))
 	}); err != nil {
 		return err
 	}
 	if err := write("mba-"+city+".csv", func(w io.Writer) error {
-		return dataset.WriteMBACSV(w, b.MBA)
+		return dataset.WriteMBACSV(w, b.MBACols())
 	}); err != nil {
 		return err
 	}

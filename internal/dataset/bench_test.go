@@ -46,10 +46,10 @@ func BenchmarkGenerateMLab(b *testing.B) {
 
 func BenchmarkWriteOoklaCSV(b *testing.B) {
 	cat := plans.CityA()
-	recs := GenerateOokla(cat, 20000, 9)
+	cols := ColumnizeOokla(GenerateOokla(cat, 20000, 9))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := WriteOoklaCSV(io.Discard, recs); err != nil {
+		if err := WriteOoklaCSV(io.Discard, cols); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"speedctx/internal/device"
-	"speedctx/internal/units"
 	"speedctx/internal/wifi"
 )
 
@@ -15,7 +14,7 @@ import (
 // for BST fits, uploads for density figures, timestamps for hour bins —
 // and walking []OoklaRecord (~160-byte structs) re-extracts and
 // re-allocates those floats for every figure. A Columns value extracts
-// every column once, in one pass, and is cached per dataset (see
+// every column once and is cached per dataset (see
 // experiments.CityBundle), so repeated consumers share the exact same
 // backing slices. That identity is what keeps the fit cache hot: two
 // tables fitting "the same" city slice hand the cache bit-identical
@@ -26,7 +25,9 @@ import (
 // intermediate row structs, and the .sxc snapshot codec (snapshot.go)
 // serializes them directly. They therefore carry every CSV field —
 // including the constant-per-city string columns — so records and columns
-// convert losslessly in both directions (Columnize* / Records).
+// convert losslessly in both directions (Columnize* / Records). For Ookla,
+// M-Lab rows and MBA both conversions walk the section layout tables
+// (layout.go); the ingest pair stays hand-written on the seal path.
 
 // OoklaColumns is the column-oriented view of an Ookla dataset.
 type OoklaColumns struct {
@@ -42,59 +43,14 @@ type OoklaColumns struct {
 	Timestamp                 []time.Time
 }
 
-// ColumnizeOokla extracts every column in one pass over the records.
-func ColumnizeOokla(recs []OoklaRecord) *OoklaColumns {
-	n := len(recs)
-	c := &OoklaColumns{
-		Download: make([]float64, n), Upload: make([]float64, n),
-		Latency: make([]float64, n), RSSI: make([]float64, n),
-		MaxTheoretical: make([]float64, n),
-		TestID:         make([]int, n),
-		UserID:         make([]int, n), TruthTier: make([]int, n),
-		KernelMemMB: make([]int, n),
-		City:        make([]string, n), ISP: make([]string, n),
-		Platform:     make([]device.Platform, n),
-		Access:       make([]AccessType, n),
-		HasRadioInfo: make([]bool, n), Band: make([]wifi.Band, n),
-		Timestamp: make([]time.Time, n),
-	}
-	for i := range recs {
-		r := &recs[i]
-		c.Download[i], c.Upload[i], c.Latency[i] = r.DownloadMbps, r.UploadMbps, r.LatencyMs
-		c.RSSI[i], c.MaxTheoretical[i] = r.RSSI, r.MaxTheoreticalMbps
-		c.TestID[i] = r.TestID
-		c.UserID[i], c.TruthTier[i], c.KernelMemMB[i] = r.UserID, r.TruthTier, r.KernelMemMB
-		c.City[i], c.ISP[i] = r.City, r.ISP
-		c.Platform[i], c.Access[i] = r.Platform, r.Access
-		c.HasRadioInfo[i], c.Band[i] = r.HasRadioInfo, r.Band
-		c.Timestamp[i] = r.Timestamp
-	}
-	return c
-}
+// ColumnizeOokla extracts every column of the records.
+func ColumnizeOokla(recs []OoklaRecord) *OoklaColumns { return ooklaLayout.columnize(recs) }
 
 // Len returns the row count.
 func (c *OoklaColumns) Len() int { return len(c.Download) }
 
-// Records materializes the row-struct view of the columns — the inverse of
-// ColumnizeOokla, field-for-field.
-func (c *OoklaColumns) Records() []OoklaRecord {
-	recs := make([]OoklaRecord, c.Len())
-	for i := range recs {
-		recs[i] = OoklaRecord{
-			TestID: c.TestID[i], UserID: c.UserID[i],
-			City: c.City[i], ISP: c.ISP[i],
-			Timestamp: c.Timestamp[i],
-			Platform:  c.Platform[i], Access: c.Access[i],
-			HasRadioInfo: c.HasRadioInfo[i], Band: c.Band[i],
-			RSSI:               c.RSSI[i],
-			MaxTheoreticalMbps: c.MaxTheoretical[i],
-			KernelMemMB:        c.KernelMemMB[i],
-			DownloadMbps:       c.Download[i], UploadMbps: c.Upload[i],
-			LatencyMs: c.Latency[i], TruthTier: c.TruthTier[i],
-		}
-	}
-	return recs
-}
+// Records materializes the row-struct view: the inverse of ColumnizeOokla.
+func (c *OoklaColumns) Records() []OoklaRecord { return ooklaLayout.records(c, c.Len()) }
 
 // MLabColumns is the column-oriented view of associated NDT tests.
 type MLabColumns struct {
@@ -137,49 +93,14 @@ type MLabRowColumns struct {
 	Timestamp          []time.Time
 }
 
-// ColumnizeMLabRows extracts every column in one pass over the rows.
-func ColumnizeMLabRows(rows []MLabRow) *MLabRowColumns {
-	n := len(rows)
-	c := &MLabRowColumns{
-		Speed: make([]float64, n), MinRTT: make([]float64, n),
-		RowID: make([]int, n), ASN: make([]int, n),
-		TruthTier: make([]int, n),
-		ClientIP:  make([]string, n), ServerIP: make([]string, n),
-		City: make([]string, n), ISP: make([]string, n),
-		Direction: make([]MLabDirection, n),
-		Timestamp: make([]time.Time, n),
-	}
-	for i := range rows {
-		r := &rows[i]
-		c.Speed[i], c.MinRTT[i] = r.SpeedMbps, r.MinRTTMs
-		c.RowID[i], c.ASN[i], c.TruthTier[i] = r.RowID, r.ASN, r.TruthTier
-		c.ClientIP[i], c.ServerIP[i] = r.ClientIP, r.ServerIP
-		c.City[i], c.ISP[i] = r.City, r.ISP
-		c.Direction[i] = r.Direction
-		c.Timestamp[i] = r.Timestamp
-	}
-	return c
-}
+// ColumnizeMLabRows extracts every column of the rows.
+func ColumnizeMLabRows(rows []MLabRow) *MLabRowColumns { return mlabLayout.columnize(rows) }
 
 // Len returns the row count.
 func (c *MLabRowColumns) Len() int { return len(c.Speed) }
 
-// Records materializes the row-struct view — the inverse of
-// ColumnizeMLabRows, field-for-field.
-func (c *MLabRowColumns) Records() []MLabRow {
-	rows := make([]MLabRow, c.Len())
-	for i := range rows {
-		rows[i] = MLabRow{
-			RowID:    c.RowID[i],
-			ClientIP: c.ClientIP[i], ServerIP: c.ServerIP[i],
-			City: c.City[i], ISP: c.ISP[i], ASN: c.ASN[i],
-			Timestamp: c.Timestamp[i], Direction: c.Direction[i],
-			SpeedMbps: c.Speed[i], MinRTTMs: c.MinRTT[i],
-			TruthTier: c.TruthTier[i],
-		}
-	}
-	return rows
-}
+// Records materializes the row-struct view: the inverse of ColumnizeMLabRows.
+func (c *MLabRowColumns) Records() []MLabRow { return mlabLayout.records(c, c.Len()) }
 
 // IngestRow is one contextualized live measurement: the <download, upload>
 // tuple a speed-test client reported to the ingest service, plus the BST
@@ -305,45 +226,11 @@ type MBAColumns struct {
 	Timestamp                          []time.Time
 }
 
-// ColumnizeMBA extracts every column in one pass over the records.
-func ColumnizeMBA(recs []MBARecord) *MBAColumns {
-	n := len(recs)
-	c := &MBAColumns{
-		Download: make([]float64, n), Upload: make([]float64, n),
-		PlanDown: make([]float64, n), PlanUp: make([]float64, n),
-		UnitID: make([]int, n), Tier: make([]int, n),
-		State: make([]string, n), ISP: make([]string, n),
-		CensusTract: make([]string, n),
-		Timestamp:   make([]time.Time, n),
-	}
-	for i := range recs {
-		r := &recs[i]
-		c.Download[i], c.Upload[i] = r.DownloadMbps, r.UploadMbps
-		c.PlanDown[i], c.PlanUp[i] = float64(r.PlanDown), float64(r.PlanUp)
-		c.UnitID[i], c.Tier[i] = r.UnitID, r.Tier
-		c.State[i], c.ISP[i], c.CensusTract[i] = r.State, r.ISP, r.CensusTract
-		c.Timestamp[i] = r.Timestamp
-	}
-	return c
-}
+// ColumnizeMBA extracts every column of the records.
+func ColumnizeMBA(recs []MBARecord) *MBAColumns { return mbaLayout.columnize(recs) }
 
 // Len returns the row count.
 func (c *MBAColumns) Len() int { return len(c.Download) }
 
-// Records materializes the row-struct view — the inverse of ColumnizeMBA,
-// field-for-field (the float64 plan columns cast back to units.Mbps
-// bit-exactly).
-func (c *MBAColumns) Records() []MBARecord {
-	recs := make([]MBARecord, c.Len())
-	for i := range recs {
-		recs[i] = MBARecord{
-			UnitID: c.UnitID[i],
-			State:  c.State[i], ISP: c.ISP[i], CensusTract: c.CensusTract[i],
-			Timestamp:    c.Timestamp[i],
-			DownloadMbps: c.Download[i], UploadMbps: c.Upload[i],
-			PlanDown: units.Mbps(c.PlanDown[i]), PlanUp: units.Mbps(c.PlanUp[i]),
-			Tier: c.Tier[i],
-		}
-	}
-	return recs
-}
+// Records materializes the row-struct view: the inverse of ColumnizeMBA.
+func (c *MBAColumns) Records() []MBARecord { return mbaLayout.records(c, c.Len()) }

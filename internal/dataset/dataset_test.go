@@ -239,7 +239,7 @@ func TestMBAUploadsNearPlan(t *testing.T) {
 func TestOoklaCSVRoundTrip(t *testing.T) {
 	recs := GenerateOokla(plans.CityA(), 200, 9)
 	var buf bytes.Buffer
-	if err := WriteOoklaCSV(&buf, recs); err != nil {
+	if err := WriteOoklaCSV(&buf, ColumnizeOokla(recs)); err != nil {
 		t.Fatal(err)
 	}
 	cols, err := ReadOoklaColumns(&buf, 1)
@@ -268,7 +268,7 @@ func TestOoklaCSVRoundTrip(t *testing.T) {
 func TestMLabCSVRoundTrip(t *testing.T) {
 	rows := GenerateMLab(plans.CityC(), 150, 10, DefaultMLabOptions())
 	var buf bytes.Buffer
-	if err := WriteMLabCSV(&buf, rows); err != nil {
+	if err := WriteMLabCSV(&buf, ColumnizeMLabRows(rows)); err != nil {
 		t.Fatal(err)
 	}
 	cols, err := ReadMLabColumns(&buf, 1)
@@ -294,7 +294,7 @@ func TestMLabCSVRoundTrip(t *testing.T) {
 func TestMBACSVRoundTrip(t *testing.T) {
 	recs := GenerateMBA(plans.CityD(), 10, 120, 11)
 	var buf bytes.Buffer
-	if err := WriteMBACSV(&buf, recs); err != nil {
+	if err := WriteMBACSV(&buf, ColumnizeMBA(recs)); err != nil {
 		t.Fatal(err)
 	}
 	cols, err := ReadMBAColumns(&buf, 1)

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"time"
 
+	"speedctx/internal/device"
 	"speedctx/internal/parallel"
 	"speedctx/internal/wifi"
 )
@@ -17,18 +18,18 @@ import (
 // boundaries (quote-parity-aware, so a boundary can never land inside a
 // quoted field), and the chunks are decoded concurrently on the
 // internal/parallel pool. Each chunk parses its records with a streaming
-// field scanner straight into columnar (SoA) buffers — no [][]string
-// materialization and no intermediate row structs — and the per-chunk
-// columns are concatenated in chunk order. Because every record lies in
-// exactly one chunk and record decoding is pure, the assembled output (and
-// the first reported parse error) is bit-identical to a serial parse at
-// every worker count and every chunk count.
+// field scanner straight into columnar (SoA) buffers, through one strict
+// parser per column of the format's layout table (layout.go) bound once
+// per chunk, and the per-chunk columns are concatenated in chunk order.
+// Because every record lies in exactly one chunk and record decoding is
+// pure, the assembled output (and the first reported parse error) is
+// bit-identical to a serial parse at every worker and chunk count.
 //
-// Unlike the pre-PR 5 readers, the decoders are strict: a malformed
-// numeric field, unknown platform/access/direction, or unrecognized WiFi
-// band string fails with a row-numbered error instead of being silently
-// zeroed or coerced. Row numbers are 1-based file lines (the header is
-// line 1), matching the historical error convention.
+// The decoders are strict: a malformed numeric field, an unknown
+// platform/access/direction or WiFi band, or a band on a row without radio
+// info fails with an error naming the row and column instead of being
+// silently zeroed or coerced. Row numbers are 1-based file lines (the
+// header is line 1).
 
 // minChunkBytes floors the per-chunk input size so tiny files do not pay
 // fan-out overhead for a handful of rows.
@@ -209,76 +210,86 @@ func trimCR(f []byte) []byte {
 	return f
 }
 
-// checkHeader scans the header record and verifies it field-for-field,
-// returning the record body that follows it.
-func checkHeader(data []byte, name string, header []string) ([]byte, error) {
-	sc := rowScanner{data: data}
-	ok, err := sc.next(len(header))
-	if err != nil {
-		return nil, fmt.Errorf("dataset: %s csv header: %w", name, err)
-	}
-	if !ok {
-		return nil, fmt.Errorf("dataset: empty %s csv", name)
-	}
-	for i, want := range header {
-		if string(sc.fields[i]) != want {
-			return nil, fmt.Errorf("dataset: %s csv header field %d is %q, want %q", name, i+1, sc.fields[i], want)
-		}
-	}
-	return data[sc.pos:], nil
-}
-
 // chunkPart is one chunk's decode result: partial columns, the number of
 // rows decoded before any error, and the error itself (rows then indexes
 // the failing row within the chunk).
-type chunkPart[C any] struct {
-	cols C
+type chunkPart[S any] struct {
+	cols *S
 	rows int
 	err  error
 }
 
-// decodeCSV is the shared chunked-decode pipeline: read everything, verify
-// the header, split the body into record-aligned chunks, decode them
+// decodeCSV is the chunked-decode pipeline over one table: read
+// everything, verify the header field by field against the table's CSV
+// names, split the body into record-aligned chunks, decode them
 // concurrently, and merge in chunk order. chunks <= 0 selects an automatic
-// count from the body size and worker count; any explicit count yields the
-// identical result.
-func decodeCSV[C any](r io.Reader, par, chunks int, name string, header []string,
-	decodeChunk func(data []byte) (C, int, error),
-	merge func(parts []C, rows int) C) (C, error) {
-	var zero C
+// count from the body size and worker count; any explicit count yields
+// the identical result.
+func (l *layout[S, R]) decodeCSV(r io.Reader, par, chunks int) (*S, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
-		return zero, err
+		return nil, err
 	}
-	if len(data) == 0 {
-		return zero, fmt.Errorf("dataset: empty %s csv", name)
+	sc := rowScanner{data: data}
+	switch ok, err := sc.next(len(l.cols)); {
+	case err != nil:
+		return nil, fmt.Errorf("dataset: %s csv header: %w", l.name, err)
+	case !ok:
+		return nil, fmt.Errorf("dataset: empty %s csv", l.name)
 	}
-	body, err := checkHeader(data, name, header)
-	if err != nil {
-		return zero, err
+	for i, f := range l.cols {
+		if string(sc.fields[i]) != f.csvName() {
+			return nil, fmt.Errorf("dataset: %s csv header field %d is %q, want %q", l.name, i+1, sc.fields[i], f.csvName())
+		}
 	}
+	body := data[sc.pos:]
 	if chunks <= 0 {
 		chunks = autoChunks(len(body), par)
 	}
 	bounds := splitRecords(body, chunks)
-	parts := parallel.Map(par, len(bounds)-1, func(i int) chunkPart[C] {
-		cols, rows, err := decodeChunk(body[bounds[i]:bounds[i+1]])
-		return chunkPart[C]{cols: cols, rows: rows, err: err}
+	parts := parallel.Map(par, len(bounds)-1, func(i int) chunkPart[S] {
+		return l.decodeChunk(body[bounds[i]:bounds[i+1]])
 	})
 	total := 0
-	cols := make([]C, len(parts))
+	cols := make([]*S, len(parts))
 	for i, p := range parts {
 		if p.err != nil {
 			// Chunks are decoded in record order, so the first failing
 			// chunk's first failing row is the file's first bad row. +2
 			// maps the 0-based data row to its 1-based file line (the
 			// header is line 1).
-			return zero, fmt.Errorf("dataset: %s row %d: %w", name, total+p.rows+2, p.err)
+			return nil, fmt.Errorf("dataset: %s row %d: %w", l.name, total+p.rows+2, p.err)
 		}
 		cols[i] = p.cols
 		total += p.rows
 	}
-	return merge(cols, total), nil
+	return l.concat(cols, total), nil
+}
+
+// decodeChunk decodes one chunk into partial columns, binding one strict
+// parser per column for the chunk. A row's leftmost bad field fails it,
+// wrapped with the column name.
+func (l *layout[S, R]) decodeChunk(data []byte) chunkPart[S] {
+	c := new(S)
+	parsers := make([]func([]byte) error, len(l.cols))
+	for j, f := range l.cols {
+		parsers[j] = f.csvParser(c)
+	}
+	sc := rowScanner{data: data}
+	for row := 0; ; row++ {
+		ok, err := sc.next(len(parsers))
+		if err != nil {
+			return chunkPart[S]{rows: row, err: err}
+		}
+		if !ok {
+			return chunkPart[S]{cols: c, rows: row}
+		}
+		for j, parse := range parsers {
+			if err := parse(sc.fields[j]); err != nil {
+				return chunkPart[S]{rows: row, err: fmt.Errorf("%s: %w", l.cols[j].csvName(), err)}
+			}
+		}
+	}
 }
 
 // Strict field parsers. Each returns a bare error; the chunk decoder wraps
@@ -372,6 +383,21 @@ func csvDigits(f []byte) (int, bool) {
 	return n, true
 }
 
+var platformByName = func() map[string]device.Platform {
+	m := map[string]device.Platform{}
+	for _, p := range device.Platforms() {
+		m[p.String()] = p
+	}
+	return m
+}()
+
+func csvPlatform(f []byte) (device.Platform, error) {
+	if p, ok := platformByName[string(f)]; ok {
+		return p, nil
+	}
+	return 0, fmt.Errorf("unknown platform %q", f)
+}
+
 func csvAccess(f []byte) (AccessType, error) {
 	switch string(f) {
 	case "wifi":
@@ -384,18 +410,13 @@ func csvAccess(f []byte) (AccessType, error) {
 	return "", fmt.Errorf("unknown access type %q", f)
 }
 
-// csvBand parses the WiFi band column. Rows without radio info carry an
-// empty band field (and keep the zero Band); rows with radio info must
-// name a recognized band — unknown strings are an error, not a silent
-// 5 GHz coercion.
-func csvBand(f []byte, hasRadio bool) (wifi.Band, error) {
-	if len(f) == 0 {
-		if hasRadio {
-			return 0, errors.New("missing wifi band")
-		}
-		return 0, nil
-	}
+// csvBand parses the WiFi band of a row with radio info: unknown strings
+// are an error, not a silent 5 GHz coercion. (Radio-less rows carry an
+// empty band, which the band entry's blank rule in ooklaLayout enforces.)
+func csvBand(f []byte) (wifi.Band, error) {
 	switch string(f) {
+	case "":
+		return 0, errors.New("missing wifi band")
 	case "2.4 GHz":
 		return wifi.Band24GHz, nil
 	case "5 GHz":
@@ -414,243 +435,6 @@ func csvDirection(f []byte) (MLabDirection, error) {
 	return "", fmt.Errorf("bad direction %q", f)
 }
 
-// interner dedupes the low-cardinality string columns (city, ISP, state)
-// within a chunk so n rows share a handful of string allocations.
-type interner map[string]string
-
-func (m interner) intern(b []byte) string {
-	if s, ok := m[string(b)]; ok {
-		return s
-	}
-	s := string(b)
-	m[s] = s
-	return s
-}
-
-// fieldReader wraps one scanned record with column-named strict accessors.
-// The first failing field latches its error; later accessors of the same
-// record are no-ops, so every row reports its leftmost bad column.
-type fieldReader struct {
-	fields [][]byte
-	err    error
-}
-
-func (f *fieldReader) fail(col string, err error) {
-	if f.err == nil {
-		f.err = fmt.Errorf("%s: %w", col, err)
-	}
-}
-
-func (f *fieldReader) int(i int, col string) int {
-	if f.err != nil {
-		return 0
-	}
-	v, err := csvInt(f.fields[i])
-	if err != nil {
-		f.fail(col, err)
-	}
-	return v
-}
-
-func (f *fieldReader) float(i int, col string) float64 {
-	if f.err != nil {
-		return 0
-	}
-	v, err := csvFloat(f.fields[i])
-	if err != nil {
-		f.fail(col, err)
-	}
-	return v
-}
-
-func (f *fieldReader) bool(i int, col string) bool {
-	if f.err != nil {
-		return false
-	}
-	v, err := csvBool(f.fields[i])
-	if err != nil {
-		f.fail(col, err)
-	}
-	return v
-}
-
-func (f *fieldReader) time(i int, col string) time.Time {
-	if f.err != nil {
-		return time.Time{}
-	}
-	v, err := csvTime(f.fields[i])
-	if err != nil {
-		f.fail(col, err)
-	}
-	return v
-}
-
-// ooklaChunk decodes one chunk of Ookla rows into partial columns.
-func ooklaChunk(data []byte) (*OoklaColumns, int, error) {
-	c := &OoklaColumns{}
-	sc := rowScanner{data: data}
-	in := interner{}
-	for row := 0; ; row++ {
-		ok, err := sc.next(len(ooklaHeader))
-		if err != nil {
-			return nil, row, err
-		}
-		if !ok {
-			return c, row, nil
-		}
-		fr := fieldReader{fields: sc.fields}
-		testID := fr.int(0, "test_id")
-		userID := fr.int(1, "user_id")
-		city := in.intern(sc.fields[2])
-		isp := in.intern(sc.fields[3])
-		ts := fr.time(4, "timestamp")
-		p, okp := platformByName[string(sc.fields[5])]
-		if !okp && fr.err == nil {
-			fr.fail("platform", fmt.Errorf("unknown platform %q", sc.fields[5]))
-		}
-		access := AccessType("")
-		if fr.err == nil {
-			if access, err = csvAccess(sc.fields[6]); err != nil {
-				fr.fail("access", err)
-			}
-		}
-		hasRadio := fr.bool(7, "has_radio_info")
-		var band wifi.Band
-		if fr.err == nil {
-			if band, err = csvBand(sc.fields[8], hasRadio); err != nil {
-				fr.fail("band", err)
-			}
-		}
-		rssi := fr.float(9, "rssi")
-		maxTheo := fr.float(10, "max_theoretical_mbps")
-		kmem := fr.int(11, "kernel_mem_mb")
-		down := fr.float(12, "download_mbps")
-		up := fr.float(13, "upload_mbps")
-		lat := fr.float(14, "latency_ms")
-		tier := fr.int(15, "truth_tier")
-		if fr.err != nil {
-			return nil, row, fr.err
-		}
-		c.TestID = append(c.TestID, testID)
-		c.UserID = append(c.UserID, userID)
-		c.City = append(c.City, city)
-		c.ISP = append(c.ISP, isp)
-		c.Timestamp = append(c.Timestamp, ts)
-		c.Platform = append(c.Platform, p)
-		c.Access = append(c.Access, access)
-		c.HasRadioInfo = append(c.HasRadioInfo, hasRadio)
-		c.Band = append(c.Band, band)
-		c.RSSI = append(c.RSSI, rssi)
-		c.MaxTheoretical = append(c.MaxTheoretical, maxTheo)
-		c.KernelMemMB = append(c.KernelMemMB, kmem)
-		c.Download = append(c.Download, down)
-		c.Upload = append(c.Upload, up)
-		c.Latency = append(c.Latency, lat)
-		c.TruthTier = append(c.TruthTier, tier)
-	}
-}
-
-// mlabChunk decodes one chunk of NDT rows into partial columns.
-func mlabChunk(data []byte) (*MLabRowColumns, int, error) {
-	c := &MLabRowColumns{}
-	sc := rowScanner{data: data}
-	in := interner{}
-	for row := 0; ; row++ {
-		ok, err := sc.next(len(mlabHeader))
-		if err != nil {
-			return nil, row, err
-		}
-		if !ok {
-			return c, row, nil
-		}
-		fr := fieldReader{fields: sc.fields}
-		rowID := fr.int(0, "row_id")
-		clientIP := in.intern(sc.fields[1])
-		serverIP := in.intern(sc.fields[2])
-		city := in.intern(sc.fields[3])
-		isp := in.intern(sc.fields[4])
-		asn := fr.int(5, "asn")
-		ts := fr.time(6, "timestamp")
-		var dir MLabDirection
-		if fr.err == nil {
-			if dir, err = csvDirection(sc.fields[7]); err != nil {
-				fr.fail("direction", err)
-			}
-		}
-		speed := fr.float(8, "speed_mbps")
-		minRTT := fr.float(9, "min_rtt_ms")
-		tier := fr.int(10, "truth_tier")
-		if fr.err != nil {
-			return nil, row, fr.err
-		}
-		c.RowID = append(c.RowID, rowID)
-		c.ClientIP = append(c.ClientIP, clientIP)
-		c.ServerIP = append(c.ServerIP, serverIP)
-		c.City = append(c.City, city)
-		c.ISP = append(c.ISP, isp)
-		c.ASN = append(c.ASN, asn)
-		c.Timestamp = append(c.Timestamp, ts)
-		c.Direction = append(c.Direction, dir)
-		c.Speed = append(c.Speed, speed)
-		c.MinRTT = append(c.MinRTT, minRTT)
-		c.TruthTier = append(c.TruthTier, tier)
-	}
-}
-
-// mbaChunk decodes one chunk of MBA rows into partial columns.
-func mbaChunk(data []byte) (*MBAColumns, int, error) {
-	c := &MBAColumns{}
-	sc := rowScanner{data: data}
-	in := interner{}
-	for row := 0; ; row++ {
-		ok, err := sc.next(len(mbaHeader))
-		if err != nil {
-			return nil, row, err
-		}
-		if !ok {
-			return c, row, nil
-		}
-		fr := fieldReader{fields: sc.fields}
-		unitID := fr.int(0, "unit_id")
-		state := in.intern(sc.fields[1])
-		isp := in.intern(sc.fields[2])
-		tract := in.intern(sc.fields[3])
-		ts := fr.time(4, "timestamp")
-		down := fr.float(5, "download_mbps")
-		up := fr.float(6, "upload_mbps")
-		planDown := fr.float(7, "plan_down_mbps")
-		planUp := fr.float(8, "plan_up_mbps")
-		tier := fr.int(9, "tier")
-		if fr.err != nil {
-			return nil, row, fr.err
-		}
-		c.UnitID = append(c.UnitID, unitID)
-		c.State = append(c.State, state)
-		c.ISP = append(c.ISP, isp)
-		c.CensusTract = append(c.CensusTract, tract)
-		c.Timestamp = append(c.Timestamp, ts)
-		c.Download = append(c.Download, down)
-		c.Upload = append(c.Upload, up)
-		c.PlanDown = append(c.PlanDown, planDown)
-		c.PlanUp = append(c.PlanUp, planUp)
-		c.Tier = append(c.Tier, tier)
-	}
-}
-
-// readOoklaColumns is ReadOoklaColumns with an explicit chunk count (<= 0 =
-// auto); the determinism tests sweep it.
-func readOoklaColumns(r io.Reader, par, chunks int) (*OoklaColumns, error) {
-	return decodeCSV(r, par, chunks, "ookla", ooklaHeader, ooklaChunk, ooklaLayout.concat)
-}
-
-func readMLabColumns(r io.Reader, par, chunks int) (*MLabRowColumns, error) {
-	return decodeCSV(r, par, chunks, "mlab", mlabHeader, mlabChunk, mlabLayout.concat)
-}
-
-func readMBAColumns(r io.Reader, par, chunks int) (*MBAColumns, error) {
-	return decodeCSV(r, par, chunks, "mba", mbaHeader, mbaChunk, mbaLayout.concat)
-}
-
 // ReadOoklaColumns parses the speedctx Ookla CSV format straight into
 // columnar form — no intermediate row structs — decoding newline-aligned
 // chunks concurrently over par workers (parallel.Workers semantics: 0 =
@@ -658,17 +442,17 @@ func readMBAColumns(r io.Reader, par, chunks int) (*MBAColumns, error) {
 // Malformed numeric fields and unrecognized platform/access/band values
 // fail with a row-numbered error; Records converts to row form.
 func ReadOoklaColumns(r io.Reader, par int) (*OoklaColumns, error) {
-	return readOoklaColumns(r, par, 0)
+	return ooklaLayout.decodeCSV(r, par, 0)
 }
 
 // ReadMLabColumns parses NDT rows straight into columnar form; see
 // ReadOoklaColumns for the concurrency contract.
 func ReadMLabColumns(r io.Reader, par int) (*MLabRowColumns, error) {
-	return readMLabColumns(r, par, 0)
+	return mlabLayout.decodeCSV(r, par, 0)
 }
 
 // ReadMBAColumns parses MBA records straight into columnar form; see
 // ReadOoklaColumns for the concurrency contract.
 func ReadMBAColumns(r io.Reader, par int) (*MBAColumns, error) {
-	return readMBAColumns(r, par, 0)
+	return mbaLayout.decodeCSV(r, par, 0)
 }

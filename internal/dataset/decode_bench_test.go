@@ -83,7 +83,7 @@ func ooklaCSVBytes(tb testing.TB, n int) []byte {
 	tb.Helper()
 	const base = 10000
 	var buf bytes.Buffer
-	if err := WriteOoklaCSV(&buf, GenerateOokla(plans.CityA(), base, 9)); err != nil {
+	if err := WriteOoklaCSV(&buf, ColumnizeOokla(GenerateOokla(plans.CityA(), base, 9))); err != nil {
 		tb.Fatal(err)
 	}
 	data := buf.Bytes()

@@ -10,12 +10,32 @@ import (
 	"speedctx/internal/plans"
 )
 
+// The CSV headers, as the layout tables derive them, and the readers with
+// an explicit chunk count (<= 0 = auto), which the determinism tests sweep.
+var (
+	ooklaHeader = csvHeader(&ooklaLayout)
+	mlabHeader  = csvHeader(&mlabLayout)
+	mbaHeader   = csvHeader(&mbaLayout)
+
+	readOoklaColumns = ooklaLayout.decodeCSV
+	readMLabColumns  = mlabLayout.decodeCSV
+	readMBAColumns   = mbaLayout.decodeCSV
+)
+
+func csvHeader[S, R any](l *layout[S, R]) []string {
+	names := make([]string, len(l.cols))
+	for i, f := range l.cols {
+		names[i] = f.csvName()
+	}
+	return names
+}
+
 // ooklaCSVFixture writes a generated Ookla dataset to CSV once per test
 // binary; every decode test parses the same bytes.
 func ooklaCSVFixture(t testing.TB, n int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteOoklaCSV(&buf, GenerateOokla(plans.CityA(), n, 21)); err != nil {
+	if err := WriteOoklaCSV(&buf, ColumnizeOokla(GenerateOokla(plans.CityA(), n, 21))); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -41,7 +61,7 @@ func TestDecodeChunkInvariance(t *testing.T) {
 	}
 
 	var mbuf bytes.Buffer
-	if err := WriteMLabCSV(&mbuf, GenerateMLab(plans.CityB(), 400, 22, DefaultMLabOptions())); err != nil {
+	if err := WriteMLabCSV(&mbuf, ColumnizeMLabRows(GenerateMLab(plans.CityB(), 400, 22, DefaultMLabOptions()))); err != nil {
 		t.Fatal(err)
 	}
 	mbase, err := readMLabColumns(bytes.NewReader(mbuf.Bytes()), 1, 1)
@@ -59,7 +79,7 @@ func TestDecodeChunkInvariance(t *testing.T) {
 	}
 
 	var bbuf bytes.Buffer
-	if err := WriteMBACSV(&bbuf, GenerateMBA(plans.CityD(), 9, 300, 23)); err != nil {
+	if err := WriteMBACSV(&bbuf, ColumnizeMBA(GenerateMBA(plans.CityD(), 9, 300, 23))); err != nil {
 		t.Fatal(err)
 	}
 	bbase, err := readMBAColumns(bytes.NewReader(bbuf.Bytes()), 1, 1)
@@ -112,7 +132,7 @@ func TestDecodeQuotedFields(t *testing.T) {
 		recs[i].ISP = hard[(i+3)%len(hard)]
 	}
 	var buf bytes.Buffer
-	if err := WriteOoklaCSV(&buf, recs); err != nil {
+	if err := WriteOoklaCSV(&buf, ColumnizeOokla(recs)); err != nil {
 		t.Fatal(err)
 	}
 	for _, chunks := range []int{1, 7, 64} {
@@ -194,6 +214,13 @@ func TestDecodeStrictErrors(t *testing.T) {
 	row[7], row[8] = "false", ""
 	if _, err := ReadOoklaColumns(strings.NewReader(ooklaCSVWithRow(row)), 1); err != nil {
 		t.Errorf("radio-less row with empty band: %v", err)
+	}
+	// A band on a radio-less row fails closed: the writer blanks that
+	// field, so accepting it would change the data in one read/write cycle.
+	row[8] = "5 GHz"
+	if _, err := ReadOoklaColumns(strings.NewReader(ooklaCSVWithRow(row)), 1); err == nil ||
+		!strings.Contains(err.Error(), "band") || !strings.Contains(err.Error(), "row 2") {
+		t.Errorf("radio-less row with a band: %v", err)
 	}
 	// Header must match exactly.
 	bad := strings.Replace(strings.Join(ooklaHeader, ","), "test_id", "row_id", 1) +

@@ -134,9 +134,9 @@ func TestWriteCSVAllocs(t *testing.T) {
 	// rows must cost O(1) allocations (the bufio.Writer + scratch), not
 	// O(n). Discard-writer keeps io out of the measurement.
 	cat := plans.CityA()
-	recs := GenerateOokla(cat, 400, 51)
-	rows := GenerateMLab(cat, 200, 52, DefaultMLabOptions())
-	mba := GenerateMBA(cat, 5, 300, 53)
+	recs := ColumnizeOokla(GenerateOokla(cat, 400, 51))
+	rows := ColumnizeMLabRows(GenerateMLab(cat, 200, 52, DefaultMLabOptions()))
+	mba := ColumnizeMBA(GenerateMBA(cat, 5, 300, 53))
 	check := func(name string, write func() error) {
 		t.Helper()
 		avg := testing.AllocsPerRun(5, func() {

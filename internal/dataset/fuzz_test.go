@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -10,12 +11,34 @@ import (
 )
 
 // Fuzz targets for the CSV parsers: whatever bytes arrive, the readers must
-// either return an error or a well-formed slice — never panic. `go test`
-// runs the seed corpus; `go test -fuzz=FuzzReadOoklaCSV` explores further.
+// either return an error or well-formed columns — never panic — and input
+// that parses must be a fixpoint of write → read → write. `go test` runs
+// the seed corpus; `go test -fuzz=FuzzReadOoklaCSV` explores further, and
+// `make fuzz-smoke` runs every target here for a few seconds.
+
+// checkCSVFixpoint is the CSV fuzzers' oracle: columns that parsed must
+// write, read back and write again to the identical bytes.
+func checkCSVFixpoint[C any](t *testing.T, cols C, write func(io.Writer, C) error, read func(io.Reader, int) (C, error)) {
+	t.Helper()
+	var first, second bytes.Buffer
+	if err := write(&first, cols); err != nil {
+		t.Fatalf("write parsed columns: %v", err)
+	}
+	back, err := read(bytes.NewReader(first.Bytes()), 1)
+	if err != nil {
+		t.Fatalf("read back written CSV: %v\n%q", err, first.Bytes())
+	}
+	if err := write(&second, back); err != nil {
+		t.Fatalf("write read-back columns: %v", err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatalf("write/read/write changed the CSV:\n%q\n%q", first.Bytes(), second.Bytes())
+	}
+}
 
 func FuzzReadOoklaCSV(f *testing.F) {
 	var buf bytes.Buffer
-	if err := WriteOoklaCSV(&buf, GenerateOokla(catalogForFuzz(), 5, 1)); err != nil {
+	if err := WriteOoklaCSV(&buf, ColumnizeOokla(GenerateOokla(catalogForFuzz(), 5, 1))); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.String())
@@ -29,13 +52,14 @@ func FuzzReadOoklaCSV(f *testing.F) {
 			for _, r := range cols.Records() {
 				_ = r.Platform.String()
 			}
+			checkCSVFixpoint(t, cols, WriteOoklaCSV, ReadOoklaColumns)
 		}
 	})
 }
 
 func FuzzReadMLabCSV(f *testing.F) {
 	var buf bytes.Buffer
-	if err := WriteMLabCSV(&buf, GenerateMLab(catalogForFuzz(), 5, 2, DefaultMLabOptions())); err != nil {
+	if err := WriteMLabCSV(&buf, ColumnizeMLabRows(GenerateMLab(catalogForFuzz(), 5, 2, DefaultMLabOptions()))); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.String())
@@ -46,20 +70,23 @@ func FuzzReadMLabCSV(f *testing.F) {
 		if err == nil {
 			// Parsed rows must survive association without panics.
 			_ = Associate(cols.Records())
+			checkCSVFixpoint(t, cols, WriteMLabCSV, ReadMLabColumns)
 		}
 	})
 }
 
 func FuzzReadMBACSV(f *testing.F) {
 	var buf bytes.Buffer
-	if err := WriteMBACSV(&buf, GenerateMBA(catalogForFuzz(), 3, 9, 3)); err != nil {
+	if err := WriteMBACSV(&buf, ColumnizeMBA(GenerateMBA(catalogForFuzz(), 3, 9, 3))); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.String())
 	f.Add("")
 	f.Add(strings.Join(mbaHeader, ",") + "\n,,,,,,,,,\n")
 	f.Fuzz(func(t *testing.T, data string) {
-		_, _ = ReadMBAColumns(strings.NewReader(data), 1)
+		if cols, err := ReadMBAColumns(strings.NewReader(data), 1); err == nil {
+			checkCSVFixpoint(t, cols, WriteMBACSV, ReadMBAColumns)
+		}
 	})
 }
 

@@ -16,7 +16,7 @@ func TestSectionLayoutIDs(t *testing.T) {
 	checkLayout(t, &ingestLayout)
 }
 
-func checkLayout[S any](t *testing.T, l *layout[S]) {
+func checkLayout[S, R any](t *testing.T, l *layout[S, R]) {
 	t.Helper()
 	// Give struct field k a slice of k+1 rows; each entry's row count then
 	// names the field it reads.

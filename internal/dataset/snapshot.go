@@ -429,7 +429,7 @@ func appendBytes[T ~int](b []byte, v []T) []byte {
 
 // encodeRows writes a present row section under kind, or as a zoned
 // section under zonedKind when zopts is set.
-func encodeRows[S any](e *snapEnc, l *layout[S], c *S, kind, zonedKind byte, zopts *ZoneOptions) error {
+func encodeRows[S, R any](e *snapEnc, l *layout[S, R], c *S, kind, zonedKind byte, zopts *ZoneOptions) error {
 	switch {
 	case c == nil:
 		return nil
