@@ -8,10 +8,13 @@ package ingest
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"speedctx/internal/core"
@@ -197,6 +200,34 @@ func TestStreamedSketchesIdentity(t *testing.T) {
 					t.Fatalf("split %d batch %d city %s: streamed deposit differs from the AddSample pass", split, batch, city)
 				}
 			}
+		}
+	}
+}
+
+// TestRebinCitySamplesCorruptBlock: a segment whose row block fails its
+// checksum makes the sketch rebin fail, not deposit a partial scan.
+func TestRebinCitySamplesCorruptBlock(t *testing.T) {
+	f := newIdentityFixture(t)
+	_, paths := f.seal(t, 1)
+	data, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Unzoned segments store each download as its raw IEEE 754 bits, and
+	// the generated speeds are unique, so this finds the download block.
+	r := f.rows[len(f.rows)/2]
+	at := bytes.Index(data, binary.LittleEndian.AppendUint64(nil, math.Float64bits(r.DownloadMbps)))
+	if at < 0 {
+		t.Fatal("download payload not found in the segment")
+	}
+	data[at] ^= 0x20
+	if err := os.WriteFile(paths[0], data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	for _, batch := range identityBatches {
+		if _, err := rebinCitySamples(paths[0], r.City, f.specs[r.City], batch); err == nil ||
+			!strings.Contains(err.Error(), "checksum") {
+			t.Fatalf("batch %d: corrupt block gave %v, want a checksum error", batch, err)
 		}
 	}
 }

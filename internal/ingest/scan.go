@@ -24,44 +24,11 @@ var sketchSampleSelection = dataset.SnapshotSelection{
 	),
 }
 
-// citySampleScanner adapts a block scan of ingest rows into
-// core.TierSampleScanner, keeping only one city's rows. Batches reuse its
-// filter buffers, mirroring the scanner's own reuse contract.
-type citySampleScanner struct {
-	sc   *dataset.BlockScanner
-	city string
-	out  core.TierSampleBatch
-}
-
-func (a *citySampleScanner) Scan() bool {
-	for a.sc.Scan() {
-		b := a.sc.Batch()
-		if b.Kind != dataset.SectionIngest || b.Rows == 0 {
-			continue
-		}
-		g := b.Ingest
-		a.out.UploadTier = a.out.UploadTier[:0]
-		a.out.Download = a.out.Download[:0]
-		a.out.Upload = a.out.Upload[:0]
-		for i, city := range g.City {
-			if city != a.city {
-				continue
-			}
-			a.out.UploadTier = append(a.out.UploadTier, g.UploadTier[i])
-			a.out.Download = append(a.out.Download, g.Download[i])
-			a.out.Upload = append(a.out.Upload, g.Upload[i])
-		}
-		return true
-	}
-	return false
-}
-
-func (a *citySampleScanner) TierSamples() core.TierSampleBatch { return a.out }
-func (a *citySampleScanner) Err() error                        { return a.sc.Err() }
-
 // rebinCitySamples rebuilds one city's sketch contribution by streaming
 // the segment's raw rows — the fallback for legacy segments without
-// bundles, or bundles on a foreign grid.
+// bundles, or bundles on a foreign grid. Bin masses are integer counts, so
+// the result is the AddSample pass over the city's rows at every batch
+// size. On a scan error the partial sketches are discarded.
 func rebinCitySamples(path, city string, spec CitySketchSpec, batchRows int) (*core.TierSketches, error) {
 	src, err := dataset.OpenFileSource(path)
 	if err != nil {
@@ -72,8 +39,26 @@ func rebinCitySamples(path, city string, spec CitySketchSpec, batchRows int) (*c
 	if err != nil {
 		return nil, err
 	}
-	return core.SketchesFromScan(spec.Spec, spec.Tiers,
-		&citySampleScanner{sc: sc, city: city})
+	ts, err := core.NewTierSketches(spec.Spec, spec.Tiers)
+	if err != nil {
+		return nil, err
+	}
+	for sc.Scan() {
+		b := sc.Batch()
+		if b.Kind != dataset.SectionIngest || b.Rows == 0 {
+			continue
+		}
+		g := b.Ingest
+		for i, c := range g.City {
+			if c == city {
+				ts.AddSample(g.UploadTier[i], g.Download[i], g.Upload[i])
+			}
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	return ts, nil
 }
 
 // scanSegmentBundles streams just a segment's sketch section — the scan
