@@ -5,7 +5,10 @@ package dataset
 // its undecoded window and delta/dictionary state; the typed decoders
 // below are the streaming forms of the §10 payload codecs, validated and
 // error-worded identically so a streamed decode fails exactly where a
-// materialized decode would.
+// materialized decode would. Over a file, a cursor's window is sized to
+// what its block has left (at most scanReadChunk), and a closed section's
+// cursors, windows included, serve the next section's columns, so a scan
+// of many small row groups allocates its windows once.
 
 import (
 	"encoding/binary"
@@ -20,9 +23,11 @@ import (
 
 // blockCursor streams one column block's payload. Over an in-memory
 // source the window aliases the whole payload (verified up front, like
-// the materializing decoders); over a file it is an owned buffer refilled
-// in scanReadChunk pieces, with the per-block checksum accumulating as
-// bytes arrive and checked when the last byte is fetched.
+// the materializing decoders); over a file it is an owned buffer, at most
+// the block's size, refilled in scanReadChunk pieces, with the per-block
+// checksum accumulating as bytes arrive and checked when the last byte is
+// fetched. Cursors, buffer included, go back to the scanner's free list
+// when their section closes.
 type blockCursor struct {
 	s      *BlockScanner
 	bi     blockInfo
@@ -40,10 +45,18 @@ type blockCursor struct {
 	row    int   // rows decoded so far, for error messages
 }
 
-// newCursor opens a cursor over one block and counts it as decoded.
+// newCursor opens a cursor over one block and counts it as decoded. It
+// reuses a closed section's cursor, and its read window, when one is free.
 func (s *BlockScanner) newCursor(bi blockInfo) (*blockCursor, error) {
 	s.ctr.ColumnsDecoded++
-	c := &blockCursor{s: s, bi: bi, verify: s.verify}
+	var c *blockCursor
+	if n := len(s.free); n > 0 {
+		c, s.free = s.free[n-1], s.free[:n-1]
+		*c = blockCursor{owned: c.owned}
+	} else {
+		c = new(blockCursor)
+	}
+	c.s, c.bi, c.verify = s, bi, s.verify
 	if s.mem != nil {
 		c.win = s.mem[bi.off : bi.off+bi.length]
 		if c.verify && snapshotChecksum(c.win) != bi.sum {
@@ -66,17 +79,19 @@ func (c *blockCursor) colErr(format string, args ...any) error {
 	return c.s.fail("column %d: "+format, append([]any{any(c.bi.id)}, args...)...)
 }
 
-// fill makes at least min undecoded bytes available in the window, or
-// everything the block still has if fewer remain. min may exceed
-// scanReadChunk (a long dictionary entry); the buffer grows to fit.
-func (c *blockCursor) fill(min int) error {
-	if c.left == 0 || c.avail() >= min {
+// fill makes at least need undecoded bytes available in the window, or
+// everything the block still has if fewer remain. The window holds up to
+// scanReadChunk bytes, and no more than the block has left, so a small
+// block costs a small buffer; need may exceed scanReadChunk (a long
+// dictionary entry), and the buffer grows to fit.
+func (c *blockCursor) fill(need int) error {
+	if c.left == 0 || c.avail() >= need {
 		return nil
 	}
 	keep := c.avail()
-	want := min
-	if want < scanReadChunk {
-		want = scanReadChunk
+	want := int(min(scanReadChunk, int64(keep)+c.left))
+	if want < need {
+		want = need
 	}
 	buf := c.owned
 	if cap(buf) < want {

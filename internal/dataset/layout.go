@@ -110,6 +110,7 @@ type column[S, R any] interface {
 	encode(e *snapEnc, c *S) error
 	zone(z *zoneDirBuilder, c *S)
 	bind(s *BlockScanner, bi blockInfo, rows int, c *S) error
+	drop(c *S)
 	slice(dst, src *S, lo, hi int)
 	appendFrom(dst, src *S)
 	permute(dst, src *S, perm []int)
@@ -172,9 +173,13 @@ func (f *field[S, R, T]) zone(z *zoneDirBuilder, c *S) {
 	f.c.bounds(z, *f.get(c))
 }
 
+// bind binds block bi to the column; each batch resizes the column's
+// buffer to its rows (growSlice), keeping its capacity.
 func (f *field[S, R, T]) bind(s *BlockScanner, bi blockInfo, rows int, c *S) error {
 	return f.c.exec(s, bi, rows, f.get(c))
 }
+
+func (f *field[S, R, T]) drop(c *S) { *f.get(c) = nil }
 
 func (f *field[S, R, T]) slice(dst, src *S, lo, hi int) { *f.get(dst) = (*f.get(src))[lo:hi] }
 
@@ -462,15 +467,18 @@ func zoneKeys(key func(city string, userID int) uint64, city []string, user []in
 	return keys
 }
 
-// bind points c at fresh decode slots and binds every selected block of
-// one scanned section (or zoned group) to its column.
+// bind binds every selected block of one scanned section (or zoned
+// group) to its column of c, which keeps the buffer it held for an
+// earlier section, and nils every unselected column.
 func (l *layout[S, R]) bind(s *BlockScanner, ss scanSection, sel ColumnSet, c *S) error {
-	*c = *new(S)
 	for _, bi := range ss.cols {
-		if sel.Has(bi.id) {
-			if err := l.cols[bi.id-1].bind(s, bi, ss.rows, c); err != nil {
-				return err
-			}
+		f := l.cols[bi.id-1]
+		if !sel.Has(bi.id) {
+			f.drop(c)
+			continue
+		}
+		if err := f.bind(s, bi, ss.rows, c); err != nil {
+			return err
 		}
 	}
 	return nil

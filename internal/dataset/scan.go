@@ -7,12 +7,16 @@ package dataset
 // the block directory can decode any column incrementally: hold a bounded
 // window of undecoded payload bytes per selected column, decode rows in
 // batches, and never materialize a whole column. BlockScanner is that
-// reader. It parses the file's structure once (envelope + every block
-// header — payloads untouched), then iterates the selected sections batch
-// by batch, yielding ColumnsBatch views whose slices live in reused
-// buffers. Peak resident memory is O(batch × selected columns) — plus one
-// bounded read window per column when scanning an on-disk file — however
-// large the file is.
+// reader. ParseDirectory reads the file's structure (envelope + every
+// block header — payloads untouched) into a Directory, which depends on
+// no selection; Directory.Scanner then iterates the selected sections
+// batch by batch, yielding ColumnsBatch views whose slices live in buffers
+// reused across batches and sections. NewBlockScanner is the two steps in
+// one; a caller that scans one file repeatedly (the ingest tile server)
+// keeps the Directory and pays the parse once. Peak resident memory is
+// O(batch × selected columns) — plus one read window per selected column
+// when scanning an on-disk file, no larger than its block and recycled
+// from section to section — however large the file is.
 //
 // The scanner is also the only decode engine: DecodeCitySnapshot runs it
 // with whole-section batches and fresh (non-reused) buffers, so a streamed
@@ -64,9 +68,11 @@ const (
 // column type stays comfortably inside L2.
 const DefaultScanBatchRows = 8192
 
-// scanReadChunk is the read window a file-backed column cursor fetches at
-// a time. One window per selected column bounds file-scan memory at
-// O(columns × chunk) independent of file size.
+// scanReadChunk is the most a file-backed column cursor fetches at a
+// time. One window per selected column bounds file-scan memory at
+// O(columns × chunk) independent of file size; a window is no larger than
+// its block, so a 4,096-row group's float column costs 32 KiB, not the
+// whole chunk.
 const scanReadChunk = 256 << 10
 
 // ScanSource is the byte source of a block scan: random access plus a
@@ -206,9 +212,12 @@ type scanSection struct {
 // Rows rows starting at row Start of a section of SectionRows rows total.
 // Exactly one of the section pointers is non-nil, matching Kind (Android
 // sections arrive in Ookla, under Kind SectionAndroid). The slices live in
-// buffers the scanner reuses: they are valid only until the next Scan
-// call, and only the selected columns are non-nil. The sketch section is
-// delivered whole, as a single batch carrying Sketches.
+// buffers the scanner reuses, from batch to batch and from one section or
+// row group to the next: they are valid only until the next Scan call,
+// so a consumer copies what it keeps. Only the selected columns are
+// non-nil. String values are dictionary entries that outlive the scan.
+// The sketch section is delivered whole, as a single batch carrying
+// Sketches, which the consumer may keep.
 type ColumnsBatch struct {
 	Kind        int
 	Start       int
@@ -234,23 +243,22 @@ type ColumnsBatch struct {
 // A scanner is single-goroutine; scan multiple files concurrently with one
 // scanner each (ScanSegments).
 type BlockScanner struct {
-	src     ScanSource
-	size    int64
-	mem     []byte // non-nil for byteSource: alias payloads, skip copies
-	sel     SnapshotSelection
-	batch   int
-	verify  bool // per-block checksums (off only for the trailer-verified full decode)
-	fresh   bool // allocate batch slices fresh instead of reusing (decode mode)
-	ctr     DecodeCounters
-	err     error
-	done    bool
-	out     ColumnsBatch
-	scratch []byte // header parse + file-mode read windows, reused
+	src    ScanSource
+	mem    []byte // non-nil for byteSource: alias payloads, skip copies
+	sel    SnapshotSelection
+	batch  int
+	verify bool // per-block checksums (off only for the trailer-verified full decode)
+	fresh  bool // allocate batch slices fresh instead of reusing (decode mode)
+	ctr    DecodeCounters
+	err    error
+	done   bool
+	out    ColumnsBatch
+	free   []*blockCursor // cursors of closed sections, read windows kept, for reuse
 
-	sections []scanSection
-	secIdx   int // next section to enter
-	secRows  int // rows of the entered section (one group, if zoned)
-	secDone  int // rows already yielded from it
+	sections []scanSection // the shared, read-only parsed directory
+	secIdx   int           // next section to enter
+	secRows  int           // rows of the entered section (one group, if zoned)
+	secDone  int           // rows already yielded from it
 	curZone  *sectionZone
 	exec     []colExec
 
@@ -268,16 +276,18 @@ type colExec struct {
 }
 
 // NewBlockScanner parses src's envelope and block directory and prepares a
-// streaming scan of the selected columns. batchRows <= 0 selects
-// DefaultScanBatchRows. The envelope (magic, format version, data version)
-// and the structural integrity of every block header are validated here;
-// payload bytes of selected columns are verified against their per-block
-// checksums as the scan reaches them.
+// streaming scan of the selected columns: ParseDirectory, then
+// Directory.Scanner. batchRows <= 0 selects DefaultScanBatchRows. The
+// envelope (magic, format version, data version) and the structural
+// integrity of every block header are validated here; payload bytes of
+// selected columns are verified against their per-block checksums as the
+// scan reaches them.
 func NewBlockScanner(src ScanSource, sel SnapshotSelection, batchRows int) (*BlockScanner, error) {
-	if batchRows <= 0 {
-		batchRows = DefaultScanBatchRows
+	d, err := ParseDirectory(src)
+	if err != nil {
+		return nil, err
 	}
-	return newBlockScanner(src, sel, batchRows, true, false)
+	return d.Scanner(src, sel, batchRows)
 }
 
 // newBlockScanner is NewBlockScanner plus the decode-path knobs: batchRows
@@ -285,28 +295,82 @@ func NewBlockScanner(src ScanSource, sel SnapshotSelection, batchRows int) (*Blo
 // (the full decoder verified the trailer already), fresh makes every batch
 // allocate new slices so the decode path can keep them.
 func newBlockScanner(src ScanSource, sel SnapshotSelection, batchRows int, verify, fresh bool) (*BlockScanner, error) {
+	d, err := ParseDirectory(src)
+	if err != nil {
+		return nil, err
+	}
+	return d.scanner(src, sel, batchRows, verify, fresh)
+}
+
+// Directory is a parsed .sxc block directory: the envelope and every
+// section's block extents and zone maps. The structural parse does not
+// depend on any selection, so one Directory makes scanners for every
+// selection and predicate; it is read-only once built and safe to share
+// between goroutines. A caller that scans one file repeatedly parses it
+// once and reuses it while the file's Size and SnapshotTrailer stay the
+// same.
+type Directory struct {
+	size     int64
+	sections []scanSection
+}
+
+// Size is the byte size of the image d was parsed from.
+func (d *Directory) Size() int64 { return d.size }
+
+// SnapshotTrailer reads src's 8-byte trailer: the checksum of every byte
+// before it. A file rewritten with other content (a compaction renaming a
+// new image into place, a reused inode) shows a different trailer, while
+// payload bytes changed in place keep it and fail their per-block
+// checksums during the scan instead.
+func SnapshotTrailer(src ScanSource) (uint64, error) {
+	var b [8]byte
+	if src.Size() < int64(len(b)) {
+		return 0, errors.New("dataset: snapshot too short")
+	}
+	if _, err := io_ReadFullAt(src, b[:], src.Size()-8); err != nil {
+		return 0, fmt.Errorf("dataset: snapshot: trailer: %w", err)
+	}
+	return binary.LittleEndian.Uint64(b[:]), nil
+}
+
+// Scanner prepares a streaming scan of the selected columns of src, which
+// must hold the image d was parsed from. batchRows <= 0 selects
+// DefaultScanBatchRows.
+func (d *Directory) Scanner(src ScanSource, sel SnapshotSelection, batchRows int) (*BlockScanner, error) {
+	if batchRows <= 0 {
+		batchRows = DefaultScanBatchRows
+	}
+	return d.scanner(src, sel, batchRows, true, false)
+}
+
+func (d *Directory) scanner(src ScanSource, sel SnapshotSelection, batchRows int, verify, fresh bool) (*BlockScanner, error) {
+	if src.Size() != d.size {
+		return nil, fmt.Errorf("dataset: snapshot: source holds %d bytes, its directory %d", src.Size(), d.size)
+	}
 	if batchRows <= 0 {
 		batchRows = int(^uint(0) >> 1) // whole-section batches
 	}
 	s := &BlockScanner{
-		src: src, size: src.Size(), sel: sel,
+		src: src, sel: sel, sections: d.sections,
 		batch: batchRows, verify: verify, fresh: fresh,
 	}
 	if b, ok := src.(byteSource); ok {
 		s.mem = b
 	}
-	if err := s.parseDirectory(); err != nil {
-		return nil, err
-	}
+	s.tallySkipped()
 	return s, nil
 }
 
 func (s *BlockScanner) fail(format string, args ...any) error {
-	err := fmt.Errorf("dataset: snapshot: "+format, args...)
+	err := dirErr(format, args...)
 	if s.err == nil {
 		s.err = err
 	}
 	return err
+}
+
+func dirErr(format string, args ...any) error {
+	return fmt.Errorf("dataset: snapshot: "+format, args...)
 }
 
 // dirReader walks the structural bytes of the file (headers, not
@@ -316,18 +380,21 @@ func (s *BlockScanner) fail(format string, args ...any) error {
 // a read-ahead past a truncation must not fail a parse that never needed
 // those bytes.
 type dirReader struct {
-	s   *BlockScanner
-	off int64
-	buf []byte
-	at  int64 // file offset of buf[0]
+	src     ScanSource
+	mem     []byte
+	size    int64
+	off     int64
+	buf     []byte
+	at      int64 // file offset of buf[0]
+	scratch []byte
 }
 
 func (r *dirReader) bytes(n int) ([]byte, error) {
-	if r.off+int64(n) > r.s.size {
+	if r.off+int64(n) > r.size {
 		return nil, errors.New("dataset: snapshot: truncated")
 	}
-	if r.s.mem != nil {
-		p := r.s.mem[r.off : r.off+int64(n)]
+	if r.mem != nil {
+		p := r.mem[r.off : r.off+int64(n)]
 		r.off += int64(n)
 		return p, nil
 	}
@@ -336,14 +403,14 @@ func (r *dirReader) bytes(n int) ([]byte, error) {
 		if want < int64(n) {
 			want = int64(n)
 		}
-		if r.off+want > r.s.size {
-			want = r.s.size - r.off
+		if r.off+want > r.size {
+			want = r.size - r.off
 		}
-		if int64(cap(r.s.scratch)) < want {
-			r.s.scratch = make([]byte, want)
+		if int64(cap(r.scratch)) < want {
+			r.scratch = make([]byte, want)
 		}
-		buf := r.s.scratch[:want]
-		got, err := readAtLeast(r.s.src, buf, r.off, n)
+		buf := r.scratch[:want]
+		got, err := readAtLeast(r.src, buf, r.off, n)
 		if err != nil {
 			return nil, errors.New("dataset: snapshot: truncated")
 		}
@@ -384,8 +451,8 @@ func (r *dirReader) u8() (byte, error) {
 func (r *dirReader) uvarint() (uint64, error) {
 	// Peek up to MaxVarintLen64 bytes without committing past the varint.
 	n := int64(binary.MaxVarintLen64)
-	if r.off+n > r.s.size {
-		n = r.s.size - r.off
+	if r.off+n > r.size {
+		n = r.size - r.off
 	}
 	save := r.off
 	p, err := r.bytes(int(n))
@@ -400,44 +467,46 @@ func (r *dirReader) uvarint() (uint64, error) {
 	return v, nil
 }
 
-// parseDirectory validates the envelope and records every section's block
-// extents. It reads only structural bytes; payloads are skipped by seek.
-// Counter semantics match the §13 decoders: unselected sections and
-// columns count as skipped here, selected ones count as decoded when the
-// scan materializes them.
-func (s *BlockScanner) parseDirectory() error {
+// ParseDirectory validates src's envelope and records every section's
+// block extents. It reads only structural bytes; payloads are skipped by
+// seek.
+func ParseDirectory(src ScanSource) (*Directory, error) {
+	d := &Directory{size: src.Size()}
 	const headerMin = 4 + 2 + 1 + 1 + 8
-	if s.size < headerMin {
-		return errors.New("dataset: snapshot too short")
+	if d.size < headerMin {
+		return nil, errors.New("dataset: snapshot too short")
 	}
-	r := &dirReader{s: s}
+	r := &dirReader{src: src, size: d.size}
+	if b, ok := src.(byteSource); ok {
+		r.mem = b
+	}
 	magic, err := r.bytes(4)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if string(magic) != string(snapshotMagic[:]) {
-		return errors.New("dataset: not a .sxc snapshot")
+		return nil, errors.New("dataset: not a .sxc snapshot")
 	}
 	vb, err := r.bytes(2)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	ver := binary.LittleEndian.Uint16(vb)
 	if ver != SnapshotFormatVersion && ver != SnapshotFormatVersionZoned {
-		return fmt.Errorf("%w: format version %d, want %d or %d", ErrSnapshotStale, ver, SnapshotFormatVersion, SnapshotFormatVersionZoned)
+		return nil, fmt.Errorf("%w: format version %d, want %d or %d", ErrSnapshotStale, ver, SnapshotFormatVersion, SnapshotFormatVersionZoned)
 	}
 	dv, err := r.uvarint()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if dv != DataVersion {
-		return fmt.Errorf("%w: data version %d, want %d", ErrSnapshotStale, dv, DataVersion)
+		return nil, fmt.Errorf("%w: data version %d, want %d", ErrSnapshotStale, dv, DataVersion)
 	}
 	nsec, err := r.u8()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	body := s.size - 8 // trailer checksum
+	body := d.size - 8 // trailer checksum
 	ordinal := 0
 	readCols := func(ncols int) ([]blockInfo, error) {
 		cols := make([]blockInfo, 0, ncols)
@@ -447,14 +516,14 @@ func (s *BlockScanner) parseDirectory() error {
 				return nil, err
 			}
 			if int(got) != id {
-				return nil, s.fail("column id %d, want %d", got, id)
+				return nil, dirErr("column id %d, want %d", got, id)
 			}
 			length, err := r.uvarint()
 			if err != nil {
 				return nil, err
 			}
 			if avail := body - r.off; avail < 8 || length > uint64(avail-8) {
-				return nil, s.fail("column %d truncated", id)
+				return nil, dirErr("column %d truncated", id)
 			}
 			sb, err := r.bytes(8)
 			if err != nil {
@@ -473,14 +542,14 @@ func (s *BlockScanner) parseDirectory() error {
 	for sec := 0; sec < int(nsec); sec++ {
 		kind, err := r.u8()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		rows64, err := r.uvarint()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if rows64 > uint64(body) {
-			return s.fail("section kind %d: absurd row count %d", kind, rows64)
+			return nil, dirErr("section kind %d: absurd row count %d", kind, rows64)
 		}
 		base, zoned := kind, false
 		switch kind {
@@ -491,44 +560,44 @@ func (s *BlockScanner) parseDirectory() error {
 		}
 		ncols, ok := sectionColumnCount(kind)
 		if !ok {
-			return s.fail("unknown section kind %d", kind)
+			return nil, dirErr("unknown section kind %d", kind)
 		}
 		if !zoned {
 			ss := scanSection{kind: kind, rows: int(rows64)}
 			if ss.cols, err = readCols(ncols); err != nil {
-				return err
+				return nil, err
 			}
-			s.sections = append(s.sections, ss)
+			d.sections = append(d.sections, ss)
 			continue
 		}
 		if ver != SnapshotFormatVersionZoned {
-			return s.fail("zoned section kind %d in a format-v%d snapshot", kind, ver)
+			return nil, dirErr("zoned section kind %d in a format-v%d snapshot", kind, ver)
 		}
 		// Zone directory: length, checksum, payload. The checksum is
 		// verified before any group header is trusted, so a corrupt zone
 		// map fails the scan here — it can never mis-route row groups.
 		zlen, err := r.uvarint()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if avail := body - r.off; avail < 8 || zlen > uint64(avail-8) {
-			return s.fail("section kind %d: zone directory truncated", kind)
+			return nil, dirErr("section kind %d: zone directory truncated", kind)
 		}
 		zb, err := r.bytes(8)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		zsum := binary.LittleEndian.Uint64(zb)
 		zp, err := r.bytes(int(zlen))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if snapshotChecksum(zp) != zsum {
-			return s.fail("section kind %d: zone directory checksum mismatch", kind)
+			return nil, dirErr("section kind %d: zone directory checksum mismatch", kind)
 		}
 		dir, err := parseZoneDir(zp, ncols, int(rows64))
 		if err != nil {
-			return s.fail("section kind %d: %v", kind, err)
+			return nil, dirErr("section kind %d: %v", kind, err)
 		}
 		start := 0
 		for gi := range dir.groups {
@@ -538,17 +607,23 @@ func (s *BlockScanner) parseDirectory() error {
 			}
 			start += ss.rows
 			if ss.cols, err = readCols(ncols); err != nil {
-				return err
+				return nil, err
 			}
-			s.sections = append(s.sections, ss)
+			d.sections = append(d.sections, ss)
 		}
 	}
 	if r.off != body {
-		return fmt.Errorf("dataset: snapshot has %d trailing bytes", body-r.off)
+		return nil, fmt.Errorf("dataset: snapshot has %d trailing bytes", body-r.off)
 	}
-	// Tally the never-selected blocks as skipped up front, mirroring the
-	// materializing decoders' counters. Zoned groups share one logical
-	// section, which must count once.
+	return d, nil
+}
+
+// tallySkipped counts the never-selected blocks as skipped up front,
+// mirroring the materializing decoders' counters: unselected sections and
+// columns count as skipped here, selected ones count as decoded when the
+// scan materializes them. Zoned groups share one logical section, which
+// must count once.
+func (s *BlockScanner) tallySkipped() {
 	for _, ss := range s.sections {
 		sel := s.sectionSelection(ss.kind)
 		if sel == 0 {
@@ -568,7 +643,6 @@ func (s *BlockScanner) parseDirectory() error {
 			}
 		}
 	}
-	return nil
 }
 
 func sectionColumnCount(kind byte) (int, bool) {
@@ -693,13 +767,20 @@ func (s *BlockScanner) Scan() bool {
 	}
 }
 
-// closeSection verifies every cursor consumed its payload exactly and
-// resets the per-section state.
+// closeSection verifies every cursor consumed its payload exactly, hands
+// the cursors and their read windows to the free list and resets the
+// per-section state. Cursors go back in reverse, so the next section's
+// first column takes this one's first window: a zoned section's groups
+// repeat one column layout, and each column's window already fits its
+// blocks.
 func (s *BlockScanner) closeSection() bool {
 	for _, ex := range s.exec {
 		if err := ex.cur.finish(); err != nil {
 			return false
 		}
+	}
+	for i := len(s.exec) - 1; i >= 0; i-- {
+		s.free = append(s.free, s.exec[i].cur)
 	}
 	s.exec = nil
 	return true

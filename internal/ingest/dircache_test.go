@@ -1,0 +1,239 @@
+package ingest
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"math"
+	"net/http"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"speedctx/internal/core"
+	"speedctx/internal/dataset"
+	"speedctx/internal/opendata"
+	"speedctx/internal/tilequery"
+)
+
+// dirCacheFixture is a server over three sealed segments of the
+// classifier fixture rows, with its pipeline closed, and the in-memory
+// fold every response must render.
+type dirCacheFixture struct {
+	dir    string
+	url    string
+	client *http.Client
+	rows   []dataset.IngestRow
+	ref    *tilequery.Index
+}
+
+func newDirCacheFixture(t *testing.T) *dirCacheFixture {
+	t.Helper()
+	cls, rows := loadClassifiers(t)
+	f := &dirCacheFixture{dir: t.TempDir(), rows: rows}
+	ts, _, p := startServer(t, f.dir, PipelineConfig{BatchRows: (len(rows) + 2) / 3, MaxBatchAge: -1}, cls)
+	t.Cleanup(ts.Close)
+	f.url, f.client = ts.URL, ts.Client()
+	for i := range rows {
+		postOne(t, f.client, f.url, &rows[i])
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if names := segmentNames(t, f.dir); len(names) != 3 {
+		t.Fatalf("sealed %d segments, want 3: %v", len(names), names)
+	}
+	f.ref = tilesReference(t, cls, rows)
+	return f
+}
+
+// tilesReference folds rows, classified as the server classifies them,
+// into an in-memory index.
+func tilesReference(t *testing.T, cls map[string]*core.Classifier, rows []dataset.IngestRow) *tilequery.Index {
+	t.Helper()
+	exp := &tilequery.Rows{}
+	for i := range rows {
+		r := &rows[i]
+		exp.UserID = append(exp.UserID, r.UserID)
+		exp.City = append(exp.City, r.City)
+		exp.Download = append(exp.Download, r.DownloadMbps)
+		exp.Upload = append(exp.Upload, r.UploadMbps)
+		exp.Latency = append(exp.Latency, r.LatencyMs)
+		exp.Tier = append(exp.Tier, cls[r.City].ClassifyOne(r.DownloadMbps, r.UploadMbps).Tier)
+	}
+	ref := tilequery.NewIndex(tilequery.Config{})
+	if _, err := ref.AddRows(exp); err != nil {
+		t.Fatal(err)
+	}
+	return ref
+}
+
+// tileQuery is one /v1/tiles request and the query it renders.
+type tileQuery struct {
+	params string
+	q      tilequery.Query
+}
+
+// queries returns the fixture's query mix: for the first row of each
+// city, a neighbourhood and a city bbox through the pushdown path, the
+// city bbox through the engine path, and an unrestricted roll-up.
+func (f *dirCacheFixture) queries(t *testing.T) []tileQuery {
+	t.Helper()
+	bbox := func(zoom int, lat, lon, d float64, extra string) tileQuery {
+		rng, err := opendata.TileRangeForBBox(lat-d, lon-d, lat+d, lon+d, zoom)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tileQuery{
+			params: fmt.Sprintf("?zoom=%d&bbox=%g,%g,%g,%g%s", zoom, lat-d, lon-d, lat+d, lon+d, extra),
+			q:      tilequery.Query{Zoom: zoom, Range: &rng},
+		}
+	}
+	var qs []tileQuery
+	seen := map[string]bool{}
+	for _, r := range f.rows {
+		if seen[r.City] {
+			continue
+		}
+		seen[r.City] = true
+		loc := opendata.UserLocation(opendata.CityCenter(r.City), opendata.DefaultLocSeed, r.UserID)
+		c := opendata.CityCenter(r.City)
+		qs = append(qs,
+			bbox(16, loc.Lat, loc.Lon, 0.001, ""),
+			bbox(12, c.Lat, c.Lon, 0.11, ""),
+			bbox(12, c.Lat, c.Lon, 0.11, "&push=0"),
+		)
+	}
+	return append(qs, tileQuery{params: "?zoom=12", q: tilequery.Query{Zoom: 12}})
+}
+
+// check sends one query and requires the in-memory fold's bytes.
+func (f *dirCacheFixture) check(t *testing.T, tq tileQuery) {
+	t.Helper()
+	tiles, err := f.ref.Tiles(tq.q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := tilequery.AppendTilesJSON(nil, tq.q.Zoom, tiles, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, got := getTiles(t, f.client, f.url, tq.params)
+	if code != http.StatusOK {
+		t.Fatalf("%s = %d: %s", tq.params, code, got)
+	}
+	if !bytes.Equal(got, append(want, '\n')) {
+		t.Fatalf("%s: response differs from the in-memory fold", tq.params)
+	}
+}
+
+// dirCache reads the directory-cache counters from /statsz.
+func (f *dirCacheFixture) dirCache(t *testing.T) (parses, cached int) {
+	t.Helper()
+	resp, err := f.client.Get(f.url + "/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st struct {
+		TileCache struct {
+			DirParses  *int `json:"dir_parses"`
+			DirsCached *int `json:"dirs_cached"`
+		} `json:"tile_cache"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.TileCache.DirParses == nil || st.TileCache.DirsCached == nil {
+		t.Fatal("statsz tile_cache lacks dir_parses or dirs_cached")
+	}
+	return *st.TileCache.DirParses, *st.TileCache.DirsCached
+}
+
+// TestTileDirCacheParsesOnce: fifty pushdown queries over an unchanged
+// segment directory parse each segment's block directory exactly once.
+func TestTileDirCacheParsesOnce(t *testing.T) {
+	f := newDirCacheFixture(t)
+	qs := f.queries(t)
+	for i := 0; i < 50; i++ {
+		f.check(t, qs[i%2]) // the pushdown neighbourhood and city queries
+	}
+	if parses, cached := f.dirCache(t); parses != 3 || cached != 3 {
+		t.Fatalf("50 queries over 3 segments: %d directory parses, %d cached; want 3, 3", parses, cached)
+	}
+}
+
+// TestTileDirCacheCompaction: compaction removes the sealed segments and
+// renames a new ingest.sxc into place; a second, differently zoned
+// compaction replaces ingest.sxc under the same name. Each new image is
+// parsed exactly once, the removed names leave the cache, and every
+// response, pushdown or engine path, matches the in-memory fold.
+func TestTileDirCacheCompaction(t *testing.T) {
+	f := newDirCacheFixture(t)
+	qs := f.queries(t)
+	for _, q := range qs {
+		f.check(t, q)
+	}
+	if parses, cached := f.dirCache(t); parses != 3 || cached != 3 {
+		t.Fatalf("before compaction: %d parses, %d cached; want 3, 3", parses, cached)
+	}
+	for i, rows := range []int{16, 64} {
+		if _, err := CompactWith(f.dir, CompactOptions{ClusterZoom: opendata.TileZoom, ZoneBlockRows: rows}); err != nil {
+			t.Fatal(err)
+		}
+		for pass := 0; pass < 2; pass++ {
+			for _, q := range qs {
+				f.check(t, q)
+			}
+		}
+		if parses, cached := f.dirCache(t); parses != 4+i || cached != 1 {
+			t.Fatalf("after compaction %d: %d parses, %d cached; want %d, 1", i+1, parses, cached, 4+i)
+		}
+	}
+}
+
+// TestTileDirCacheCorruptPayload: a payload byte flipped in place in a
+// cached segment keeps the file's size and trailer, so the cached
+// directory is reused, and the scan's block checksum fails the query with
+// a 500 — on every later query too, never serving the old tiles.
+func TestTileDirCacheCorruptPayload(t *testing.T) {
+	f := newDirCacheFixture(t)
+	push := f.queries(t)[1]
+	f.check(t, push)
+	path := filepath.Join(f.dir, segmentNames(t, f.dir)[0])
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Unzoned segments store each download as its raw IEEE 754 bits.
+	at := -1
+	for _, r := range f.rows {
+		if at = bytes.Index(data, binary.LittleEndian.AppendUint64(nil, math.Float64bits(r.DownloadMbps))); at >= 0 {
+			break
+		}
+	}
+	if at < 0 {
+		t.Fatal("no download payload found in the segment")
+	}
+	file, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := file.WriteAt([]byte{data[at] ^ 0x20}, int64(at)); err != nil {
+		t.Fatal(err)
+	}
+	if err := file.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		code, body := getTiles(t, f.client, f.url, push.params)
+		if code != http.StatusInternalServerError || !strings.Contains(string(body), "checksum") {
+			t.Fatalf("query %d after corruption = %d: %s; want 500 with a checksum error", i, code, body)
+		}
+	}
+	if parses, cached := f.dirCache(t); parses != 3 || cached != 3 {
+		t.Fatalf("in-place corruption: %d parses, %d cached; want the cached 3, 3", parses, cached)
+	}
+}

@@ -1,5 +1,14 @@
 package ingest
 
+// The tile layer of the ingest server (DESIGN.md §13–§15): GET /v1/tiles
+// answered from the sealed .sxc segments, either by the cached tile engine
+// that folds each new segment once, or, for a bbox query, by a pushdown
+// scan of every segment per query. Both scan a segment through one
+// helper, scanSegment, which opens the file for the one scan and reuses
+// the segment's parsed block directory while the file's size and trailer
+// checksum match the cached parse, so a query pays for the row groups it
+// decodes, not for re-reading every block header.
+
 import (
 	"fmt"
 	"net/http"
@@ -40,6 +49,12 @@ type tileServer struct {
 	folded map[string]bool
 	cities []string // sorted serving-model cities, for pushdown attribution
 
+	// dirs caches each listed segment's parsed block directory, keyed by
+	// name and checked against the opened file's size and trailer before
+	// every reuse; dirParses counts the parses it did not save.
+	dirs      map[string]segmentDir
+	dirParses uint64
+
 	// Cumulative streamed-scan counters across folds, for /statsz: proof
 	// the serving path never materializes unrequested columns (and, on
 	// zoned segments, how many row groups the folds touched).
@@ -62,6 +77,13 @@ type tileServer struct {
 	pushByCity       map[string]*cityPushStats
 }
 
+// segmentDir is one directory-cache entry: a segment's parsed directory
+// and the trailer checksum of the image it was parsed from.
+type segmentDir struct {
+	dir     *dataset.Directory
+	trailer uint64
+}
+
 // cityPushStats is one city's pushdown tally.
 type cityPushStats struct {
 	queries       uint64
@@ -76,6 +98,7 @@ func newTileServer(dir string, cfg tilequery.Config, cacheTiles int, cities []st
 		eng:        tilequery.NewEngine(cfg, cacheTiles),
 		push:       tilequery.NewIndex(cfg),
 		folded:     make(map[string]bool),
+		dirs:       make(map[string]segmentDir),
 		cities:     cities,
 		pushByCity: make(map[string]*cityPushStats),
 	}
@@ -84,13 +107,9 @@ func newTileServer(dir string, cfg tilequery.Config, cacheTiles int, cities []st
 // refresh folds segments sealed since the last call, resetting first if
 // compaction rewrote the directory.
 func (ts *tileServer) refresh() error {
-	names, err := listSegments(ts.dir)
+	names, present, err := ts.listing()
 	if err != nil {
 		return err
-	}
-	present := make(map[string]bool, len(names))
-	for _, name := range names {
-		present[name] = true
 	}
 	for name := range ts.folded {
 		if !present[name] {
@@ -126,17 +145,7 @@ func (ts *tileServer) refresh() error {
 // batches and fold straight into the integer-exact tile accumulators, so
 // fold memory is O(batch), not O(segment).
 func (ts *tileServer) foldSegment(name string) error {
-	src, err := dataset.OpenFileSource(filepath.Join(ts.dir, name))
-	if err != nil {
-		return err
-	}
-	defer src.Close()
-	sc, err := dataset.NewBlockScanner(src, tileSelection, 0)
-	if err != nil {
-		return err
-	}
-	err = ts.eng.AddScan(sc)
-	ctr := sc.Counters()
+	ctr, err := ts.scanSegment(name, tileSelection, ts.eng.AddScan)
 	ts.colsDecoded += int64(ctr.ColumnsDecoded)
 	ts.colsSkipped += int64(ctr.ColumnsSkipped)
 	ts.blocksScanned += int64(ctr.BlocksScanned)
@@ -149,6 +158,62 @@ func (ts *tileServer) foldSegment(name string) error {
 	return nil
 }
 
+// listing lists the segment directory and drops the cached block
+// directories of names no longer in it. Callers hold ts.mu.
+func (ts *tileServer) listing() ([]string, map[string]bool, error) {
+	names, err := listSegments(ts.dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	present := make(map[string]bool, len(names))
+	for _, name := range names {
+		present[name] = true
+	}
+	for name := range ts.dirs {
+		if !present[name] {
+			delete(ts.dirs, name)
+		}
+	}
+	return names, present, nil
+}
+
+// scanSegment opens one segment, makes a scanner of it under sel from the
+// cached block directory, runs fold over the scanner and closes the file.
+// The cached directory is reused only while the file's size and trailer
+// checksum match the image it was parsed from; otherwise the file is
+// parsed again. Payload blocks are checksummed by every scan either way,
+// so a changed payload fails the scan rather than folding stale bytes.
+// The scan's counters are returned whether or not it failed. Callers
+// hold ts.mu.
+func (ts *tileServer) scanSegment(name string, sel dataset.SnapshotSelection, fold func(*dataset.BlockScanner) error) (dataset.DecodeCounters, error) {
+	src, err := dataset.OpenFileSource(filepath.Join(ts.dir, name))
+	if err != nil {
+		return dataset.DecodeCounters{}, err
+	}
+	defer src.Close()
+	trailer, err := dataset.SnapshotTrailer(src)
+	if err != nil {
+		return dataset.DecodeCounters{}, err
+	}
+	e, ok := ts.dirs[name]
+	if !ok || e.trailer != trailer || e.dir.Size() != src.Size() {
+		delete(ts.dirs, name)
+		ts.dirParses++
+		d, err := dataset.ParseDirectory(src)
+		if err != nil {
+			return dataset.DecodeCounters{}, err
+		}
+		e = segmentDir{dir: d, trailer: trailer}
+		ts.dirs[name] = e
+	}
+	sc, err := e.dir.Scanner(src, sel, 0)
+	if err != nil {
+		return dataset.DecodeCounters{}, err
+	}
+	err = fold(sc)
+	return sc.Counters(), err
+}
+
 // tilesPushdown answers one bbox query by streaming the current segment
 // set into the pushdown index, reset and restricted to the query's range,
 // with the bbox predicate pushed into each scanner (DESIGN.md §15): row
@@ -159,7 +224,7 @@ func (ts *tileServer) foldSegment(name string) error {
 // rendered tiles are byte-identical to the engine path's. Unclustered (v2)
 // segments carry no zone maps and stream whole. Callers hold ts.mu.
 func (ts *tileServer) tilesPushdown(query tilequery.Query) ([]opendata.ContextTile, error) {
-	names, err := listSegments(ts.dir)
+	names, _, err := ts.listing()
 	if err != nil {
 		return nil, err
 	}
@@ -171,7 +236,10 @@ func (ts *tileServer) tilesPushdown(query tilequery.Query) ([]opendata.ContextTi
 	}
 	var scanned, skipped int64
 	for _, name := range names {
-		ctr, err := ts.scanSegmentInto(ix, name, sel)
+		ctr, err := ts.scanSegment(name, sel, func(sc *dataset.BlockScanner) error {
+			_, err := ix.AddScan(sc)
+			return err
+		})
 		scanned += int64(ctr.BlocksScanned)
 		skipped += int64(ctr.BlocksSkipped)
 		if err != nil {
@@ -198,22 +266,6 @@ func (ts *tileServer) tilesPushdown(query tilequery.Query) ([]opendata.ContextTi
 	st.blocksScanned += scanned
 	st.blocksSkipped += skipped
 	return tiles, nil
-}
-
-// scanSegmentInto streams one segment into ix under sel and returns the
-// scan's counters whether or not it failed.
-func (ts *tileServer) scanSegmentInto(ix *tilequery.Index, name string, sel dataset.SnapshotSelection) (dataset.DecodeCounters, error) {
-	src, err := dataset.OpenFileSource(filepath.Join(ts.dir, name))
-	if err != nil {
-		return dataset.DecodeCounters{}, err
-	}
-	defer src.Close()
-	sc, err := dataset.NewBlockScanner(src, sel, 0)
-	if err != nil {
-		return dataset.DecodeCounters{}, err
-	}
-	_, err = ix.AddScan(sc)
-	return sc.Counters(), err
 }
 
 // cityFor attributes a bbox query to the first configured city whose
@@ -244,6 +296,8 @@ type tileStats struct {
 	ColsDecoded   int64
 	ColsSkipped   int64
 	BlocksScanned int64
+	DirParses     uint64
+	DirsCached    int
 
 	PushQueries      uint64
 	PushSkipHits     uint64
@@ -266,6 +320,8 @@ func (ts *tileServer) stats() tileStats {
 		ColsDecoded:      ts.colsDecoded,
 		ColsSkipped:      ts.colsSkipped,
 		BlocksScanned:    ts.blocksScanned,
+		DirParses:        ts.dirParses,
+		DirsCached:       len(ts.dirs),
 		PushQueries:      ts.pushQueries,
 		PushSkipHits:     ts.pushSkipHits,
 		PushRowsFolded:   ts.pushRowsFolded,
@@ -372,6 +428,10 @@ func appendTileStats(out []byte, st tileStats) []byte {
 	out = strconv.AppendInt(out, st.ColsSkipped, 10)
 	out = append(out, `,"blocks_scanned":`...)
 	out = strconv.AppendInt(out, st.BlocksScanned, 10)
+	out = append(out, `,"dir_parses":`...)
+	out = strconv.AppendUint(out, st.DirParses, 10)
+	out = append(out, `,"dirs_cached":`...)
+	out = strconv.AppendInt(out, int64(st.DirsCached), 10)
 	out = append(out, '}')
 	out = append(out, `,"pushdown":{"queries":`...)
 	out = strconv.AppendUint(out, st.PushQueries, 10)

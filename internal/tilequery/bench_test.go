@@ -2,6 +2,7 @@ package tilequery
 
 import (
 	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"sync"
@@ -372,12 +373,12 @@ func neighborhoodRange() *opendata.TileRange {
 // scanTilesWithPredicate streams the zoned snapshot into a fresh index
 // and renders the range query, optionally with the bbox predicate pushed
 // into the scanner.
-func scanTilesWithPredicate(data []byte, cfg Config, q Query, push bool) ([]opendata.ContextTile, dataset.DecodeCounters, error) {
+func scanTilesWithPredicate(src dataset.ScanSource, cfg Config, q Query, push bool) ([]opendata.ContextTile, dataset.DecodeCounters, error) {
 	sel := tileScanSelection
 	if push {
 		sel.Predicate = cfg.Pushdown(q.Range)
 	}
-	sc, err := dataset.NewBlockScanner(dataset.BytesSource(data), sel, 0)
+	sc, err := dataset.NewBlockScanner(src, sel, 0)
 	if err != nil {
 		return nil, dataset.DecodeCounters{}, err
 	}
@@ -389,21 +390,40 @@ func scanTilesWithPredicate(data []byte, cfg Config, q Query, push bool) ([]open
 	return tiles, sc.Counters(), err
 }
 
+// scanFileTiles is scanTilesWithPredicate over the snapshot at path,
+// opened for the one scan and closed after it, as the ingest tile server
+// opens a segment per query.
+func scanFileTiles(path string, cfg Config, q Query, push bool) ([]opendata.ContextTile, error) {
+	src, err := dataset.OpenFileSource(path)
+	if err != nil {
+		return nil, err
+	}
+	defer src.Close()
+	tiles, _, err := scanTilesWithPredicate(src, cfg, q, push)
+	return tiles, err
+}
+
 // BenchmarkTileScanPushdown is PR 10's headline pair: answering a
 // zoom-16 single-neighborhood bbox over the clustered 1M-row city by
 // streaming every row group (mode=full) versus seeking past groups whose
 // quadkey zone ranges cannot intersect the bbox (mode=push). The rendered
 // tiles are asserted byte-identical before timing; the rows/s ratio is
-// the recorded speedup.
+// the recorded speedup. The source=file pairs scan the same image from a
+// file through bounded read windows, the way a serving scan does, so
+// their B/op shows what the windows cost.
 func BenchmarkTileScanPushdown(b *testing.B) {
 	data := benchZonedBytes(b)
+	path := filepath.Join(b.TempDir(), "zoned.sxc")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		b.Fatal(err)
+	}
 	cfg := Config{City: "A"}
 	q := Query{Range: neighborhoodRange()}
-	want, _, err := scanTilesWithPredicate(data, cfg, q, false)
+	want, _, err := scanTilesWithPredicate(dataset.BytesSource(data), cfg, q, false)
 	if err != nil || len(want) == 0 {
 		b.Fatalf("full scan: %d tiles, err %v", len(want), err)
 	}
-	got, ctr, err := scanTilesWithPredicate(data, cfg, q, true)
+	got, ctr, err := scanTilesWithPredicate(dataset.BytesSource(data), cfg, q, true)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -413,6 +433,11 @@ func BenchmarkTileScanPushdown(b *testing.B) {
 	if !reflect.DeepEqual(want, got) {
 		b.Fatal("pushdown changed the rendered tiles")
 	}
+	for _, push := range []bool{false, true} {
+		if got, err := scanFileTiles(path, cfg, q, push); err != nil || !reflect.DeepEqual(want, got) {
+			b.Fatalf("file scan (push %v) changed the rendered tiles: %v", push, err)
+		}
+	}
 	for _, mode := range []struct {
 		name string
 		push bool
@@ -421,7 +446,18 @@ func BenchmarkTileScanPushdown(b *testing.B) {
 			b.ReportAllocs()
 			start := time.Now()
 			for i := 0; i < b.N; i++ {
-				tiles, _, err := scanTilesWithPredicate(data, cfg, q, mode.push)
+				tiles, _, err := scanTilesWithPredicate(dataset.BytesSource(data), cfg, q, mode.push)
+				if err != nil || len(tiles) == 0 {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.N*scanRows)/time.Since(start).Seconds(), "rows/s")
+		})
+		b.Run("n=1000000/mode="+mode.name+"/source=file", func(b *testing.B) {
+			b.ReportAllocs()
+			start := time.Now()
+			for i := 0; i < b.N; i++ {
+				tiles, err := scanFileTiles(path, cfg, q, mode.push)
 				if err != nil || len(tiles) == 0 {
 					b.Fatal(err)
 				}
