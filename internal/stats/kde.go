@@ -24,15 +24,17 @@ const (
 // KDE is a one-dimensional Gaussian kernel density estimate. The paper uses
 // KDE (§4.2) to confirm how many clusters are present in the upload- and
 // download-speed distributions before fitting a GMM with that many
-// components.
+// components. It is backed either by a raw sample (NewKDE) or by a bin-mass
+// Sketch (NewKDESketch); the two share every evaluation path.
 type KDE struct {
-	xs        []float64 // sorted copy of the sample
+	xs        []float64 // sorted copy of the sample; nil when sketch-backed
+	n         int       // observation count
 	bandwidth float64
 
-	// Parallelism bounds the worker count used by Grid, GridRange and
-	// Peaks: 0 (the default) selects GOMAXPROCS, 1 forces the serial
-	// path. Every grid point is computed independently and written to its
-	// own slot, so the output is bit-identical at every setting.
+	// Parallelism bounds the worker count used by Grid and Peaks: 0 (the
+	// default) selects GOMAXPROCS, 1 forces the serial path. Every grid
+	// point is computed independently and written to its own slot, so the
+	// output is bit-identical at every setting.
 	Parallelism int
 	// FastFit enables the linear-binned evaluation path (DESIGN.md §8)
 	// for samples of at least fastFitMinN points: the sample is deposited
@@ -41,7 +43,8 @@ type KDE struct {
 	// regardless of n. The density is approximate (within ~1e-3 of the
 	// peak density of the exact estimate at the automatic resolution) but
 	// still bit-identical at every Parallelism setting. Set it before the
-	// first evaluation; smaller samples always evaluate exactly.
+	// first evaluation; smaller samples always evaluate exactly. A
+	// sketch-backed KDE always evaluates over its sketch.
 	FastFit bool
 	// Bins overrides the fast path's grid resolution; 0 selects an
 	// automatic resolution from the bandwidth (autoKDEBins). Ignored
@@ -49,62 +52,56 @@ type KDE struct {
 	Bins int
 
 	binOnce sync.Once
-	bin     *Sketch // non-nil once the fast path has engaged
-}
-
-// newKDESorted is the shared constructor core: one defensive copy + sort of
-// the sample, reused by every public constructor so none of them duplicates
-// the O(n log n) preparation.
-func newKDESorted(xs []float64) *KDE {
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	return &KDE{xs: s}
+	bin     *Sketch // non-nil once the fast path has engaged, or the backing sketch
 }
 
 // NewKDE builds a Gaussian KDE over xs using the given bandwidth rule.
-// The sample is copied and sorted. An explicit bandwidth can be forced with
-// NewKDEBandwidth.
+// The sample is copied and sorted.
 func NewKDE(xs []float64, rule BandwidthRule) *KDE {
-	k := newKDESorted(xs)
-	k.bandwidth = bandwidthFor(k.xs, rule)
+	s := make([]float64, len(xs))
+	copy(s, xs)
+	sort.Float64s(s)
+	h := bandwidthRule(rule, len(s), func() float64 { return StdDev(s) },
+		func() float64 { return quantileSorted(s, 0.75) - quantileSorted(s, 0.25) })
+	return &KDE{xs: s, n: len(s), bandwidth: h}
+}
+
+// NewKDESketch builds a KDE backed by a bin-mass sketch, for callers (the
+// sketch-refit pipeline) that no longer hold the samples at all. The
+// bandwidth rule reads the sketch's mass moments and the grid spans its
+// occupied bins, so the whole estimate — bandwidth, grid span, densities,
+// peaks — is a pure function of the sketch content and therefore identical
+// for a merged sketch and the single-pass sketch of the same rows. The
+// sketch must not be mutated afterwards (Add/Merge) while the estimate is
+// in use.
+func NewKDESketch(s *Sketch, rule BandwidthRule) *KDE {
+	k := &KDE{n: s.Count(), bandwidth: s.bandwidth(rule)}
+	s.views() // materialize before the parallel grid workers fan out
+	k.binOnce.Do(func() { k.bin = s })
 	return k
 }
 
-// NewKDEBandwidth builds a KDE with an explicit bandwidth h > 0. A
-// non-positive h is not an error: the constructor deliberately falls back
-// to Silverman's rule (the NewKDE default), so callers can pass a
-// configured-but-unset bandwidth of 0 and still get a usable estimate.
-// Callers that need to detect the fallback can compare Bandwidth() against
-// the value they passed.
-func NewKDEBandwidth(xs []float64, h float64) *KDE {
-	k := newKDESorted(xs)
-	if h <= 0 {
-		h = bandwidthFor(k.xs, Silverman)
-	}
-	k.bandwidth = h
-	return k
-}
-
-// bandwidthFor computes the bandwidth for a sorted sample.
-func bandwidthFor(sorted []float64, rule BandwidthRule) float64 {
-	n := len(sorted)
+// bandwidthRule applies a bandwidth rule to n observations of standard
+// deviation sigma(); iqr() supplies the interquartile range for Silverman.
+// Sample and sketch estimates differ only in where these statistics come
+// from.
+func bandwidthRule(rule BandwidthRule, n int, sigma, iqr func() float64) float64 {
 	if n == 0 {
 		return 1
 	}
-	sigma := StdDev(sorted)
-	if sigma == 0 {
-		sigma = 1e-6
+	sd := sigma()
+	if sd == 0 {
+		sd = 1e-6
 	}
 	nf := math.Pow(float64(n), -0.2)
 	switch rule {
 	case Scott:
-		return 1.06 * sigma * nf
+		return 1.06 * sd * nf
 	default: // Silverman
-		iqr := quantileSorted(sorted, 0.75) - quantileSorted(sorted, 0.25)
-		spread := sigma
-		if iqr > 0 && iqr/1.34 < spread {
-			spread = iqr / 1.34
+		r := iqr()
+		spread := sd
+		if r > 0 && r/1.34 < spread {
+			spread = r / 1.34
 		}
 		return 0.9 * spread * nf
 	}
@@ -114,13 +111,14 @@ func bandwidthFor(sorted []float64, rule BandwidthRule) float64 {
 func (k *KDE) Bandwidth() float64 { return k.bandwidth }
 
 // Len reports the number of observations.
-func (k *KDE) Len() int { return len(k.xs) }
+func (k *KDE) Len() int { return k.n }
 
 // binned lazily builds and returns the linear binning when the fast path
 // is engaged, or nil when evaluation should stay exact (FastFit unset,
 // sample below the threshold, or a degenerate span/bandwidth). The build is
 // serial and happens exactly once, so concurrent evaluators — including the
-// parallel grid workers — observe one deterministic grid.
+// parallel grid workers — observe one deterministic grid. A sketch-backed
+// KDE returns its sketch.
 func (k *KDE) binned() *Sketch {
 	k.binOnce.Do(func() {
 		n := len(k.xs)
@@ -154,7 +152,7 @@ func (k *KDE) binned() *Sketch {
 // fast path is engaged (FastFit), evaluation runs over the bin grid
 // instead — see binned.
 func (k *KDE) At(x float64) float64 {
-	n := len(k.xs)
+	n := k.n
 	if n == 0 {
 		return 0
 	}
@@ -180,47 +178,41 @@ func (k *KDE) At(x float64) float64 {
 // independently.
 const kdeGridChunk = 32
 
-// Grid evaluates the density on n evenly spaced points covering the sample
-// range padded by 3 bandwidths on each side. It returns plot-ready points,
-// as used by the paper's density figures (Figs 4-7, 14-18).
+// Grid evaluates the density on n evenly spaced points covering the
+// observed range — the sample's min and max, or a sketch's first and last
+// occupied bin centers — padded by 3 bandwidths on each side. It returns
+// plot-ready points, as used by the paper's density figures (Figs 4-7,
+// 14-18). The points fan out over fixed chunks of grid indices and each
+// writes its own slot, so the sweep is bit-identical at every Parallelism.
 func (k *KDE) Grid(n int) []Point {
-	if len(k.xs) == 0 || n <= 1 {
+	lo, hi, ok := k.support()
+	if !ok || n <= 1 {
 		return nil
 	}
-	lo := k.xs[0] - 3*k.bandwidth
-	hi := k.xs[len(k.xs)-1] + 3*k.bandwidth
-	return k.gridOver(lo, hi, n)
-}
-
-// GridRange evaluates the density on n points over [lo, hi].
-func (k *KDE) GridRange(lo, hi float64, n int) []Point {
-	if n <= 1 || hi <= lo {
-		return nil
-	}
-	return k.gridOver(lo, hi, n)
-}
-
-// gridOver evaluates the density at n evenly spaced points, fanned out over
-// fixed chunks of grid indices. Each point is a pure function of the sorted
-// sample, so parallel evaluation is exact, not approximate.
-func (k *KDE) gridOver(lo, hi float64, n int) []Point {
-	return kdeGridOver(k.Parallelism, lo, hi, n, k.At)
-}
-
-// kdeGridOver is the shared grid sweep of KDE and SketchKDE: n evenly spaced
-// evaluations of at, fanned out over fixed chunks of grid indices. Each
-// point writes its own slot, so the sweep is bit-identical at every
-// parallelism level.
-func kdeGridOver(par int, lo, hi float64, n int, at func(float64) float64) []Point {
+	lo -= 3 * k.bandwidth
+	hi += 3 * k.bandwidth
 	pts := make([]Point, n)
 	step := (hi - lo) / float64(n-1)
-	parallel.ForChunks(par, n, kdeGridChunk, func(_, from, to int) {
+	parallel.ForChunks(k.Parallelism, n, kdeGridChunk, func(_, from, to int) {
 		for i := from; i < to; i++ {
 			x := lo + float64(i)*step
-			pts[i] = Point{X: x, Y: at(x)}
+			pts[i] = Point{X: x, Y: k.At(x)}
 		}
 	})
 	return pts
+}
+
+// support returns the smallest and largest observation (bin center, for a
+// sketch-backed KDE), or ok=false when there are none.
+func (k *KDE) support() (lo, hi float64, ok bool) {
+	if k.xs == nil {
+		a, b, ok := k.bin.massBounds()
+		return k.bin.center(a), k.bin.center(b), ok
+	}
+	if len(k.xs) == 0 {
+		return 0, 0, false
+	}
+	return k.xs[0], k.xs[len(k.xs)-1], true
 }
 
 // Peak is a local maximum of a density curve.
@@ -237,70 +229,6 @@ type Peak struct {
 func (k *KDE) Peaks(gridN int, minRel float64) []Peak {
 	grid := k.Grid(gridN)
 	return PeaksOf(grid, minRel)
-}
-
-// SketchKDE is a Gaussian kernel density estimate evaluated from a bin-mass
-// Sketch instead of a raw sample: the sketch-native analogue of KDE with
-// FastFit, for callers (the sketch-refit pipeline) that no longer hold the
-// samples at all. Its bandwidth rules read the sketch's mass moments, so
-// the whole estimate — bandwidth, grid span, densities, peaks — is a pure
-// function of the sketch content and therefore identical for a merged
-// sketch and the single-pass sketch of the same rows.
-type SketchKDE struct {
-	s         *Sketch
-	bandwidth float64
-
-	// Parallelism bounds the worker count of Grid, GridRange and Peaks,
-	// exactly as for KDE.
-	Parallelism int
-}
-
-// NewKDESketch builds a sketch-backed KDE with the given bandwidth rule.
-// The sketch must not be mutated afterwards (Add/Merge) while the estimate
-// is in use.
-func NewKDESketch(s *Sketch, rule BandwidthRule) *SketchKDE {
-	k := &SketchKDE{s: s, bandwidth: s.bandwidth(rule)}
-	s.views() // materialize before the parallel grid workers fan out
-	return k
-}
-
-// Bandwidth reports the bandwidth in use.
-func (k *SketchKDE) Bandwidth() float64 { return k.bandwidth }
-
-// Len reports the number of samples deposited in the backing sketch.
-func (k *SketchKDE) Len() int { return k.s.Count() }
-
-// At evaluates the density estimate at x.
-func (k *SketchKDE) At(x float64) float64 {
-	if k.s.Count() == 0 || k.bandwidth <= 0 {
-		return 0
-	}
-	return k.s.kdeAt(x, k.bandwidth)
-}
-
-// Grid evaluates the density on n evenly spaced points covering the
-// occupied bin range padded by 3 bandwidths on each side — the sketch
-// analogue of KDE.Grid's sample-range span.
-func (k *SketchKDE) Grid(n int) []Point {
-	lo, hi, ok := k.s.massBounds()
-	if !ok || n <= 1 {
-		return nil
-	}
-	return kdeGridOver(k.Parallelism, k.s.center(lo)-3*k.bandwidth, k.s.center(hi)+3*k.bandwidth, n, k.At)
-}
-
-// GridRange evaluates the density on n points over [lo, hi].
-func (k *SketchKDE) GridRange(lo, hi float64, n int) []Point {
-	if n <= 1 || hi <= lo {
-		return nil
-	}
-	return kdeGridOver(k.Parallelism, lo, hi, n, k.At)
-}
-
-// Peaks finds local maxima of the estimate on a gridN-point grid, with the
-// same strict-neighbour and minRel rules as KDE.Peaks.
-func (k *SketchKDE) Peaks(gridN int, minRel float64) []Peak {
-	return PeaksOf(k.Grid(gridN), minRel)
 }
 
 // PeaksOf finds local maxima in an arbitrary curve. minRel filters peaks

@@ -80,36 +80,6 @@ func TestKDEBandwidthRules(t *testing.T) {
 	}
 }
 
-func TestKDEExplicitBandwidth(t *testing.T) {
-	xs := []float64{1, 2, 3}
-	k := NewKDEBandwidth(xs, 0.5)
-	if k.Bandwidth() != 0.5 {
-		t.Errorf("Bandwidth = %v", k.Bandwidth())
-	}
-	// Non-positive bandwidth falls back to Silverman.
-	k2 := NewKDEBandwidth(xs, -1)
-	if k2.Bandwidth() <= 0 {
-		t.Error("fallback bandwidth should be positive")
-	}
-}
-
-// TestKDEBandwidthFallbackPinned pins the documented NewKDEBandwidth
-// contract: any h <= 0 silently selects exactly the Silverman bandwidth —
-// the same value NewKDE(xs, Silverman) would choose — rather than erroring.
-func TestKDEBandwidthFallbackPinned(t *testing.T) {
-	xs := []float64{1, 2, 3, 5, 8, 13, 21}
-	want := NewKDE(xs, Silverman).Bandwidth()
-	for _, h := range []float64{0, -1, -1e9} {
-		if got := NewKDEBandwidth(xs, h).Bandwidth(); got != want {
-			t.Errorf("NewKDEBandwidth(xs, %v).Bandwidth() = %v, want Silverman %v", h, got, want)
-		}
-	}
-	// And a positive h is always taken literally, never second-guessed.
-	if got := NewKDEBandwidth(xs, 0.125).Bandwidth(); got != 0.125 {
-		t.Errorf("explicit bandwidth = %v, want 0.125", got)
-	}
-}
-
 func TestKDEEmptyAndDegenerate(t *testing.T) {
 	var empty *KDE = NewKDE(nil, Silverman)
 	if empty.At(3) != 0 {
@@ -125,6 +95,42 @@ func TestKDEEmptyAndDegenerate(t *testing.T) {
 	}
 }
 
+// TestKDESketchBacked checks the sketch-backed KDE: its count is the
+// sketch's, its grid spans the occupied bin centers padded by 3 bandwidths,
+// it evaluates over the bin masses whatever FastFit says, and an empty
+// sketch yields a zero density and no grid.
+func TestKDESketchBacked(t *testing.T) {
+	empty, err := NewSketch(0, 100, 101)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := NewKDESketch(empty, Silverman); k.Len() != 0 || k.At(3) != 0 || k.Grid(10) != nil {
+		t.Error("empty sketch KDE should have no observations, zero density and no grid")
+	}
+
+	xs := syntheticMixture(5000, 3)
+	s, err := SketchFromSamples(xs, -20, 100, 1201)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := NewKDESketch(s, Silverman)
+	if k.Len() != len(xs) || k.Bandwidth() != s.bandwidth(Silverman) {
+		t.Fatalf("Len %d, Bandwidth %v", k.Len(), k.Bandwidth())
+	}
+	lo, hi, _ := s.massBounds()
+	grid := k.Grid(257)
+	if len(grid) != 257 || grid[0].X != s.center(lo)-3*k.Bandwidth() || grid[256].X != s.center(hi)+3*k.Bandwidth() {
+		t.Fatalf("grid spans [%v, %v], want occupied bins [%v, %v] padded by 3h",
+			grid[0].X, grid[len(grid)-1].X, s.center(lo), s.center(hi))
+	}
+	k.FastFit = false
+	for _, x := range []float64{0, 11, 42, 90} {
+		if got, want := k.At(x), s.kdeAt(x, k.Bandwidth()); got != want {
+			t.Errorf("At(%v) = %v, want the binned density %v", x, got, want)
+		}
+	}
+}
+
 func TestKDEDensityNonNegativeProperty(t *testing.T) {
 	f := func(raw []float64, at float64) bool {
 		xs := sanitize(raw)
@@ -136,23 +142,6 @@ func TestKDEDensityNonNegativeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestGridRange(t *testing.T) {
-	k := NewKDE([]float64{1, 2, 3, 4, 5}, Silverman)
-	pts := k.GridRange(0, 10, 11)
-	if len(pts) != 11 {
-		t.Fatalf("GridRange len = %d", len(pts))
-	}
-	if pts[0].X != 0 || pts[10].X != 10 {
-		t.Errorf("GridRange endpoints = %v, %v", pts[0].X, pts[10].X)
-	}
-	if k.GridRange(5, 5, 10) != nil {
-		t.Error("degenerate range should be nil")
-	}
-	if k.GridRange(0, 10, 1) != nil {
-		t.Error("n=1 should be nil")
 	}
 }
 

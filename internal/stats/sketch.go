@@ -361,30 +361,13 @@ func (s *Sketch) Quantile(q float64) float64 {
 }
 
 // bandwidth computes the KDE bandwidth rule over the sketch's mass
-// distribution: the same Silverman/Scott formulas as bandwidthFor, with the
-// moment and quantiles read from the bin masses instead of raw order
+// distribution: the same Silverman/Scott formulas as for a raw sample, with
+// the moment and quantiles read from the bin masses instead of raw order
 // statistics. A pure function of the sketch content, so merged and
 // single-pass sketches always agree.
 func (s *Sketch) bandwidth(rule BandwidthRule) float64 {
-	if s.count == 0 {
-		return 1
-	}
-	sigma := s.StdDev()
-	if sigma == 0 {
-		sigma = 1e-6
-	}
-	nf := math.Pow(s.Weight(), -0.2)
-	switch rule {
-	case Scott:
-		return 1.06 * sigma * nf
-	default: // Silverman
-		iqr := s.Quantile(0.75) - s.Quantile(0.25)
-		spread := sigma
-		if iqr > 0 && iqr/1.34 < spread {
-			spread = iqr / 1.34
-		}
-		return 0.9 * spread * nf
-	}
+	return bandwidthRule(rule, s.Count(), s.StdDev,
+		func() float64 { return s.Quantile(0.75) - s.Quantile(0.25) })
 }
 
 // massBounds returns the indices of the first and last non-empty bins, or
