@@ -52,7 +52,8 @@ func (cl *Classifier) Result() *Result { return cl.res }
 
 // ClassifyOne classifies one <download, upload> tuple against the fitted
 // models. The returned Assignment is bit-identical to the one Fit computes
-// for the same sample under the same models.
+// for the same sample under the same models: both run the same two
+// assignment steps.
 func (cl *Classifier) ClassifyOne(download, upload float64) Assignment {
 	sp := cl.pool.Get().(*[]float64)
 	a := cl.classify(download, upload, *sp)
@@ -60,26 +61,14 @@ func (cl *Classifier) ClassifyOne(download, upload float64) Assignment {
 	return a
 }
 
-// classify mirrors Fit's per-sample assignment exactly: the stage-1 upload
+// classify runs Fit's per-sample assignment steps: the stage-1 upload
 // posterior picks the upload tier, then the tier's stage-2 model (or the
 // headroom fallback when the tier was too sparse to cluster) picks the plan.
 func (cl *Classifier) classify(download, upload float64, scratch []float64) Assignment {
-	um := cl.res.Upload.Model
-	comp, p := um.PredictScratch(upload, scratch[:um.K()])
-	ti := cl.res.Upload.ClusterTier[comp]
-	a := Assignment{UploadTier: ti, Confidence: p}
-	if ti < 0 {
-		// Off-catalog upload cluster: no plan tier, stage-1 confidence.
-		return a
+	a := cl.res.Upload.assign(upload, scratch)
+	if ti := a.UploadTier; ti >= 0 {
+		cl.res.Downloads[ti].assign(&a, download, cl.tiers[ti], cl.headroom, scratch)
 	}
-	ds := &cl.res.Downloads[ti]
-	if ds.Model == nil {
-		a.Tier = planByCeiling(download, cl.tiers[ti], cl.headroom)
-		return a
-	}
-	comp2, p2 := ds.Model.PredictScratch(download, scratch[:ds.Model.K()])
-	a.Tier = ds.ComponentPlan[comp2]
-	a.Confidence *= p2
 	return a
 }
 

@@ -40,10 +40,10 @@ func TestFitParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestFitGMMKnobInheritance checks that a caller tuning only the pipeline
-// knob still drives the EM worker count, while an explicit GMM setting
-// wins. (Both runs must agree exactly regardless — that is the point of the
-// determinism contract.)
+// TestFitGMMKnobInheritance checks that the pipeline knob drives the EM
+// worker count: Fit derives the GMM's Parallelism from Config.Parallelism,
+// replacing a value the caller set on the GMM. (Both runs must agree
+// exactly regardless — that is the point of the determinism contract.)
 func TestFitGMMKnobInheritance(t *testing.T) {
 	cat := plans.CityA()
 	weights := []float64{0.3, 0.2, 0.1, 0.1, 0.1, 0.2}

@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"math"
 
-	"speedctx/internal/parallel"
 	"speedctx/internal/plans"
 	"speedctx/internal/stats"
 )
@@ -174,85 +172,16 @@ func SketchesFromResult(res *Result, samples []Sample, spec SketchSpec) (*TierSk
 // config): any sharding and merge order of the same rows yields a
 // byte-identical Result.
 func FitFromSketches(ts *TierSketches, cat *plans.Catalog, cfg Config) (*Result, error) {
-	cfg.defaults()
-	if cfg.GMM.Parallelism == 0 {
-		cfg.GMM.Parallelism = cfg.Parallelism
-	}
-	if cfg.GMM.Cache == nil {
-		cfg.GMM.Cache = cfg.FitCache
-	}
 	tiers := cat.UploadTiers()
 	if len(ts.Downloads) != len(tiers) {
 		return nil, fmt.Errorf("core: sketches carry %d tiers, catalog %d", len(ts.Downloads), len(tiers))
 	}
-	n := ts.Count()
-	if n < 2*len(tiers) {
-		return nil, fmt.Errorf("%w: %d sketched samples for %d upload tiers", ErrTooFewSamples, n, len(tiers))
-	}
-
-	res := &Result{Catalog: cat}
-
-	// ---- Stage 1: upload clustering from the upload sketch ----
-	kde := stats.NewKDESketch(ts.Upload, cfg.Bandwidth)
-	kde.Parallelism = cfg.Parallelism
-	res.Upload.Peaks = kde.Peaks(cfg.KDEGridPoints, cfg.MinRelPeak)
-
-	initUp := make([]float64, 0, len(tiers)+cfg.ExtraUploadClusters)
-	for _, t := range tiers {
-		initUp = append(initUp, float64(t.Upload))
-	}
-	extra := 0
-	for _, pk := range res.Upload.Peaks {
-		if extra >= cfg.ExtraUploadClusters {
-			break
-		}
-		farFromAll := true
-		for _, t := range tiers {
-			offered := float64(t.Upload)
-			if math.Abs(pk.X-offered)/offered <= cfg.UploadMatchTol {
-				farFromAll = false
-				break
-			}
-		}
-		if farFromAll && pk.X > 0 {
-			initUp = append(initUp, pk.X)
-			extra++
-		}
-	}
-	if len(initUp) > n {
-		initUp = initUp[:n]
-	}
-	um, err := stats.FitGMMInitSketch(ts.Upload, initUp, cfg.GMM)
-	if err != nil {
-		return nil, fmt.Errorf("core: stage-1 sketch GMM: %w", err)
-	}
-	res.Upload.Model = um
-	res.Upload.ClusterTier = matchUploadClusters(um, tiers, cfg.UploadMatchTol)
-
-	// ---- Stage 2: per-tier download clustering from the tier sketches ----
 	// The stage-1 assignment pass of Fit is already baked into the sketches:
 	// each download was deposited under its upload tier at ingest time.
-	res.Downloads = make([]DownloadStage, len(tiers))
-	parallel.For(cfg.Parallelism, len(tiers), func(ti int) {
-		tier := tiers[ti]
-		sk := ts.Downloads[ti]
-		cnt := sk.Count()
-		ds := DownloadStage{TierIndex: ti, SampleCount: cnt}
-		if cnt >= 2*len(tier.Plans) && cnt >= 4 {
-			dkde := stats.NewKDESketch(sk, cfg.Bandwidth)
-			dkde.Parallelism = cfg.Parallelism
-			ds.Peaks = dkde.Peaks(cfg.KDEGridPoints, cfg.MinRelPeak)
-			initDown := downloadInitMeans(ds.Peaks, tier, cfg)
-			if len(initDown) > cnt {
-				initDown = initDown[:cnt]
-			}
-			dm, err := stats.FitGMMInitSketch(sk, initDown, cfg.GMM)
-			if err == nil {
-				ds.Model = dm
-				ds.ComponentPlan = mapDownloadClusters(dm, tier, cfg.DownloadHeadroom)
-			}
-		}
-		res.Downloads[ti] = ds
-	})
-	return res, nil
+	downs := make([]stageInput, len(ts.Downloads))
+	for ti, sk := range ts.Downloads {
+		downs[ti] = stageInput{sk: sk}
+	}
+	return fitStages(stageInput{sk: ts.Upload}, cat, tiers, cfg,
+		func(*Result, *Config) []stageInput { return downs }, nil)
 }

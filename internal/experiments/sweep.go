@@ -68,7 +68,6 @@ func RobustnessSweep(seed int64, parallelism int, base core.Config) *report.Tabl
 		// workers.
 		cfg := base
 		cfg.Parallelism = 1
-		cfg.GMM.Parallelism = 0 // re-derived from cfg.Parallelism by Fit
 		res, err := core.Fit(samples, cat, cfg)
 		if err != nil {
 			return "error"
