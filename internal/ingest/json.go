@@ -21,12 +21,27 @@ import (
 // timestamp is Unix nanoseconds UTC. The hand-rolled scanner below exists
 // because encoding/json's reflective decode dominated the ingest profile;
 // the schema is flat and fixed, so a single left-to-right pass with no
-// intermediate map suffices. Unknown keys are skipped (forward
-// compatibility); nested values are rejected.
+// intermediate map suffices. Each of the eight keys above is required
+// exactly once; unknown keys are skipped (forward compatibility); nested
+// values are rejected.
 
 var errMalformed = errors.New("ingest: malformed submission")
 
-// parseSubmission decodes one submission object into row. It leaves the
+// Required-field bits of parseSubmission's seen mask.
+const (
+	fieldTestID = 1 << iota
+	fieldUserID
+	fieldCity
+	fieldISP
+	fieldTimestamp
+	fieldDownload
+	fieldUpload
+	fieldLatency
+	allFields = 1<<iota - 1
+)
+
+// parseSubmission decodes one submission object into row. It rejects an
+// object that omits or repeats a required key, and leaves the
 // classification fields (UploadTier, Tier, Confidence) untouched.
 func parseSubmission(b []byte, row *dataset.IngestRow) error {
 	i := skipWS(b, 0)
@@ -37,7 +52,7 @@ func parseSubmission(b []byte, row *dataset.IngestRow) error {
 	if i < len(b) && b[i] == '}' {
 		return errors.New("ingest: empty submission")
 	}
-	seen := 0
+	seen := 0 // mask of the required fields decoded so far
 	for {
 		key, next, err := scanString(b, i)
 		if err != nil {
@@ -48,6 +63,7 @@ func parseSubmission(b []byte, row *dataset.IngestRow) error {
 			return errMalformed
 		}
 		i = skipWS(b, i+1)
+		field := 0
 		switch key {
 		case "test_id":
 			v, next, err := scanInt(b, i)
@@ -55,56 +71,56 @@ func parseSubmission(b []byte, row *dataset.IngestRow) error {
 				return fmt.Errorf("ingest: test_id: %w", err)
 			}
 			row.TestID, i = int(v), next
-			seen++
+			field = fieldTestID
 		case "user_id":
 			v, next, err := scanInt(b, i)
 			if err != nil {
 				return fmt.Errorf("ingest: user_id: %w", err)
 			}
 			row.UserID, i = int(v), next
-			seen++
+			field = fieldUserID
 		case "city":
 			v, next, err := scanString(b, i)
 			if err != nil {
 				return fmt.Errorf("ingest: city: %w", err)
 			}
 			row.City, i = v, next
-			seen++
+			field = fieldCity
 		case "isp":
 			v, next, err := scanString(b, i)
 			if err != nil {
 				return fmt.Errorf("ingest: isp: %w", err)
 			}
 			row.ISP, i = v, next
-			seen++
+			field = fieldISP
 		case "timestamp":
 			v, next, err := scanInt(b, i)
 			if err != nil {
 				return fmt.Errorf("ingest: timestamp: %w", err)
 			}
 			row.Timestamp, i = time.Unix(0, v).UTC(), next
-			seen++
+			field = fieldTimestamp
 		case "download_mbps":
 			v, next, err := scanFloat(b, i)
 			if err != nil {
 				return fmt.Errorf("ingest: download_mbps: %w", err)
 			}
 			row.DownloadMbps, i = v, next
-			seen++
+			field = fieldDownload
 		case "upload_mbps":
 			v, next, err := scanFloat(b, i)
 			if err != nil {
 				return fmt.Errorf("ingest: upload_mbps: %w", err)
 			}
 			row.UploadMbps, i = v, next
-			seen++
+			field = fieldUpload
 		case "latency_ms":
 			v, next, err := scanFloat(b, i)
 			if err != nil {
 				return fmt.Errorf("ingest: latency_ms: %w", err)
 			}
 			row.LatencyMs, i = v, next
-			seen++
+			field = fieldLatency
 		default:
 			next, err := skipValue(b, i)
 			if err != nil {
@@ -112,6 +128,10 @@ func parseSubmission(b []byte, row *dataset.IngestRow) error {
 			}
 			i = next
 		}
+		if seen&field != 0 {
+			return fmt.Errorf("ingest: duplicate key %q", key)
+		}
+		seen |= field
 		i = skipWS(b, i)
 		if i >= len(b) {
 			return errMalformed
@@ -123,7 +143,7 @@ func parseSubmission(b []byte, row *dataset.IngestRow) error {
 			if rest := skipWS(b, i+1); rest != len(b) {
 				return errMalformed
 			}
-			if seen < 8 {
+			if seen != allFields {
 				return errors.New("ingest: submission missing required fields")
 			}
 			if row.City == "" {

@@ -83,6 +83,20 @@ func TestParseSubmissionRejects(t *testing.T) {
 		`{"nested":{"a":1},"test_id":1,"user_id":2,"city":"A","isp":"x","timestamp":0,"download_mbps":1,"upload_mbps":1,"latency_ms":1}`,
 		`{"test_id":1,"user_id":2,"city":"A","isp":"x","timestamp":0,"download_mbps":1e999,"upload_mbps":1,"latency_ms":1}`,
 	}
+	// Each required key must appear exactly once: an object that omits
+	// it, repeats it, or repeats it in place of another key (so eight keys
+	// are still counted) is rejected.
+	fields := []string{`"test_id":1`, `"user_id":2`, `"city":"A"`, `"isp":"x"`,
+		`"timestamp":0`, `"download_mbps":1`, `"upload_mbps":1`, `"latency_ms":1`}
+	object := func(kv []string) string { return "{" + strings.Join(kv, ",") + "}" }
+	for k, f := range fields {
+		instead := append([]string{}, fields...)
+		instead[(k+1)%len(fields)] = f
+		bad = append(bad,
+			object(append(append([]string{}, fields[:k]...), fields[k+1:]...)),
+			object(append(append([]string{}, fields...), f)),
+			object(instead))
+	}
 	for i, in := range bad {
 		var row dataset.IngestRow
 		if err := parseSubmission([]byte(in), &row); err == nil {
