@@ -157,3 +157,23 @@ func TestFitCacheEndToEnd(t *testing.T) {
 		t.Error("cache-served Result at Parallelism=8 differs")
 	}
 }
+
+// BenchmarkFit is the one-shot BST fit over raw samples, exact and with the
+// binned fast paths, on a panel large enough for the fast paths to engage
+// at stage 1.
+func BenchmarkFit(b *testing.B) {
+	samples, _, cat := mbaSamples(b, 12000)
+	for _, bc := range []struct {
+		name string
+		cfg  Config
+	}{{"exact", Config{}}, {"fast", Config{FastFit: true}}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Fit(samples, cat, bc.cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
