@@ -53,7 +53,7 @@ bench-smoke:
 	$(GO) test -run NONE -bench 'KDEGrid|FitGMM|SketchMerge' -benchtime 1x ./internal/stats/
 	$(GO) test -run NONE -bench 'GenerateOokla/n=10000$$|WriteOoklaCSV|ReadOoklaCSV/n=100000|OoklaIngest/n=100000/src=(csv|snapshot)' -benchtime 1x ./internal/dataset/
 	$(GO) test -run NONE -bench 'Fit|ClassifyOne' -benchtime 1x ./internal/core/
-	$(GO) test -run NONE -bench 'IngestHTTPBatch64|ParseSubmission|ServerWarmRefresh|TilesHTTP' -benchtime 1x ./internal/ingest/
+	$(GO) test -run NONE -bench 'IngestHTTPBatch64|IngestPipelineSubmit|ParseSubmission|ServerWarmRefresh|TilesHTTP' -benchtime 1x ./internal/ingest/
 	$(GO) test -run NONE -bench 'TileAggregate/n=100000|TileQuery' -benchtime 1x ./internal/tilequery/
 
 # bench runs the full stats + generation benchmark suite with memory stats.

@@ -92,8 +92,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	ingestFast := fs.Bool("ingest-fast", true, "fit the startup models with the fast paths (DESIGN.md §8)")
 	ingestBatch := fs.Int("ingest-batch-rows", 0, "rows per sealed segment (0 = default 65536)")
 	ingestAge := fs.Duration("ingest-age", 0, "max age of a partial batch before sealing (0 = default 2s)")
-	ingestShards := fs.Int("ingest-shards", 0, "ingest queue shards (0 = default 4)")
-	ingestDepth := fs.Int("ingest-depth", 0, "per-shard queue depth in rows (0 = default 4096)")
 	ingestCompact := fs.Bool("ingest-compact", true, "compact segments into one canonical snapshot at shutdown")
 	ingestClusterZoom := fs.Int("ingest-cluster-zoom", 0, "cluster the shutdown compaction by quadkey at this zoom into a zoned v3 snapshot, so bbox tile queries over it can skip row groups by zone map (DESIGN.md §15); 0 keeps the canonical v2 order")
 	refitRows := fs.Int("ingest-refit-rows", 0, "refit a city's model once this many sealed rows await folding (0 = no row trigger)")
@@ -136,8 +134,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 			Dir:         *ingestDir,
 			BatchRows:   *ingestBatch,
 			MaxBatchAge: *ingestAge,
-			QueueShards: *ingestShards,
-			QueueDepth:  *ingestDepth,
 			Sketches:    specs,
 		})
 		if err != nil {

@@ -83,7 +83,7 @@ func BenchmarkIngestHTTPSingle(b *testing.B)  { benchIngestHTTP(b, 1) }
 func BenchmarkIngestHTTPBatch64(b *testing.B) { benchIngestHTTP(b, 64) }
 
 // BenchmarkIngestPipelineSubmit isolates the post-classification path:
-// Submit through the sharded queues into the write-behind batcher.
+// Submit into the pending batch, sealed behind by the sealer goroutine.
 func BenchmarkIngestPipelineSubmit(b *testing.B) {
 	rows := testRows(4096, 9)
 	p, err := NewPipeline(PipelineConfig{Dir: b.TempDir(), BatchRows: 1 << 16})

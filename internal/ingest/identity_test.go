@@ -66,14 +66,14 @@ func newIdentityFixture(t *testing.T) *identityFixture {
 	return f
 }
 
-// seal drains the rows through a one-shard pipeline that seals every
+// seal drains the rows through a pipeline that seals every
 // len(rows)/split rows, and returns the fresh segment directory and its
 // segment paths in name order.
 func (f *identityFixture) seal(t *testing.T, split int) (string, []string) {
 	t.Helper()
 	dir := t.TempDir()
 	p, err := NewPipeline(PipelineConfig{
-		Dir: dir, QueueShards: 1, MaxBatchAge: -1, Sketches: f.specs,
+		Dir: dir, MaxBatchAge: -1, Sketches: f.specs,
 		BatchRows: (len(f.rows) + split - 1) / split,
 	})
 	if err != nil {

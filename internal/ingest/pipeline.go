@@ -7,16 +7,17 @@
 //
 // Architecture (DESIGN.md §11):
 //
-//	HTTP handlers ──► sharded bounded queues ──► batcher ──► sealed .sxc segments
-//	 (classify)          (backpressure)        (write-behind)   (sort-on-seal)
+//	HTTP handlers ──► pending batch ──► sealer goroutine ──► sealed .sxc segments
+//	 (classify)      (backpressure)   (size/age/Close)       (sort-on-seal)
 //
-// Queues are bounded channels: when the batcher falls behind, producers
-// block — backpressure, never drops — which surfaces to clients as slower
-// acks, exactly like a loaded collector should behave. Sealed segments are
-// written with the store's atomic tempfile+rename discipline and are
-// internally sorted by a stable total key; CompactWith merges every segment
-// into one canonical snapshot whose bytes depend only on the ingested row
-// set — not on worker count, shard count, queue depth, or arrival
+// Submit appends to one pending batch under a mutex. When the batch is full
+// and the sealer has not yet taken it, producers block — backpressure,
+// never drops — which surfaces to clients as slower acks, exactly like a
+// loaded collector should behave. One sealer goroutine seals the batches
+// in sequence order with the store's atomic tempfile+rename discipline;
+// each segment is internally sorted by a stable total key, and CompactWith
+// merges every segment into one canonical snapshot whose bytes depend only
+// on the ingested row set — not on batch size, producer count, or arrival
 // interleaving.
 package ingest
 
@@ -26,6 +27,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -45,14 +47,10 @@ type PipelineConfig struct {
 	// Default 65536.
 	BatchRows int
 	// MaxBatchAge seals a partial segment once its oldest row has waited
-	// this long, bounding ingest-to-durable latency under a trickle.
-	// Default 2s; negative disables age-based sealing.
+	// this long, bounding how long an acked row stays only in memory under
+	// a trickle. The sealer checks every MaxBatchAge/4. Default 2s;
+	// negative disables age-based sealing.
 	MaxBatchAge time.Duration
-	// QueueShards is the number of bounded queues between the handlers
-	// and the batcher. Default 4.
-	QueueShards int
-	// QueueDepth is each shard's capacity in rows. Default 4096.
-	QueueDepth int
 	// Sketches declares the per-city sketch grids (DESIGN.md §12). For
 	// each listed city the pipeline accumulates mergeable tier sketches:
 	// every sealed segment embeds the sketches of its own rows (bucketed
@@ -78,33 +76,28 @@ func (c *PipelineConfig) defaults() {
 	if c.MaxBatchAge == 0 {
 		c.MaxBatchAge = 2 * time.Second
 	}
-	if c.QueueShards <= 0 {
-		c.QueueShards = 4
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 4096
-	}
 }
 
 // ErrClosed is returned by Submit after Close has begun.
 var ErrClosed = errors.New("ingest: pipeline closed")
 
-// Pipeline is the accepted-row path: sharded bounded queues feeding a
-// write-behind batcher that seals sorted .sxc segments.
+// Pipeline is the accepted-row path: one pending batch that a single
+// sealer goroutine turns into sorted .sxc segments.
 type Pipeline struct {
-	cfg    PipelineConfig
-	queues []chan dataset.IngestRow
-	rr     atomic.Uint64 // round-robin enqueue cursor
+	cfg PipelineConfig
 
-	// closeMu serializes Submit against Close: Submits hold it shared, so
-	// Close's exclusive acquire waits for in-flight enqueues before the
-	// channels close.
-	closeMu sync.RWMutex
+	mu      sync.Mutex // guards pending, oldest, closed
+	space   sync.Cond  // broadcast when the sealer takes a batch, and on Close
+	pending []dataset.IngestRow
+	oldest  time.Time
 	closed  bool
 
-	mu       sync.Mutex // guards pending, oldest, segSeq, firstErr
-	pending  []dataset.IngestRow
-	oldest   time.Time
+	// wake (capacity 1) tells the sealer that the pending batch is full or
+	// that Close has begun; done closes when the sealer has exited.
+	wake chan struct{}
+	done chan struct{}
+
+	// Owned by the sealer goroutine; firstErr is read by Close after done.
 	segSeq   int
 	firstErr error
 
@@ -113,25 +106,26 @@ type Pipeline struct {
 	sketchMu sync.Mutex
 	sealedSk map[string]*core.TierSketches
 
-	drainers sync.WaitGroup
-	ageStop  chan struct{}
-	ageDone  chan struct{}
-
-	rows   atomic.Uint64 // rows handed to the batcher
+	rows   atomic.Uint64 // rows accepted by Submit
 	seals  atomic.Uint64 // segments sealed
 	sealed atomic.Uint64 // rows sealed to disk
 }
 
-// NewPipeline starts the shard drainers and the age flusher.
+// NewPipeline primes the sealed-sketch state from the directory's existing
+// segments and starts the sealer.
 func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
-	p, err := newPipeline(cfg, true)
-	return p, err
+	p, err := newPipeline(cfg)
+	if err != nil {
+		return nil, err
+	}
+	go p.sealer()
+	return p, nil
 }
 
-// newPipeline is NewPipeline with a test seam: startDrain=false builds the
-// queues but leaves them undrained, so tests can observe backpressure.
-// Such a pipeline must have startDrain called exactly once before Close.
-func newPipeline(cfg PipelineConfig, startDrain bool) (*Pipeline, error) {
+// newPipeline builds a pipeline without starting its sealer — the seam
+// tests use to park the sealer and observe backpressure. Such a pipeline
+// must have its sealer started (go p.sealer()) exactly once before Close.
+func newPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	cfg.defaults()
 	if cfg.Dir == "" {
 		return nil, errors.New("ingest: PipelineConfig.Dir is required")
@@ -140,19 +134,24 @@ func newPipeline(cfg PipelineConfig, startDrain bool) (*Pipeline, error) {
 		return nil, err
 	}
 	p := &Pipeline{
-		cfg:     cfg,
-		queues:  make([]chan dataset.IngestRow, cfg.QueueShards),
-		ageStop: make(chan struct{}),
-		ageDone: make(chan struct{}),
+		cfg:  cfg,
+		wake: make(chan struct{}, 1),
+		done: make(chan struct{}),
 	}
-	for i := range p.queues {
-		p.queues[i] = make(chan dataset.IngestRow, cfg.QueueDepth)
-	}
-	if err := p.primeSketches(); err != nil {
+	p.space.L = &p.mu
+	files, err := listSegments(cfg.Dir)
+	if err != nil {
 		return nil, err
 	}
-	if startDrain {
-		p.startDrain()
+	// Number new segments after every existing one, so a restart never
+	// renames over a segment an earlier run sealed.
+	for _, name := range files {
+		if seq, ok := segmentSeq(name); ok && seq >= p.segSeq {
+			p.segSeq = seq + 1
+		}
+	}
+	if err := p.primeSketches(files); err != nil {
+		return nil, err
 	}
 	return p, nil
 }
@@ -163,7 +162,7 @@ func newPipeline(cfg PipelineConfig, startDrain bool) (*Pipeline, error) {
 // cold-restart ≡ live-refresh property. Each segment contributes its
 // persisted sketch bundles when they match the configured grids, and is
 // re-binned from its rows otherwise (legacy segments, or a changed spec).
-func (p *Pipeline) primeSketches() error {
+func (p *Pipeline) primeSketches(files []string) error {
 	if len(p.cfg.Sketches) == 0 {
 		return nil
 	}
@@ -174,10 +173,6 @@ func (p *Pipeline) primeSketches() error {
 			return fmt.Errorf("ingest: sketch spec for %q: %w", city, err)
 		}
 		p.sealedSk[city] = ts
-	}
-	files, err := listSegments(p.cfg.Dir)
-	if err != nil {
-		return err
 	}
 	for _, name := range files {
 		if err := p.foldSegmentSketches(filepath.Join(p.cfg.Dir, name)); err != nil {
@@ -250,103 +245,86 @@ func segmentSketches(spec CitySketchSpec, bundles []dataset.SketchBundle) (*core
 	return seg, nil
 }
 
-// startDrain launches one drainer per shard plus the age flusher.
-func (p *Pipeline) startDrain() {
-	for _, q := range p.queues {
-		p.drainers.Add(1)
-		go func(q chan dataset.IngestRow) {
-			defer p.drainers.Done()
-			for row := range q {
-				p.add(row)
-			}
-		}(q)
-	}
-	go p.ageFlusher()
-}
-
 // Submit hands one classified row to the write-behind path. It blocks while
-// the row's shard queue is full (backpressure) and returns ErrClosed once
-// Close has begun.
+// a full batch waits for the sealer (backpressure) and returns ErrClosed
+// once Close has begun.
 func (p *Pipeline) Submit(row dataset.IngestRow) error {
-	p.closeMu.RLock()
-	defer p.closeMu.RUnlock()
+	p.mu.Lock()
+	for !p.closed && len(p.pending) >= p.cfg.BatchRows {
+		p.space.Wait()
+	}
 	if p.closed {
+		p.mu.Unlock()
 		return ErrClosed
 	}
-	shard := p.rr.Add(1) % uint64(len(p.queues))
-	p.queues[shard] <- row
-	return nil
-}
-
-// add appends one row to the pending batch, sealing when the size
-// threshold is reached. The seal's encode+write runs outside the lock, so
-// other shards keep batching while a segment is written behind.
-func (p *Pipeline) add(row dataset.IngestRow) {
-	p.rows.Add(1)
-	p.mu.Lock()
 	if len(p.pending) == 0 {
 		p.oldest = time.Now()
 	}
 	p.pending = append(p.pending, row)
-	if len(p.pending) < p.cfg.BatchRows {
-		p.mu.Unlock()
-		return
-	}
-	batch, seq := p.takeLocked()
+	p.rows.Add(1)
+	full := len(p.pending) == p.cfg.BatchRows
 	p.mu.Unlock()
-	p.seal(batch, seq)
+	if full {
+		p.signal()
+	}
+	return nil
 }
 
-// takeLocked detaches the pending batch and claims the next segment number.
-// Callers hold p.mu.
-func (p *Pipeline) takeLocked() ([]dataset.IngestRow, int) {
-	batch := p.pending
-	p.pending = make([]dataset.IngestRow, 0, p.cfg.BatchRows)
-	seq := p.segSeq
-	p.segSeq++
-	return batch, seq
+// signal wakes the sealer without blocking; one queued wake is enough,
+// because the sealer re-reads the whole state each time it wakes.
+func (p *Pipeline) signal() {
+	select {
+	case p.wake <- struct{}{}:
+	default:
+	}
 }
 
-// ageFlusher seals partial batches whose oldest row exceeds MaxBatchAge.
-func (p *Pipeline) ageFlusher() {
-	defer close(p.ageDone)
-	if p.cfg.MaxBatchAge < 0 {
-		<-p.ageStop
-		return
+// sealer is the one goroutine that seals. It takes the pending batch when
+// it is full, when its oldest row has waited MaxBatchAge (checked every
+// MaxBatchAge/4), and on Close, and it seals each batch before taking the
+// next — so segments reach disk in sequence order.
+func (p *Pipeline) sealer() {
+	defer close(p.done)
+	var tick <-chan time.Time
+	if p.cfg.MaxBatchAge > 0 {
+		t := time.NewTicker(max(p.cfg.MaxBatchAge/4, time.Millisecond))
+		defer t.Stop()
+		tick = t.C
 	}
-	tick := p.cfg.MaxBatchAge / 4
-	if tick <= 0 {
-		tick = time.Millisecond
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
 	for {
 		select {
-		case <-p.ageStop:
-			return
-		case <-t.C:
-			p.mu.Lock()
-			if len(p.pending) == 0 || time.Since(p.oldest) < p.cfg.MaxBatchAge {
-				p.mu.Unlock()
-				continue
+		case <-p.wake:
+		case <-tick:
+		}
+		p.mu.Lock()
+		closed := p.closed
+		var batch []dataset.IngestRow
+		if closed || len(p.pending) >= p.cfg.BatchRows ||
+			(p.cfg.MaxBatchAge > 0 && len(p.pending) > 0 && time.Since(p.oldest) >= p.cfg.MaxBatchAge) {
+			batch = p.pending
+			p.pending = make([]dataset.IngestRow, 0, len(batch))
+			p.space.Broadcast()
+		}
+		p.mu.Unlock()
+		if len(batch) > 0 {
+			if err := p.seal(batch, p.segSeq); err != nil && p.firstErr == nil {
+				p.firstErr = err
 			}
-			batch, seq := p.takeLocked()
-			p.mu.Unlock()
-			p.seal(batch, seq)
+			p.segSeq++
+		}
+		if closed {
+			return
 		}
 	}
 }
 
 // seal sorts a batch into the stable key order, encodes it as a one-section
 // .sxc image (plus the batch's sketch bundles when sketches are configured),
-// and atomically writes segment file seq. Once the segment is durable, its
-// sketches fold into the running sealed-sketch merge — so SealedSketches
-// only ever describes rows a restart would also recover. Errors latch into
-// firstErr and surface from Close.
-func (p *Pipeline) seal(batch []dataset.IngestRow, seq int) {
-	if len(batch) == 0 {
-		return
-	}
+// and atomically writes segment file seq. Once the segment is renamed into
+// place, its sketches fold into the running sealed-sketch merge — so
+// SealedSketches only ever describes rows a restart would also recover. The
+// sealer latches the first error, and Close returns it.
+func (p *Pipeline) seal(batch []dataset.IngestRow, seq int) error {
 	dataset.SortIngestRows(batch)
 	sketches, bundles, err := p.batchSketches(batch)
 	var buf []byte
@@ -357,31 +335,20 @@ func (p *Pipeline) seal(batch []dataset.IngestRow, seq int) {
 		err = dataset.WriteFileAtomic(p.segmentPath(seq), buf)
 	}
 	if err != nil {
-		p.mu.Lock()
-		if p.firstErr == nil {
-			p.firstErr = fmt.Errorf("ingest: seal segment %d: %w", seq, err)
-		}
-		p.mu.Unlock()
-		return
+		return fmt.Errorf("ingest: seal segment %d: %w", seq, err)
 	}
 	if len(sketches) > 0 {
 		p.sketchMu.Lock()
 		for city, seg := range sketches {
 			if mergeErr := p.sealedSk[city].Merge(seg); mergeErr != nil && err == nil {
-				err = mergeErr
+				err = fmt.Errorf("ingest: merge segment %d sketches: %w", seq, mergeErr)
 			}
 		}
 		p.sketchMu.Unlock()
-		if err != nil {
-			p.mu.Lock()
-			if p.firstErr == nil {
-				p.firstErr = fmt.Errorf("ingest: merge segment %d sketches: %w", seq, err)
-			}
-			p.mu.Unlock()
-		}
 	}
 	p.seals.Add(1)
 	p.sealed.Add(uint64(len(batch)))
+	return err
 }
 
 // batchSketches bins one sorted batch into per-city tier sketches (cities
@@ -455,41 +422,30 @@ func (p *Pipeline) SketchCounts() map[string]int {
 }
 
 func (p *Pipeline) segmentPath(seq int) string {
-	return filepath.Join(p.cfg.Dir, fmt.Sprintf("seg-%08d%s", seq, segmentSuffix))
+	return filepath.Join(p.cfg.Dir, fmt.Sprintf("%s%08d%s", segmentPrefix, seq, segmentSuffix))
 }
 
-// Close drains and seals everything: it stops intake (subsequent Submits
-// return ErrClosed), waits for the queues to empty, seals the final partial
-// batch, and returns the first seal error, if any.
+// segmentSeq parses the sequence number of a sealed segment's name, with
+// ok=false for any other file (such as CompactedName).
+func segmentSeq(name string) (int, bool) {
+	digits, ok := strings.CutPrefix(name, segmentPrefix)
+	if !ok {
+		return 0, false
+	}
+	seq, err := strconv.Atoi(strings.TrimSuffix(digits, segmentSuffix))
+	return seq, err == nil && seq >= 0
+}
+
+// Close stops intake (subsequent Submits, and any blocked on a full batch,
+// return ErrClosed), waits for the sealer to seal every accepted row, and
+// returns the first seal error, if any. Close is idempotent.
 func (p *Pipeline) Close() error {
-	p.closeMu.Lock()
-	alreadyClosed := p.closed
+	p.mu.Lock()
 	p.closed = true
-	if !alreadyClosed {
-		for _, q := range p.queues {
-			close(q)
-		}
-	}
-	p.closeMu.Unlock()
-	if alreadyClosed {
-		<-p.ageDone
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		return p.firstErr
-	}
-	p.drainers.Wait()
-	select {
-	case <-p.ageDone:
-	default:
-		close(p.ageStop)
-		<-p.ageDone
-	}
-	p.mu.Lock()
-	batch, seq := p.takeLocked()
+	p.space.Broadcast()
 	p.mu.Unlock()
-	p.seal(batch, seq)
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.signal()
+	<-p.done
 	return p.firstErr
 }
 
@@ -499,6 +455,7 @@ func (p *Pipeline) Stats() (queued, sealedRows, segments uint64) {
 }
 
 const (
+	segmentPrefix = "seg-"
 	segmentSuffix = ".sxc"
 	// CompactedName is the canonical snapshot CompactWith writes.
 	CompactedName = "ingest.sxc"

@@ -78,20 +78,19 @@ func compactBytes(t *testing.T, rows []dataset.IngestRow, cfg PipelineConfig, pr
 
 // TestPipelineDeterministicSnapshot is the tentpole contract: draining the
 // same N rows yields a byte-identical compacted snapshot regardless of
-// shard count, queue depth, batch size, producer count, or interleaving.
+// batch size, producer count, age flushes, or interleaving.
 func TestPipelineDeterministicSnapshot(t *testing.T) {
 	rows := testRows(2000, 1)
-	want := compactBytes(t, rows, PipelineConfig{
-		QueueShards: 1, BatchRows: 1 << 20, MaxBatchAge: -1,
-	}, 1)
+	want := compactBytes(t, rows, PipelineConfig{BatchRows: 1 << 20, MaxBatchAge: -1}, 1)
 	variants := []struct {
 		name      string
 		cfg       PipelineConfig
 		producers int
 	}{
-		{"shards4-small-batches", PipelineConfig{QueueShards: 4, QueueDepth: 16, BatchRows: 64, MaxBatchAge: -1}, 8},
-		{"shards2-age-flush", PipelineConfig{QueueShards: 2, BatchRows: 1 << 20, MaxBatchAge: time.Millisecond}, 4},
-		{"shards8-deep", PipelineConfig{QueueShards: 8, QueueDepth: 1, BatchRows: 100, MaxBatchAge: -1}, 16},
+		{"batch64-producers8", PipelineConfig{BatchRows: 64, MaxBatchAge: -1}, 8},
+		{"batch100-producers16", PipelineConfig{BatchRows: 100, MaxBatchAge: -1}, 16},
+		{"unbounded-producers4-age1ms", PipelineConfig{BatchRows: 1 << 20, MaxBatchAge: time.Millisecond}, 4},
+		{"batch33-producers8-age1ms", PipelineConfig{BatchRows: 33, MaxBatchAge: time.Millisecond}, 8},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
@@ -109,17 +108,15 @@ func TestPipelineDeterministicSnapshot(t *testing.T) {
 	}
 }
 
-// TestPipelineBackpressure pins the no-drop contract: with the drainers
-// parked, Submit blocks once the shard queue is full — it neither drops
-// nor errors — and completes when draining starts.
+// TestPipelineBackpressure pins the no-drop contract: with the sealer
+// parked, a Submit past a full batch blocks — it neither drops nor errors —
+// and completes once the sealer takes the batch.
 func TestPipelineBackpressure(t *testing.T) {
-	p, err := newPipeline(PipelineConfig{
-		Dir: t.TempDir(), QueueShards: 1, QueueDepth: 2, BatchRows: 1 << 20, MaxBatchAge: -1,
-	}, false)
+	p, err := newPipeline(PipelineConfig{Dir: t.TempDir(), BatchRows: 2, MaxBatchAge: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := testRows(4, 2)
+	rows := testRows(3, 2)
 	for i := 0; i < 2; i++ {
 		if err := p.Submit(rows[i]); err != nil {
 			t.Fatal(err)
@@ -129,23 +126,61 @@ func TestPipelineBackpressure(t *testing.T) {
 	go func() { blocked <- p.Submit(rows[2]) }()
 	select {
 	case err := <-blocked:
-		t.Fatalf("Submit on a full queue returned (%v); want it to block", err)
+		t.Fatalf("Submit past a full batch returned (%v); want it to block", err)
 	case <-time.After(50 * time.Millisecond):
 	}
-	p.startDrain()
+	go p.sealer()
 	select {
 	case err := <-blocked:
 		if err != nil {
 			t.Fatal(err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("blocked Submit never completed after drain started")
+		t.Fatal("blocked Submit never completed after the sealer started")
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, sealed, _ := p.Stats(); sealed != 3 {
-		t.Fatalf("sealed %d rows, want 3 (backpressure must not drop)", sealed)
+	if queued, sealed, segs := p.Stats(); queued != 3 || sealed != 3 || segs != 2 {
+		t.Fatalf("queued=%d sealed=%d segments=%d, want 3/3/2 (backpressure must not drop)", queued, sealed, segs)
+	}
+}
+
+// TestPipelineRestartKeepsSegments reopens a directory that still holds an
+// earlier run's segments (a crash, or no shutdown compaction): the new run
+// numbers its segments after them, so the compacted store holds both runs'
+// rows, byte-identical to one run over all of them.
+func TestPipelineRestartKeepsSegments(t *testing.T) {
+	rows := testRows(200, 6)
+	want := compactBytes(t, rows, PipelineConfig{BatchRows: 1 << 20, MaxBatchAge: -1}, 1)
+	dir := t.TempDir()
+	for _, run := range [][]dataset.IngestRow{rows[:100], rows[100:]} {
+		p, err := NewPipeline(PipelineConfig{Dir: dir, BatchRows: 30, MaxBatchAge: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range run {
+			if err := p.Submit(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if names := segmentNames(t, dir); len(names) != 8 {
+		t.Fatalf("%d segments on disk after two runs, want 8: %v", len(names), names)
+	}
+	out, err := CompactWith(dir, CompactOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("compacted two-run store differs from one run over the same rows (%d vs %d bytes)", len(got), len(want))
 	}
 }
 
@@ -184,7 +219,7 @@ func TestPipelineAgeFlush(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("age flusher never sealed the partial batch")
+			t.Fatal("the sealer never sealed the partial batch on age")
 		}
 		time.Sleep(time.Millisecond)
 	}

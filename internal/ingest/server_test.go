@@ -199,23 +199,23 @@ func serveAndCompact(t *testing.T, rows []dataset.IngestRow, cfg PipelineConfig,
 
 // TestServerDeterministicSnapshot is the end-to-end determinism gate: the
 // compacted snapshot after draining N results through the full HTTP path
-// is byte-identical to a serial drain, at every combination of shard
-// count, connection count, and endpoint.
+// is byte-identical to a serial drain, at every combination of batch size,
+// age flush, connection count, and endpoint.
 func TestServerDeterministicSnapshot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end determinism matrix")
 	}
 	cls, rows := loadClassifiers(t)
-	want := serveAndCompact(t, rows, PipelineConfig{QueueShards: 1, MaxBatchAge: -1}, cls, 1, 1)
+	want := serveAndCompact(t, rows, PipelineConfig{MaxBatchAge: -1}, cls, 1, 1)
 	variants := []struct {
 		name  string
 		cfg   PipelineConfig
 		conns int
 		batch int
 	}{
-		{"shards4-conns8-single", PipelineConfig{QueueShards: 4, QueueDepth: 32, BatchRows: 64, MaxBatchAge: -1}, 8, 1},
-		{"shards2-conns8-batch64", PipelineConfig{QueueShards: 2, BatchRows: 100, MaxBatchAge: -1}, 8, 64},
-		{"shards8-conns4-batch7", PipelineConfig{QueueShards: 8, QueueDepth: 8, BatchRows: 33, MaxBatchAge: -1}, 4, 7},
+		{"batch64-conns8-single", PipelineConfig{BatchRows: 64, MaxBatchAge: -1}, 8, 1},
+		{"batch100-conns8-ndjson64", PipelineConfig{BatchRows: 100, MaxBatchAge: -1}, 8, 64},
+		{"batch33-age1ms-conns4-ndjson7", PipelineConfig{BatchRows: 33, MaxBatchAge: time.Millisecond}, 4, 7},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
@@ -322,6 +322,80 @@ func TestServerRejections(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz = %d", resp.StatusCode)
+	}
+}
+
+// TestServerRejectsNegativeValues checks the value domain: a negative
+// download, upload or latency is a 422 on /v1/ingest and /v1/classify, and
+// an in-position error on /v1/ingest/batch that leaves the acks of the
+// other lines where they were. Only the ingest endpoints count rejects, and
+// no rejected row reaches a segment.
+func TestServerRejectsNegativeValues(t *testing.T) {
+	cls, rows := loadClassifiers(t)
+	ts, srv, p := startServer(t, t.TempDir(), PipelineConfig{}, cls)
+	defer ts.Close()
+	post := func(path string, body []byte) (int, []byte) {
+		t.Helper()
+		resp, err := ts.Client().Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode, out
+	}
+	negatives := make([]dataset.IngestRow, 3)
+	for i := range negatives {
+		negatives[i] = rows[i]
+	}
+	negatives[0].DownloadMbps = -5
+	negatives[1].UploadMbps = -0.5
+	negatives[2].LatencyMs = -1
+	for i := range negatives {
+		for _, path := range []string{"/v1/ingest", "/v1/classify"} {
+			if status, body := post(path, AppendSubmission(nil, &negatives[i])); status != http.StatusUnprocessableEntity {
+				t.Fatalf("POST %s with negative field %d = %d: %s, want 422", path, i, status, body)
+			}
+		}
+	}
+
+	// Batch: good, negative, good, negative, good. Each good line's ack
+	// must equal the probe's ack for the same row.
+	lines := []dataset.IngestRow{rows[3], negatives[0], rows[4], negatives[2], rows[5]}
+	var buf []byte
+	for i := range lines {
+		buf = AppendSubmission(buf, &lines[i])
+		buf = append(buf, '\n')
+	}
+	status, body := post("/v1/ingest/batch", buf)
+	if status != http.StatusOK {
+		t.Fatalf("batch status = %d: %s", status, body)
+	}
+	acks := strings.Split(strings.TrimSpace(string(body)), "\n")
+	if len(acks) != len(lines) {
+		t.Fatalf("batch acks = %d lines, want %d:\n%s", len(acks), len(lines), body)
+	}
+	for i, line := range acks {
+		if i%2 == 1 {
+			var a ack
+			if err := json.Unmarshal([]byte(line), &a); err != nil || a.Error == "" {
+				t.Fatalf("ack line %d = %s, want an error (%v)", i, line, err)
+			}
+			continue
+		}
+		if _, want := post("/v1/classify", AppendSubmission(nil, &lines[i])); strings.TrimSpace(string(want)) != line {
+			t.Fatalf("ack line %d = %s, want %s", i, line, want)
+		}
+	}
+
+	if acc, rej := srv.Counts(); acc != 3 || rej != 5 {
+		t.Fatalf("counts = %d/%d, want accepted 3, rejected 5", acc, rej)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, sealed, _ := p.Stats(); sealed != 3 {
+		t.Fatalf("sealed %d rows, want the 3 accepted ones", sealed)
 	}
 }
 
