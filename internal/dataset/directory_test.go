@@ -46,7 +46,10 @@ func cloneCols[S any](c *S) *S {
 // zoned v3 files, every selection shape, predicates that hit and miss,
 // batch sizes from one row to whole sections, over memory and a file —
 // and a second scanner of the same Directory repeats the first exactly,
-// so no state leaks from one scanner into the next.
+// so no state leaks from one scanner into the next. Every directory
+// scanner takes over the buffers of the one before it (Reuse), across
+// files, sources, selections and batch sizes, so recycled windows and
+// batch containers must not change a batch either.
 func TestDirectoryScannerIdentity(t *testing.T) {
 	snap := prunedFixture(t)
 	plain := encodeSnapshot(t, snap)
@@ -90,6 +93,7 @@ func TestDirectoryScannerIdentity(t *testing.T) {
 		{"sketches-only", SnapshotSelection{Sketches: true}},
 	}
 	dir := t.TempDir()
+	var prev *BlockScanner
 	for _, file := range []struct {
 		name string
 		data []byte
@@ -132,6 +136,8 @@ func TestDirectoryScannerIdentity(t *testing.T) {
 							if err != nil {
 								t.Fatalf("%s: %v", name, err)
 							}
+							got.Reuse(prev)
+							prev = got
 							if rec := recordScan(got); !reflect.DeepEqual(rec, ref) {
 								t.Fatalf("%s pass %d: directory scanner differs from NewBlockScanner\ngot  %+v\nwant %+v", name, pass, rec.ctr, ref.ctr)
 							}

@@ -16,7 +16,8 @@ package dataset
 // keeps the Directory and pays the parse once. Peak resident memory is
 // O(batch × selected columns) — plus one read window per selected column
 // when scanning an on-disk file, no larger than its block and recycled
-// from section to section — however large the file is.
+// from section to section, and through Reuse from one scanner to the
+// next — however large the file is.
 //
 // The scanner is also the only decode engine: DecodeCitySnapshot runs it
 // with whole-section batches and fresh (non-reused) buffers, so a streamed
@@ -359,6 +360,23 @@ func (d *Directory) scanner(src ScanSource, sel SnapshotSelection, batchRows int
 	}
 	s.tallySkipped()
 	return s, nil
+}
+
+// Reuse hands the buffers of prev, a scanner that ran to a clean end, to
+// s before s's first Scan: prev's free cursors with their read windows,
+// and its batch containers with their column capacity. A repeated query
+// over a few segments then decodes into the same buffers from segment to
+// segment and query to query instead of allocating them per scanner.
+// prev keeps its counters but gives up its buffers and last batch. Reuse
+// leaves s as it is when prev is nil or stopped early or on an error.
+func (s *BlockScanner) Reuse(prev *BlockScanner) {
+	if prev == nil || prev == s || !prev.done || prev.err != nil || s.secIdx > 0 {
+		return
+	}
+	s.free, prev.free = append(prev.free, s.free...), nil
+	s.ookla, s.mlab, s.mba, s.ingest = prev.ookla, prev.mlab, prev.mba, prev.ingest
+	prev.ookla, prev.mlab, prev.mba, prev.ingest = OoklaColumns{}, MLabRowColumns{}, MBAColumns{}, IngestColumns{}
+	prev.out = ColumnsBatch{}
 }
 
 func (s *BlockScanner) fail(format string, args ...any) error {

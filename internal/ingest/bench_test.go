@@ -2,12 +2,15 @@ package ingest
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"sort"
 	"testing"
 	"time"
+
+	"speedctx/internal/opendata"
 )
 
 // percentile reads the q-quantile (0..1) from a sorted latency slice.
@@ -162,10 +165,13 @@ func BenchmarkParseSubmission(b *testing.B) {
 }
 
 // BenchmarkTilesHTTP measures GET /v1/tiles end to end on a server whose
-// segments are all sealed and folded. After the first request the refresh
-// sweep sees no new segments and every rolled tile is a result-cache hit,
-// so the hot path's latency percentiles are the cache's constant-time
-// claim, measured through HTTP.
+// segments are all sealed and folded. For the base and roll-up queries,
+// after the first request the refresh sweep sees no new segments and
+// every rolled tile is a result-cache hit, so the hot path's latency
+// percentiles are the cache's constant-time claim, measured through HTTP.
+// The bbox query is a zoom-16 neighbourhood around one subscriber on the
+// pushdown path: every request rescans the segments into the restricted
+// index, decoding into the previous scan's buffers.
 func BenchmarkTilesHTTP(b *testing.B) {
 	cls, rows := loadClassifiers(b)
 	ts, _, p := startServer(b, b.TempDir(), PipelineConfig{BatchRows: 128, MaxBatchAge: -1}, cls)
@@ -190,9 +196,11 @@ func BenchmarkTilesHTTP(b *testing.B) {
 	if err := p.Close(); err != nil { // seal the tail batch
 		b.Fatal(err)
 	}
+	loc := opendata.UserLocation(opendata.CityCenter(rows[0].City), opendata.DefaultLocSeed, rows[0].UserID)
 	for _, q := range []struct{ name, params string }{
 		{"query=base", ""},
 		{"query=rollup", "?zoom=12&metric=download"},
+		{"query=bbox", fmt.Sprintf("?zoom=16&bbox=%g,%g,%g,%g", loc.Lat-0.001, loc.Lon-0.001, loc.Lat+0.001, loc.Lon+0.001)},
 	} {
 		b.Run(q.name, func(b *testing.B) {
 			if code, body := getTiles(b, client, ts.URL, q.params); code != http.StatusOK || len(body) == 0 {

@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -235,5 +237,115 @@ func TestTileDirCacheCorruptPayload(t *testing.T) {
 	}
 	if parses, cached := f.dirCache(t); parses != 3 || cached != 3 {
 		t.Fatalf("in-place corruption: %d parses, %d cached; want the cached 3, 3", parses, cached)
+	}
+	// Repaired in place, the segment serves the right tiles again: the
+	// scanner that ended in the checksum error was dropped, not recycled.
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f.check(t, push)
+	f.check(t, f.queries(t)[0])
+}
+
+// TestTilesPushdownAllocsFlat: on a warm three-segment store — one
+// clustered v3 file plus two v2 segments — a pushdown query allocates no
+// more, in count or in bytes, when the store holds 4× the rows. The
+// scale-up keeps the store's shape: every row comes four times under new
+// test ids and zone groups hold 4× the rows, so the query scans the same
+// groups, folds the same tiles and decodes each section in one batch;
+// only the blocks grow. Read windows and batch buffers carried over from
+// the last query's scanners absorb that growth.
+func TestTilesPushdownAllocsFlat(t *testing.T) {
+	base := testRows(1200, 12)
+	for i := range base {
+		base[i].UserID %= 16
+	}
+	loc := opendata.UserLocation(opendata.CityCenter(base[0].City), opendata.DefaultLocSeed, base[0].UserID)
+	rng, err := opendata.TileRangeForBBox(loc.Lat-0.001, loc.Lon-0.001, loc.Lat+0.001, loc.Lon+0.001, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := tilequery.Query{Zoom: 16, Range: &rng}
+	measure := func(scale int) (allocs float64, bytesPerQuery uint64) {
+		dir := t.TempDir()
+		var parts [3][]dataset.IngestRow
+		for k := 0; k < scale; k++ {
+			for i, r := range base {
+				r.TestID = k*len(base) + i
+				parts[i%3] = append(parts[i%3], r)
+			}
+		}
+		writeSegment := func(seq int, rows []dataset.IngestRow) {
+			dataset.SortIngestRows(rows)
+			buf, err := dataset.EncodeIngestSegmentSketches(dataset.ColumnizeIngest(rows), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := dataset.WriteFileAtomic(filepath.Join(dir, fmt.Sprintf("%s%08d%s", segmentPrefix, seq, segmentSuffix)), buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		writeSegment(0, parts[0])
+		if _, err := CompactWith(dir, CompactOptions{ClusterZoom: opendata.TileZoom, ZoneBlockRows: 16 * scale}); err != nil {
+			t.Fatal(err)
+		}
+		writeSegment(1, parts[1])
+		writeSegment(2, parts[2])
+
+		ref := tilequery.NewIndex(tilequery.Config{})
+		for _, part := range parts {
+			rows := &tilequery.Rows{}
+			for _, r := range part {
+				rows.UserID = append(rows.UserID, r.UserID)
+				rows.City = append(rows.City, r.City)
+				rows.Download = append(rows.Download, r.DownloadMbps)
+				rows.Upload = append(rows.Upload, r.UploadMbps)
+				rows.Latency = append(rows.Latency, r.LatencyMs)
+				rows.Tier = append(rows.Tier, r.Tier)
+			}
+			if _, err := ref.AddRows(rows); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := ref.Tiles(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := newTileServer(dir, tilequery.Config{}, 0, nil)
+		ask := func() []opendata.ContextTile {
+			ts.mu.Lock()
+			defer ts.mu.Unlock()
+			got, err := ts.tilesPushdown(query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return got
+		}
+		run := func() { ask() }
+		for i := 0; i < 3; i++ { // warm: directories, memo, windows, buffers
+			if got := ask(); len(got) == 0 || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d× store: pushdown query answered %+v, want %+v", scale, got, want)
+			}
+		}
+		if ts.pushSkipHits == 0 {
+			t.Fatalf("%d× store: the query skipped no row group", scale)
+		}
+		allocs = testing.AllocsPerRun(20, run)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < 20; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&m1)
+		return allocs, (m1.TotalAlloc - m0.TotalAlloc) / 20
+	}
+	allocs1, bytes1 := measure(1)
+	allocs4, bytes4 := measure(4)
+	t.Logf("warm pushdown query: %.0f allocs, %d B over the 1× store; %.0f allocs, %d B over the 4× store", allocs1, bytes1, allocs4, bytes4)
+	if allocs4 > allocs1 {
+		t.Fatalf("pushdown query allocates %.0f times over the 4× store, more than the %.0f over the 1× store", allocs4, allocs1)
+	}
+	if float64(bytes4) > 1.25*float64(bytes1) {
+		t.Fatalf("pushdown query allocates %d B over the 4× store, more than 1.25× the %d B over the 1× store", bytes4, bytes1)
 	}
 }

@@ -78,7 +78,8 @@ func (c *PipelineConfig) defaults() {
 	}
 }
 
-// ErrClosed is returned by Submit after Close has begun.
+// ErrClosed is returned by Submit after Close has begun, and after a seal
+// failed (wrapped together with the seal error).
 var ErrClosed = errors.New("ingest: pipeline closed")
 
 // Pipeline is the accepted-row path: one pending batch that a single
@@ -86,20 +87,22 @@ var ErrClosed = errors.New("ingest: pipeline closed")
 type Pipeline struct {
 	cfg PipelineConfig
 
-	mu      sync.Mutex // guards pending, oldest, closed
-	space   sync.Cond  // broadcast when the sealer takes a batch, and on Close
+	mu      sync.Mutex // guards pending, oldest, closed, sealErr
+	space   sync.Cond  // broadcast when the sealer takes a batch or fails, and on Close
 	pending []dataset.IngestRow
 	oldest  time.Time
 	closed  bool
+	// sealErr latches the first seal failure: from then on Submit refuses
+	// every row, since a row it acked could not be made durable either.
+	sealErr error
 
 	// wake (capacity 1) tells the sealer that the pending batch is full or
 	// that Close has begun; done closes when the sealer has exited.
 	wake chan struct{}
 	done chan struct{}
 
-	// Owned by the sealer goroutine; firstErr is read by Close after done.
-	segSeq   int
-	firstErr error
+	// Owned by the sealer goroutine.
+	segSeq int
 
 	// sketchMu guards sealedSk, the running merge of every sealed
 	// segment's sketches (only cities listed in cfg.Sketches).
@@ -246,16 +249,21 @@ func segmentSketches(spec CitySketchSpec, bundles []dataset.SketchBundle) (*core
 }
 
 // Submit hands one classified row to the write-behind path. It blocks while
-// a full batch waits for the sealer (backpressure) and returns ErrClosed
-// once Close has begun.
+// a full batch waits for the sealer (backpressure). It returns ErrClosed
+// once Close has begun, and an error wrapping both ErrClosed and the seal
+// error once a seal has failed.
 func (p *Pipeline) Submit(row dataset.IngestRow) error {
 	p.mu.Lock()
-	for !p.closed && len(p.pending) >= p.cfg.BatchRows {
+	for !p.closed && p.sealErr == nil && len(p.pending) >= p.cfg.BatchRows {
 		p.space.Wait()
 	}
-	if p.closed {
+	if p.closed || p.sealErr != nil {
+		err := ErrClosed
+		if p.sealErr != nil {
+			err = fmt.Errorf("%w: %w", ErrClosed, p.sealErr)
+		}
 		p.mu.Unlock()
-		return ErrClosed
+		return err
 	}
 	if len(p.pending) == 0 {
 		p.oldest = time.Now()
@@ -307,8 +315,13 @@ func (p *Pipeline) sealer() {
 		}
 		p.mu.Unlock()
 		if len(batch) > 0 {
-			if err := p.seal(batch, p.segSeq); err != nil && p.firstErr == nil {
-				p.firstErr = err
+			if err := p.seal(batch, p.segSeq); err != nil {
+				p.mu.Lock()
+				if p.sealErr == nil {
+					p.sealErr = err
+					p.space.Broadcast()
+				}
+				p.mu.Unlock()
 			}
 			p.segSeq++
 		}
@@ -323,7 +336,8 @@ func (p *Pipeline) sealer() {
 // and atomically writes segment file seq. Once the segment is renamed into
 // place, its sketches fold into the running sealed-sketch merge — so
 // SealedSketches only ever describes rows a restart would also recover. The
-// sealer latches the first error, and Close returns it.
+// sealer latches the first error, which stops admission, and Close returns
+// it.
 func (p *Pipeline) seal(batch []dataset.IngestRow, seq int) error {
 	dataset.SortIngestRows(batch)
 	sketches, bundles, err := p.batchSketches(batch)
@@ -446,7 +460,9 @@ func (p *Pipeline) Close() error {
 	p.mu.Unlock()
 	p.signal()
 	<-p.done
-	return p.firstErr
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.sealErr
 }
 
 // Stats reports the pipeline's row accounting.

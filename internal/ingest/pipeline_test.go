@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -197,6 +198,51 @@ func TestPipelineSubmitAfterClose(t *testing.T) {
 	}
 	if err := p.Close(); err != nil {
 		t.Fatalf("second Close = %v", err)
+	}
+}
+
+// TestPipelineSealFailureStopsAdmission: once a seal fails (its segment
+// directory is gone), the next Submit returns an error wrapping both
+// ErrClosed and the seal error instead of acking a row that cannot be
+// sealed either, and Close reports the same seal error.
+func TestPipelineSealFailureStopsAdmission(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "segments")
+	p, err := NewPipeline(PipelineConfig{Dir: dir, BatchRows: 2, MaxBatchAge: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	rows := testRows(3, 5)
+	for i := 0; i < 2; i++ {
+		if err := p.Submit(rows[i]); err != nil {
+			t.Fatalf("Submit %d before the failed seal: %v", i, err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		p.mu.Lock()
+		failed := p.sealErr != nil
+		p.mu.Unlock()
+		if failed {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the seal into a removed directory never failed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	err = p.Submit(rows[2])
+	if !errors.Is(err, ErrClosed) || !strings.Contains(err.Error(), "seal segment 0") {
+		t.Fatalf("Submit after the failed seal = %v, want ErrClosed wrapping the seal error", err)
+	}
+	closeErr := p.Close()
+	if closeErr == nil || !strings.Contains(err.Error(), closeErr.Error()) {
+		t.Fatalf("Close = %v, want the seal error %v", closeErr, err)
+	}
+	if queued, sealed, segs := p.Stats(); queued != 2 || sealed != 0 || segs != 0 {
+		t.Fatalf("queued=%d sealed=%d segments=%d, want 2/0/0", queued, sealed, segs)
 	}
 }
 

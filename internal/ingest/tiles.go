@@ -6,8 +6,10 @@ package ingest
 // scan of every segment per query. Both scan a segment through one
 // helper, scanSegment, which opens the file for the one scan and reuses
 // the segment's parsed block directory while the file's size and trailer
-// checksum match the cached parse, so a query pays for the row groups it
-// decodes, not for re-reading every block header.
+// checksum match the cached parse, and decodes into the read windows and
+// batch buffers of the previous clean scan, so a query pays for the row
+// groups it decodes, not for re-reading every block header or allocating
+// fresh buffers per segment.
 
 import (
 	"fmt"
@@ -54,6 +56,10 @@ type tileServer struct {
 	// every reuse; dirParses counts the parses it did not save.
 	dirs      map[string]segmentDir
 	dirParses uint64
+
+	// spare is the last scanner that ran to a clean end; the next scan
+	// takes over its read windows and batch buffers (BlockScanner.Reuse).
+	spare *dataset.BlockScanner
 
 	// Cumulative streamed-scan counters across folds, for /statsz: proof
 	// the serving path never materializes unrequested columns (and, on
@@ -183,8 +189,9 @@ func (ts *tileServer) listing() ([]string, map[string]bool, error) {
 // checksum match the image it was parsed from; otherwise the file is
 // parsed again. Payload blocks are checksummed by every scan either way,
 // so a changed payload fails the scan rather than folding stale bytes.
-// The scan's counters are returned whether or not it failed. Callers
-// hold ts.mu.
+// The scanner decodes into the buffers of the last scan that ended
+// cleanly; a failed scan's buffers are dropped, not recycled. The scan's
+// counters are returned whether or not it failed. Callers hold ts.mu.
 func (ts *tileServer) scanSegment(name string, sel dataset.SnapshotSelection, fold func(*dataset.BlockScanner) error) (dataset.DecodeCounters, error) {
 	src, err := dataset.OpenFileSource(filepath.Join(ts.dir, name))
 	if err != nil {
@@ -210,7 +217,11 @@ func (ts *tileServer) scanSegment(name string, sel dataset.SnapshotSelection, fo
 	if err != nil {
 		return dataset.DecodeCounters{}, err
 	}
-	err = fold(sc)
+	sc.Reuse(ts.spare)
+	ts.spare = nil
+	if err = fold(sc); err == nil {
+		ts.spare = sc
+	}
 	return sc.Counters(), err
 }
 
