@@ -38,12 +38,15 @@ race-scan:
 
 # fuzz-smoke runs each fuzz target of internal/dataset (the CSV readers
 # with their write/read/write oracle, the snapshot decoders and the block
-# scanner, NDT association) for 5 s of new inputs; go test -fuzz takes one
-# target per call. A failing input lands in internal/dataset/testdata/fuzz.
+# scanner, NDT association) and internal/ingest (the submission parser
+# against encoding/json) for 5 s of new inputs; go test -fuzz takes one
+# target per call. A failing input lands in the package's testdata/fuzz.
 fuzz-smoke:
-	@for t in $$($(GO) test -list '^Fuzz' ./internal/dataset | grep '^Fuzz'); do \
-		echo "fuzz $$t"; \
-		$(GO) test -run NONE -fuzz "^$$t$$" -fuzztime 5s ./internal/dataset || exit 1; \
+	@for p in ./internal/dataset ./internal/ingest; do \
+		for t in $$($(GO) test -list '^Fuzz' $$p | grep '^Fuzz'); do \
+			echo "fuzz $$p $$t"; \
+			$(GO) test -run NONE -fuzz "^$$t$$" -fuzztime 5s $$p || exit 1; \
+		done; \
 	done
 
 # bench-smoke runs one iteration of the parallel stats and dataset

@@ -44,20 +44,6 @@ type loadReport struct {
 	Snapshot     string  `json:"snapshot,omitempty"`
 }
 
-// Self-hosted ingest listener timeouts, as in speedtestd: a client that
-// has not finished its request headers within ingestReadHeaderTimeout, or
-// leaves a keep-alive connection idle for ingestIdleTimeout, is
-// disconnected. Bodies and responses stay unbounded.
-const (
-	ingestReadHeaderTimeout = 10 * time.Second
-	ingestIdleTimeout       = 2 * time.Minute
-)
-
-// newIngestHTTPServer wraps the self-hosted ingest handler in its server.
-func newIngestHTTPServer(h http.Handler) *http.Server {
-	return &http.Server{Handler: h, ReadHeaderTimeout: ingestReadHeaderTimeout, IdleTimeout: ingestIdleTimeout}
-}
-
 func runLoad(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("load", flag.ContinueOnError)
 	addr := fs.String("addr", "", "ingest server address (host:port); empty self-hosts in-process")
@@ -152,7 +138,7 @@ func runLoad(args []string, out io.Writer) error {
 			pipe.Close()
 			return err
 		}
-		httpSrv = newIngestHTTPServer(ingest.NewServer(pipe, ingest.StaticModels(classifiers), ingest.ServerConfig{}).Handler())
+		httpSrv = ingest.NewHTTPServer(ingest.NewServer(pipe, ingest.StaticModels(classifiers), ingest.ServerConfig{}).Handler())
 		go httpSrv.Serve(ln)
 		target = ln.Addr().String()
 	}

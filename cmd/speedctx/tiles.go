@@ -79,7 +79,7 @@ func runTiles(args []string, out io.Writer) error {
 		// -cluster-zoom the fold streams the clustered zoned sibling.
 		scanPath := path
 		if *clusterZoom > 0 {
-			if scanPath, err = experiments.ClusterSnapshot(path, *clusterZoom, 0, 0); err != nil {
+			if scanPath, err = experiments.ClusterSnapshot(path, *clusterZoom, 0); err != nil {
 				return err
 			}
 		}

@@ -37,7 +37,6 @@ import (
 	"speedctx/internal/ingest"
 	"speedctx/internal/ndt7"
 	"speedctx/internal/speedtest"
-	"speedctx/internal/tilequery"
 )
 
 // Addrs reports the daemon's bound listen addresses; empty means the
@@ -46,21 +45,6 @@ type Addrs struct {
 	Raw    string
 	NDT7   string
 	Ingest string
-}
-
-// Ingest listener timeouts. A client that has not finished its request
-// headers within ingestReadHeaderTimeout, or leaves a keep-alive
-// connection idle for ingestIdleTimeout, is disconnected. Bodies and
-// responses stay unbounded: large batch uploads and tile renders may take
-// longer than any fixed limit.
-const (
-	ingestReadHeaderTimeout = 10 * time.Second
-	ingestIdleTimeout       = 2 * time.Minute
-)
-
-// newIngestHTTPServer wraps the ingest handler in the listener's server.
-func newIngestHTTPServer(h http.Handler) *http.Server {
-	return &http.Server{Handler: h, ReadHeaderTimeout: ingestReadHeaderTimeout, IdleTimeout: ingestIdleTimeout}
 }
 
 // started is called once every enabled server is listening. Test seam: the
@@ -149,10 +133,10 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 			RefitAge:       *refitAge,
 			FitConfig:      fitCfg,
 			Logf:           logf,
-			Tiles:          tilequery.Config{Zoom: *tileZoom},
+			TileZoom:       *tileZoom,
 			TileCacheTiles: *tileCache,
 		})
-		httpSrv = newIngestHTTPServer(ingestSrv.Handler())
+		httpSrv = ingest.NewHTTPServer(ingestSrv.Handler())
 		bound.Ingest = ln.Addr().String()
 		logf("ingest listening on %s (%d city models, dir %s)", bound.Ingest, len(models), *ingestDir)
 		go func() { httpErr <- httpSrv.Serve(ln) }()

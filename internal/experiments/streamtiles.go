@@ -19,7 +19,7 @@ import (
 // The sibling holds the same row multiset, so every order-independent
 // consumer (the tile fold) reads it interchangeably; order-dependent ones
 // (the fit pass) must keep reading the original. Returns the sibling path.
-func ClusterSnapshot(path string, zoom, blockRows int, locSeed int64) (string, error) {
+func ClusterSnapshot(path string, zoom, blockRows int) (string, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return "", err
@@ -28,7 +28,7 @@ func ClusterSnapshot(path string, zoom, blockRows int, locSeed int64) (string, e
 	if err != nil {
 		return "", err
 	}
-	opts := opendata.NewZoneOptions(zoom, blockRows, locSeed)
+	opts := opendata.NewZoneOptions(zoom, blockRows)
 	if snap.Ookla != nil {
 		snap.Ookla = dataset.ClusterOoklaColumns(snap.Ookla, opts.Quadkey)
 	}

@@ -94,7 +94,7 @@ func TestTileRowsSnapshotIdentity(t *testing.T) {
 
 			// Pushdown: fit from the canonical file, fold the clustered
 			// sibling with a one-neighbourhood bbox pushed into the scan.
-			zpath, err := ClusterSnapshot(path, opendata.TileZoom, 64, 0)
+			zpath, err := ClusterSnapshot(path, opendata.TileZoom, 64)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -311,7 +311,7 @@ func TestTilesPushdownAllocsFlat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := newTileServer(dir, tilequery.Config{}, 0, nil)
+		ts := newTileServer(dir, 0, 0)
 		ask := func() []opendata.ContextTile {
 			ts.mu.Lock()
 			defer ts.mu.Unlock()

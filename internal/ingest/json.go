@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strconv"
@@ -23,7 +24,9 @@ import (
 // the schema is flat and fixed, so a single left-to-right pass with no
 // intermediate map suffices. Each of the eight keys above is required
 // exactly once; unknown keys are skipped (forward compatibility); nested
-// values are rejected.
+// values are rejected. Scalars follow RFC 8259 exactly: numbers match its
+// grammar, and strings reject unescaped control characters and invalid
+// UTF-8.
 
 var errMalformed = errors.New("ingest: malformed submission")
 
@@ -175,12 +178,20 @@ func scanString(b []byte, i int) (string, int, error) {
 		return "", i, errMalformed
 	}
 	start := i + 1
+	ascii := true
 	for j := start; j < len(b); j++ {
-		switch b[j] {
-		case '"':
+		switch c := b[j]; {
+		case c == '"':
+			if !ascii && !utf8.Valid(b[start:j]) {
+				return "", i, errMalformed
+			}
 			return string(b[start:j]), j + 1, nil
-		case '\\':
+		case c == '\\':
 			return scanEscapedString(b, start)
+		case c < 0x20:
+			return "", i, errMalformed
+		case c >= utf8.RuneSelf:
+			ascii = false
 		}
 	}
 	return "", i, errMalformed
@@ -192,6 +203,11 @@ func scanEscapedString(b []byte, start int) (string, int, error) {
 	for j < len(b) {
 		switch c := b[j]; c {
 		case '"':
+			// Escapes append whole runes, so out is valid UTF-8 exactly
+			// when the raw bytes between them are.
+			if !utf8.Valid(out) {
+				return "", j, errMalformed
+			}
 			return string(out), j + 1, nil
 		case '\\':
 			if j+1 >= len(b) {
@@ -240,6 +256,9 @@ func scanEscapedString(b []byte, start int) (string, int, error) {
 				return "", j, errMalformed
 			}
 		default:
+			if c < 0x20 {
+				return "", j, errMalformed
+			}
 			out = append(out, c)
 			j++
 		}
@@ -247,18 +266,50 @@ func scanEscapedString(b []byte, start int) (string, int, error) {
 	return "", j, errMalformed
 }
 
+// numEnd returns the end of the RFC 8259 number that starts at b[i]:
+// an optional minus, then 0 or a digit run without a leading zero, then
+// an optional fraction and an optional exponent, each with at least one
+// digit. It returns i when no number starts there.
 func numEnd(b []byte, i int) int {
 	j := i
-	for j < len(b) {
-		switch b[j] {
-		case '-', '+', '.', 'e', 'E',
-			'0', '1', '2', '3', '4', '5', '6', '7', '8', '9':
-			j++
-		default:
-			return j
+	if j < len(b) && b[j] == '-' {
+		j++
+	}
+	switch {
+	case j < len(b) && b[j] == '0':
+		j++
+	case j < len(b) && '1' <= b[j] && b[j] <= '9':
+		j = digitsEnd(b, j+1)
+	default:
+		return i
+	}
+	if j < len(b) && b[j] == '.' {
+		k := digitsEnd(b, j+1)
+		if k == j+1 {
+			return i
 		}
+		j = k
+	}
+	if j < len(b) && (b[j] == 'e' || b[j] == 'E') {
+		k := j + 1
+		if k < len(b) && (b[k] == '+' || b[k] == '-') {
+			k++
+		}
+		e := digitsEnd(b, k)
+		if e == k {
+			return i
+		}
+		j = e
 	}
 	return j
+}
+
+// digitsEnd returns the end of the run of ASCII digits starting at b[i].
+func digitsEnd(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	return i
 }
 
 func scanInt(b []byte, i int) (int64, int, error) {
@@ -348,9 +399,9 @@ func AppendSubmission(dst []byte, row *dataset.IngestRow) []byte {
 	dst = append(dst, `,"user_id":`...)
 	dst = strconv.AppendInt(dst, int64(row.UserID), 10)
 	dst = append(dst, `,"city":`...)
-	dst = strconv.AppendQuote(dst, row.City)
+	dst = appendString(dst, row.City)
 	dst = append(dst, `,"isp":`...)
-	dst = strconv.AppendQuote(dst, row.ISP)
+	dst = appendString(dst, row.ISP)
 	dst = append(dst, `,"timestamp":`...)
 	dst = strconv.AppendInt(dst, row.Timestamp.UnixNano(), 10)
 	dst = append(dst, `,"download_mbps":`...)
@@ -361,4 +412,12 @@ func AppendSubmission(dst []byte, row *dataset.IngestRow) []byte {
 	dst = strconv.AppendFloat(dst, row.LatencyMs, 'g', -1, 64)
 	dst = append(dst, '}')
 	return dst
+}
+
+// appendString renders s as a JSON string. encoding/json escapes control
+// characters and replaces invalid UTF-8 with U+FFFD, so parseSubmission
+// reads back any valid UTF-8 s unchanged.
+func appendString(dst []byte, s string) []byte {
+	b, _ := json.Marshal(s) // a string always marshals
+	return append(dst, b...)
 }

@@ -511,10 +511,6 @@ type CompactOptions struct {
 	// ZoneBlockRows is the rows-per-group split of a clustered snapshot
 	// (0 = the dataset default, 4096).
 	ZoneBlockRows int
-	// LocSeed is the location-derivation seed zone quadkeys are computed
-	// under (0 = opendata.DefaultLocSeed). It must match the seed the tile
-	// query layer serves with, or pushdown degrades to full reads.
-	LocSeed int64
 }
 
 // CompactWith merges every sealed segment in dir (and any previous
@@ -579,7 +575,7 @@ func CompactWith(dir string, opts CompactOptions) (string, error) {
 	}
 	var buf []byte
 	if opts.ClusterZoom > 0 {
-		zo := opendata.NewZoneOptions(opts.ClusterZoom, opts.ZoneBlockRows, opts.LocSeed)
+		zo := opendata.NewZoneOptions(opts.ClusterZoom, opts.ZoneBlockRows)
 		dataset.SortIngestRowsClustered(rows, zo.Quadkey)
 		buf, err = dataset.EncodeIngestSegmentZoned(dataset.ColumnizeIngest(rows), bundles, zo)
 	} else {

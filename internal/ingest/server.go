@@ -14,7 +14,6 @@ import (
 
 	"speedctx/internal/core"
 	"speedctx/internal/dataset"
-	"speedctx/internal/tilequery"
 )
 
 // Server is the ingest HTTP surface. Each accepted submission is
@@ -112,10 +111,9 @@ type ServerConfig struct {
 	// Logf, when non-nil, receives one line per refit and per refit
 	// failure.
 	Logf func(format string, args ...any)
-	// Tiles configures the /v1/tiles aggregation layer. The zero value
-	// serves zoom-16 tiles with the default location seed and all-CPU
-	// folds; Parallelism never changes response bytes.
-	Tiles tilequery.Config
+	// TileZoom is the base aggregation zoom of /v1/tiles (0 =
+	// opendata.TileZoom, 16).
+	TileZoom int
 	// TileCacheTiles bounds the tile result cache (0 = the tilequery
 	// default).
 	TileCacheTiles int
@@ -169,12 +167,7 @@ func NewServer(pipe *Pipeline, models map[string]*CityModel, cfg ServerConfig) *
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
-	modelCities := make([]string, 0, len(models))
-	for city := range models {
-		modelCities = append(modelCities, city)
-	}
-	sort.Strings(modelCities)
-	s.tiles = newTileServer(pipe.cfg.Dir, cfg.Tiles, cfg.TileCacheTiles, modelCities)
+	s.tiles = newTileServer(pipe.cfg.Dir, cfg.TileZoom, cfg.TileCacheTiles)
 	now := time.Now().UnixNano()
 	for city, m := range models {
 		st := &cityState{base: m.Base}
@@ -285,6 +278,22 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("/statsz", s.handleStats)
 	return mux
+}
+
+// Ingest listener timeouts. A client that has not finished its request
+// headers within readHeaderTimeout, or leaves a keep-alive connection idle
+// for idleTimeout, is disconnected. Bodies and responses stay unbounded:
+// large batch uploads and tile renders may take longer than any fixed
+// limit.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer wraps an ingest handler in the listener's server, with the
+// ingest listener timeouts.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // maxBodyBytes bounds a request body; large enough for a ~64k-row batch.

@@ -3,8 +3,10 @@ package ingest
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -585,5 +587,38 @@ func TestServerSnapshotLoadsAsCitySnapshot(t *testing.T) {
 			t.Fatalf("row %d: stored assignment (%d,%d,%v) != recomputed %+v",
 				i, cols.Tier[i], cols.UploadTier[i], cols.Confidence[i], want)
 		}
+	}
+}
+
+// TestIngestServerDropsStalledHeaders: the ingest listener disconnects a
+// client that stalls mid-header once the header timeout (shortened here)
+// expires, instead of holding the connection open.
+func TestIngestServerDropsStalledHeaders(t *testing.T) {
+	srv := NewHTTPServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != readHeaderTimeout || srv.IdleTimeout != idleTimeout {
+		t.Fatalf("server timeouts %v/%v, want %v/%v", srv.ReadHeaderTimeout, srv.IdleTimeout, readHeaderTimeout, idleTimeout)
+	}
+	srv.ReadHeaderTimeout = 100 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /v1/ingest/batch HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	var ne net.Error
+	if _, err := io.ReadAll(conn); errors.As(err, &ne) && ne.Timeout() {
+		t.Fatal("server held a mid-header connection open past its header timeout")
 	}
 }

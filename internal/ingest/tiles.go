@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"net/http"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -46,10 +45,8 @@ var tileSelection = dataset.SnapshotSelection{
 type tileServer struct {
 	mu     sync.Mutex
 	dir    string
-	cfg    tilequery.Config
 	eng    *tilequery.Engine
 	folded map[string]bool
-	cities []string // sorted serving-model cities, for pushdown attribution
 
 	// dirs caches each listed segment's parsed block directory, keyed by
 	// name and checked against the opened file's size and trailer before
@@ -74,13 +71,13 @@ type tileServer struct {
 	push *tilequery.Index
 
 	// Predicate-pushdown accounting for the bbox serving path (DESIGN.md
-	// §15): per-query totals and the per-city split, attributed by which
-	// city's user box the query bbox intersects.
-	pushQueries      uint64
-	pushSkipHits     uint64 // queries that skipped at least one row group
-	pushRowsFolded   int64  // scanned rows inside the query range
-	pushRowsFiltered int64  // scanned rows the range restriction dropped
-	pushByCity       map[string]*cityPushStats
+	// §15), totals over every pushdown query.
+	pushQueries       uint64
+	pushSkipHits      uint64 // queries that skipped at least one row group
+	pushRowsFolded    int64  // scanned rows inside the query range
+	pushRowsFiltered  int64  // scanned rows the range restriction dropped
+	pushBlocksScanned int64  // row groups the pushdown scans decoded
+	pushBlocksSkipped int64  // row groups their zone maps skipped
 }
 
 // segmentDir is one directory-cache entry: a segment's parsed directory
@@ -90,23 +87,17 @@ type segmentDir struct {
 	trailer uint64
 }
 
-// cityPushStats is one city's pushdown tally.
-type cityPushStats struct {
-	queries       uint64
-	blocksScanned int64
-	blocksSkipped int64
-}
-
-func newTileServer(dir string, cfg tilequery.Config, cacheTiles int, cities []string) *tileServer {
+// newTileServer serves the segments of dir as tiles at base zoom (0 =
+// opendata.TileZoom) through a result cache of cacheTiles tiles (0 = the
+// tilequery default).
+func newTileServer(dir string, zoom, cacheTiles int) *tileServer {
+	cfg := tilequery.Config{Zoom: zoom}
 	return &tileServer{
-		dir:        dir,
-		cfg:        cfg,
-		eng:        tilequery.NewEngine(cfg, cacheTiles),
-		push:       tilequery.NewIndex(cfg),
-		folded:     make(map[string]bool),
-		dirs:       make(map[string]segmentDir),
-		cities:     cities,
-		pushByCity: make(map[string]*cityPushStats),
+		dir:    dir,
+		eng:    tilequery.NewEngine(cfg, cacheTiles),
+		push:   tilequery.NewIndex(cfg),
+		folded: make(map[string]bool),
+		dirs:   make(map[string]segmentDir),
 	}
 }
 
@@ -240,7 +231,7 @@ func (ts *tileServer) tilesPushdown(query tilequery.Query) ([]opendata.ContextTi
 		return nil, err
 	}
 	sel := tileSelection
-	sel.Predicate = ts.cfg.Pushdown(query.Range)
+	sel.Predicate = query.Range.ZonePredicate()
 	ix := ts.push
 	if err := ix.Reset(query.Range); err != nil {
 		return nil, err
@@ -267,36 +258,9 @@ func (ts *tileServer) tilesPushdown(query tilequery.Query) ([]opendata.ContextTi
 	}
 	ts.pushRowsFolded += int64(ix.RowCount())
 	ts.pushRowsFiltered += int64(ix.FilteredRows())
-	city := ts.cityFor(query.Range)
-	st := ts.pushByCity[city]
-	if st == nil {
-		st = &cityPushStats{}
-		ts.pushByCity[city] = st
-	}
-	st.queries++
-	st.blocksScanned += scanned
-	st.blocksSkipped += skipped
+	ts.pushBlocksScanned += scanned
+	ts.pushBlocksSkipped += skipped
 	return tiles, nil
-}
-
-// cityFor attributes a bbox query to the first configured city whose
-// ±0.1° user box intersects the queried tile rectangle, or "other" when
-// the bbox covers no configured city.
-func (ts *tileServer) cityFor(rng *opendata.TileRange) string {
-	if rng != nil {
-		for _, city := range ts.cities {
-			c := opendata.CityCenter(city)
-			box, err := opendata.TileRangeForBBox(c.Lat-0.1, c.Lon-0.1, c.Lat+0.1, c.Lon+0.1, rng.Zoom)
-			if err != nil {
-				continue
-			}
-			if box.MinX <= rng.MaxX && rng.MinX <= box.MaxX &&
-				box.MinY <= rng.MaxY && rng.MinY <= box.MaxY {
-				return city
-			}
-		}
-	}
-	return "other"
 }
 
 // tileStats is a point-in-time tile-layer snapshot for /statsz.
@@ -310,34 +274,32 @@ type tileStats struct {
 	DirParses     uint64
 	DirsCached    int
 
-	PushQueries      uint64
-	PushSkipHits     uint64
-	PushRowsFolded   int64
-	PushRowsFiltered int64
-	PushByCity       map[string]cityPushStats
+	PushQueries       uint64
+	PushSkipHits      uint64
+	PushRowsFolded    int64
+	PushRowsFiltered  int64
+	PushBlocksScanned int64
+	PushBlocksSkipped int64
 }
 
 func (ts *tileServer) stats() tileStats {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	byCity := make(map[string]cityPushStats, len(ts.pushByCity))
-	for city, st := range ts.pushByCity {
-		byCity[city] = *st
-	}
 	return tileStats{
-		EngineStats:      ts.eng.Stats(),
-		Segments:         len(ts.folded),
-		Refolds:          ts.refolds,
-		ColsDecoded:      ts.colsDecoded,
-		ColsSkipped:      ts.colsSkipped,
-		BlocksScanned:    ts.blocksScanned,
-		DirParses:        ts.dirParses,
-		DirsCached:       len(ts.dirs),
-		PushQueries:      ts.pushQueries,
-		PushSkipHits:     ts.pushSkipHits,
-		PushRowsFolded:   ts.pushRowsFolded,
-		PushRowsFiltered: ts.pushRowsFiltered,
-		PushByCity:       byCity,
+		EngineStats:       ts.eng.Stats(),
+		Segments:          len(ts.folded),
+		Refolds:           ts.refolds,
+		ColsDecoded:       ts.colsDecoded,
+		ColsSkipped:       ts.colsSkipped,
+		BlocksScanned:     ts.blocksScanned,
+		DirParses:         ts.dirParses,
+		DirsCached:        len(ts.dirs),
+		PushQueries:       ts.pushQueries,
+		PushSkipHits:      ts.pushSkipHits,
+		PushRowsFolded:    ts.pushRowsFolded,
+		PushRowsFiltered:  ts.pushRowsFiltered,
+		PushBlocksScanned: ts.pushBlocksScanned,
+		PushBlocksSkipped: ts.pushBlocksSkipped,
 	}
 }
 
@@ -458,26 +420,10 @@ func appendTileStats(out []byte, st tileStats) []byte {
 	out = strconv.AppendInt(out, st.PushRowsFolded, 10)
 	out = append(out, `,"rows_filtered":`...)
 	out = strconv.AppendInt(out, st.PushRowsFiltered, 10)
-	out = append(out, `,"cities":{`...)
-	cities := make([]string, 0, len(st.PushByCity))
-	for city := range st.PushByCity {
-		cities = append(cities, city)
-	}
-	sort.Strings(cities)
-	for i, city := range cities {
-		cs := st.PushByCity[city]
-		if i > 0 {
-			out = append(out, ',')
-		}
-		out = strconv.AppendQuote(out, city)
-		out = append(out, `:{"queries":`...)
-		out = strconv.AppendUint(out, cs.queries, 10)
-		out = append(out, `,"blocks_scanned":`...)
-		out = strconv.AppendInt(out, cs.blocksScanned, 10)
-		out = append(out, `,"blocks_skipped":`...)
-		out = strconv.AppendInt(out, cs.blocksSkipped, 10)
-		out = append(out, '}')
-	}
-	out = append(out, '}', '}')
+	out = append(out, `,"blocks_scanned":`...)
+	out = strconv.AppendInt(out, st.PushBlocksScanned, 10)
+	out = append(out, `,"blocks_skipped":`...)
+	out = strconv.AppendInt(out, st.PushBlocksSkipped, 10)
+	out = append(out, '}')
 	return out
 }

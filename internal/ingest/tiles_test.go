@@ -209,7 +209,7 @@ func TestTilesEndpointQueries(t *testing.T) {
 // TestTilesPushdownClustered is the serving-path pushdown gate: after a
 // clustered compaction, a bbox query through the pushdown scan path skips
 // row groups outside the bbox yet renders bytes identical to the engine
-// path (?push=0), and /statsz accounts the skips per attributed city.
+// path (?push=0), and /statsz totals the row groups it scanned and skipped.
 func TestTilesPushdownClustered(t *testing.T) {
 	cls, rows := loadClassifiers(t)
 	dir := t.TempDir()
@@ -229,8 +229,7 @@ func TestTilesPushdownClustered(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	city := rows[0].City
-	c := opendata.CityCenter(city)
+	c := opendata.CityCenter(rows[0].City)
 	bbox := fmt.Sprintf("?bbox=%g,%g,%g,%g", c.Lat-0.11, c.Lon-0.11, c.Lat+0.11, c.Lon+0.11)
 	code, pushed := getTiles(t, client, ts.URL, bbox)
 	if code != http.StatusOK {
@@ -248,15 +247,11 @@ func TestTilesPushdownClustered(t *testing.T) {
 	if st.PushQueries != 1 || st.PushSkipHits != 1 {
 		t.Fatalf("pushdown counters: %d queries, %d skip hits, want 1/1", st.PushQueries, st.PushSkipHits)
 	}
-	cs, ok := st.PushByCity[city]
-	if !ok || cs.queries != 1 {
-		t.Fatalf("query not attributed to city %s: %+v", city, st.PushByCity)
-	}
-	if cs.blocksSkipped == 0 || cs.blocksScanned == 0 {
-		t.Fatalf("city %s: scanned %d / skipped %d groups, want both > 0", city, cs.blocksScanned, cs.blocksSkipped)
+	if st.PushBlocksSkipped == 0 || st.PushBlocksScanned == 0 {
+		t.Fatalf("pushdown scanned %d / skipped %d groups, want both > 0", st.PushBlocksScanned, st.PushBlocksSkipped)
 	}
 
-	// /statsz renders the pushdown block with the per-city split.
+	// /statsz renders the pushdown block with its block totals.
 	resp, err := client.Get(ts.URL + "/statsz")
 	if err != nil {
 		t.Fatal(err)
@@ -265,8 +260,7 @@ func TestTilesPushdownClustered(t *testing.T) {
 	resp.Body.Close()
 	for _, want := range []string{
 		`"pushdown":{"queries":1,"skip_hits":1,"hit_rate":1.000`,
-		fmt.Sprintf(`%q:{"queries":1,"blocks_scanned":%d,"blocks_skipped":%d}`, city, cs.blocksScanned, cs.blocksSkipped),
-		`"blocks_scanned":`,
+		fmt.Sprintf(`"blocks_scanned":%d,"blocks_skipped":%d}`, st.PushBlocksScanned, st.PushBlocksSkipped),
 	} {
 		if !bytes.Contains(stats, []byte(want)) {
 			t.Fatalf("statsz misses %s: %s", want, stats)
@@ -304,9 +298,9 @@ func TestTilesPushdownClustered(t *testing.T) {
 // the store shape the serving path sees in production: a clustered
 // compacted snapshot plus two unzoned fresh segments. Every response —
 // pushdown, push=0, roll-up — must equal the in-memory fold of the same
-// rows, the pushdown /statsz counters must account every query and every
-// row its scans yielded, and a neighbourhood query must drop rows before
-// they reach an accumulator.
+// rows, the pushdown /statsz counters must account every query, every row
+// and every row group its scans yielded or skipped, and a neighbourhood
+// query must drop rows before they reach an accumulator.
 func TestTilesPushdownMixedStore(t *testing.T) {
 	cls, rows := loadClassifiers(t)
 	dir := t.TempDir()
@@ -382,7 +376,7 @@ func TestTilesPushdownMixedStore(t *testing.T) {
 		st := srv.tiles.stats()
 		return st.PushQueries, st.PushRowsFolded, st.PushRowsFiltered
 	}
-	var wantQueries, wantSkipHits, wantYield int64
+	var wantQueries, wantSkipHits, wantYield, wantScanned, wantSkipped int64
 	for i, q := range seq {
 		params := fmt.Sprintf("?zoom=%d", q.zoom)
 		query := tilequery.Query{Zoom: q.zoom}
@@ -430,13 +424,15 @@ func TestTilesPushdownMixedStore(t *testing.T) {
 			t.Fatalf("neighbourhood query %s filtered no rows", params)
 		}
 		sel := tileSelection
-		sel.Predicate = srv.tiles.cfg.Pushdown(query.Range)
-		yield, skipped := scanYield(t, dir, sel)
+		sel.Predicate = query.Range.ZonePredicate()
+		yield, scanned, skipped := scanYield(t, dir, sel)
 		if f1-f0+d1-d0 != yield {
 			t.Fatalf("query %d %s: folded %d + filtered %d rows, scans yielded %d", i, params, f1-f0, d1-d0, yield)
 		}
 		wantQueries++
 		wantYield += yield
+		wantScanned += scanned
+		wantSkipped += skipped
 		if skipped > 0 {
 			wantSkipHits++
 		}
@@ -449,10 +445,12 @@ func TestTilesPushdownMixedStore(t *testing.T) {
 	defer resp.Body.Close()
 	var st struct {
 		Pushdown struct {
-			Queries      int64 `json:"queries"`
-			SkipHits     int64 `json:"skip_hits"`
-			RowsFolded   int64 `json:"rows_folded"`
-			RowsFiltered int64 `json:"rows_filtered"`
+			Queries       int64 `json:"queries"`
+			SkipHits      int64 `json:"skip_hits"`
+			RowsFolded    int64 `json:"rows_folded"`
+			RowsFiltered  int64 `json:"rows_filtered"`
+			BlocksScanned int64 `json:"blocks_scanned"`
+			BlocksSkipped int64 `json:"blocks_skipped"`
 		} `json:"pushdown"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
@@ -467,6 +465,9 @@ func TestTilesPushdownMixedStore(t *testing.T) {
 	}
 	if pd.RowsFolded+pd.RowsFiltered != wantYield {
 		t.Fatalf("statsz pushdown: folded %d + filtered %d rows, scans yielded %d", pd.RowsFolded, pd.RowsFiltered, wantYield)
+	}
+	if pd.BlocksScanned != wantScanned || pd.BlocksSkipped != wantSkipped {
+		t.Fatalf("statsz pushdown: %d blocks scanned, %d skipped; scans counted %d, %d", pd.BlocksScanned, pd.BlocksSkipped, wantScanned, wantSkipped)
 	}
 }
 
@@ -487,8 +488,9 @@ func segmentNames(t *testing.T, dir string) []string {
 }
 
 // scanYield drains every segment of dir under sel and returns the rows the
-// scans yielded and the row groups their zone maps skipped.
-func scanYield(t *testing.T, dir string, sel dataset.SnapshotSelection) (rows, skipped int64) {
+// scans yielded, the blocks they decoded and the row groups their zone
+// maps skipped.
+func scanYield(t *testing.T, dir string, sel dataset.SnapshotSelection) (rows, scanned, skipped int64) {
 	t.Helper()
 	for _, name := range segmentNames(t, dir) {
 		src, err := dataset.OpenFileSource(filepath.Join(dir, name))
@@ -507,7 +509,9 @@ func scanYield(t *testing.T, dir string, sel dataset.SnapshotSelection) (rows, s
 		if err != nil {
 			t.Fatal(err)
 		}
-		skipped += int64(sc.Counters().BlocksSkipped)
+		ctr := sc.Counters()
+		scanned += int64(ctr.BlocksScanned)
+		skipped += int64(ctr.BlocksSkipped)
 	}
-	return rows, skipped
+	return rows, scanned, skipped
 }

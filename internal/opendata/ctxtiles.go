@@ -109,8 +109,10 @@ func WriteContextTilesCSV(w io.Writer, tiles []ContextTile) error {
 	return cw.Error()
 }
 
-// DefaultLocSeed is the location-derivation seed every tile fold uses
-// unless overridden, so tile placements stay comparable across tools.
+// DefaultLocSeed is the location-derivation seed of every tile placement:
+// the tile fold, the zone keys a clustered compaction records and the
+// predicate a bbox query pushes down all use it, so every reader places a
+// subscriber on the same tile.
 const DefaultLocSeed = 5
 
 // CityCenter returns the fixed pseudo-center of a study city — the anchor

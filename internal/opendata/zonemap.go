@@ -9,34 +9,32 @@ import "speedctx/internal/dataset"
 // zoned encoders record, and the predicate a TileRange pushes down.
 
 // ZoneQuadkey returns the canonical (city, userID) → packed-quadkey
-// derivation at zoom under locSeed: the same placement the tile query
-// layer uses (UserLocation around CityCenter, then LatLonToTile), so a
-// file's zone ranges and a query's tile range speak the same key space.
-func ZoneQuadkey(zoom int, locSeed int64) func(city string, userID int) uint64 {
+// derivation at zoom: the same placement the tile query layer uses
+// (UserLocation around CityCenter under DefaultLocSeed, then
+// LatLonToTile), so a file's zone ranges and a query's tile range speak
+// the same key space.
+func ZoneQuadkey(zoom int) func(city string, userID int) uint64 {
 	return func(city string, userID int) uint64 {
-		loc := UserLocation(CityCenter(city), locSeed, userID)
+		loc := UserLocation(CityCenter(city), DefaultLocSeed, userID)
 		x, y := LatLonToTile(loc.Lat, loc.Lon, zoom)
 		return PackQuadkey(x, y)
 	}
 }
 
 // NewZoneOptions builds the canonical zoned-encoding options: zoom <= 0
-// defaults to TileZoom, locSeed == 0 to DefaultLocSeed, blockRows <= 0 to
-// the dataset layer's default row-group size. These options are part of a
-// zoned file's canonical identity (same rows + same options ⇒ same
-// bytes), so tools that must agree on compacted bytes must agree on them.
-func NewZoneOptions(zoom, blockRows int, locSeed int64) *dataset.ZoneOptions {
+// defaults to TileZoom, blockRows <= 0 to the dataset layer's default
+// row-group size. These options are part of a zoned file's canonical
+// identity (same rows + same options ⇒ same bytes), so tools that must
+// agree on compacted bytes must agree on them.
+func NewZoneOptions(zoom, blockRows int) *dataset.ZoneOptions {
 	if zoom <= 0 {
 		zoom = TileZoom
-	}
-	if locSeed == 0 {
-		locSeed = DefaultLocSeed
 	}
 	return &dataset.ZoneOptions{
 		BlockRows: blockRows,
 		Zoom:      zoom,
-		LocSeed:   locSeed,
-		Quadkey:   ZoneQuadkey(zoom, locSeed),
+		LocSeed:   DefaultLocSeed,
+		Quadkey:   ZoneQuadkey(zoom),
 	}
 }
 
@@ -46,14 +44,14 @@ func NewZoneOptions(zoom, blockRows int, locSeed int64) *dataset.ZoneOptions {
 // [Pack(MinX,MinY), Pack(MaxX,MaxY)] — the interval is a superset of the
 // rectangle (it can admit keys outside it), which is exactly the
 // conservative direction pushdown needs: a group is only skipped when no
-// row can fall in the rectangle. locSeed must be the seed the target
-// files' zone maps were derived under (the scanner ignores the predicate
-// on mismatch rather than misapply it).
-func (r TileRange) ZonePredicate(locSeed int64) *dataset.ScanPredicate {
+// row can fall in the rectangle. The predicate names DefaultLocSeed; the
+// scanner ignores it on a file whose zone maps record another seed, so
+// such a file is read whole rather than misread.
+func (r TileRange) ZonePredicate() *dataset.ScanPredicate {
 	return &dataset.ScanPredicate{Quadkey: &dataset.QuadkeyRange{
 		Zoom:    r.Zoom,
 		Min:     PackQuadkey(r.MinX, r.MinY),
 		Max:     PackQuadkey(r.MaxX, r.MaxY),
-		LocSeed: locSeed,
+		LocSeed: DefaultLocSeed,
 	}}
 }

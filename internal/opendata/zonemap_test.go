@@ -23,7 +23,7 @@ func TestZonePredicateSupersetProperty(t *testing.T) {
 			MinX: x0, MinY: y0,
 			MaxX: x0 + rng.Intn(n-x0), MaxY: y0 + rng.Intn(n-y0),
 		}
-		p := r.ZonePredicate(DefaultLocSeed)
+		p := r.ZonePredicate()
 		q := p.Quadkey
 		if q == nil || q.Zoom != zoom || q.LocSeed != DefaultLocSeed {
 			t.Fatalf("trial %d: malformed predicate %+v", trial, q)
@@ -51,7 +51,7 @@ func TestZonePredicatePoleClamping(t *testing.T) {
 	if r.MinY != 0 {
 		t.Fatalf("north-pole bbox should clamp MinY to 0, got %+v", r)
 	}
-	p := r.ZonePredicate(DefaultLocSeed)
+	p := r.ZonePredicate()
 	for _, xy := range [][2]int{{r.MinX, r.MinY}, {r.MaxX, r.MaxY}, {r.MinX, r.MaxY}, {r.MaxX, r.MinY}} {
 		if k := PackQuadkey(xy[0], xy[1]); k < p.Quadkey.Min || k > p.Quadkey.Max {
 			t.Fatalf("corner tile %v outside predicate interval", xy)
@@ -87,7 +87,7 @@ func TestZonePredicateAntimeridian(t *testing.T) {
 	if east.MaxX != (1<<TileZoom)-1 || west.MinX != 0 {
 		t.Fatalf("split halves not clamped to world edges: east %+v west %+v", east, west)
 	}
-	pe, pw := east.ZonePredicate(DefaultLocSeed), west.ZonePredicate(DefaultLocSeed)
+	pe, pw := east.ZonePredicate(), west.ZonePredicate()
 	if pe.Quadkey.Min > pe.Quadkey.Max || pw.Quadkey.Min > pw.Quadkey.Max {
 		t.Fatal("split-half predicate interval inverted")
 	}
@@ -104,7 +104,7 @@ func TestZonePredicateZeroArea(t *testing.T) {
 	if r.Tiles() != 1 {
 		t.Fatalf("point bbox covers %d tiles, want 1", r.Tiles())
 	}
-	p := r.ZonePredicate(DefaultLocSeed)
+	p := r.ZonePredicate()
 	x, y := LatLonToTile(c.Lat, c.Lon, TileZoom)
 	if k := PackQuadkey(x, y); p.Quadkey.Min != k || p.Quadkey.Max != k {
 		t.Fatalf("point predicate [%d,%d], want the single key %d", p.Quadkey.Min, p.Quadkey.Max, k)
@@ -114,7 +114,7 @@ func TestZonePredicateZeroArea(t *testing.T) {
 func TestZoneQuadkeyMatchesTilePlacement(t *testing.T) {
 	// The key a zoned encoder records is the same placement the tile
 	// query layer computes — the invariant pushdown correctness rests on.
-	key := ZoneQuadkey(TileZoom, DefaultLocSeed)
+	key := ZoneQuadkey(TileZoom)
 	for userID := 0; userID < 200; userID++ {
 		for _, city := range []string{"A", "B", "C", "D"} {
 			loc := UserLocation(CityCenter(city), DefaultLocSeed, userID)

@@ -349,7 +349,7 @@ var (
 
 func benchZonedBytes(b *testing.B) []byte {
 	zonedOnce.Do(func() {
-		opts := opendata.NewZoneOptions(0, 0, 0)
+		opts := opendata.NewZoneOptions(0, 0)
 		snap := &dataset.CitySnapshot{
 			Ookla: dataset.ClusterOoklaColumns(benchOokla(scanRows, 0xA11CE), opts.Quadkey),
 		}

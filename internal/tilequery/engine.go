@@ -144,7 +144,6 @@ func (e *Engine) tileKey(g group, zoom int) fitcache.Key {
 	h.Uint64(g.key)
 	h.Int(zoom)
 	h.Int(e.ix.cfg.Zoom)
-	h.Uint64(uint64(e.ix.cfg.LocSeed))
 	h.String(e.ix.cfg.City)
 	h.Uint64(g.version)
 	return h.Sum()

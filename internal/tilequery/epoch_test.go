@@ -35,7 +35,7 @@ func touchedTiles(rows *Rows, cfg Config, r *opendata.TileRange) int {
 	cfg = cfg.withDefaults()
 	seen := map[[2]int]bool{}
 	for i := 0; i < rows.Len(); i++ {
-		loc := opendata.UserLocation(opendata.CityCenter(rows.City[i]), cfg.LocSeed, rows.UserID[i])
+		loc := opendata.UserLocation(opendata.CityCenter(rows.City[i]), opendata.DefaultLocSeed, rows.UserID[i])
 		x, y := opendata.LatLonToTile(loc.Lat, loc.Lon, cfg.Zoom)
 		if r != nil {
 			if s := uint(cfg.Zoom - r.Zoom); !r.Contains(x>>s, y>>s) {

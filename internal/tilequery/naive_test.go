@@ -32,7 +32,7 @@ func naiveTiles(rows *Rows, cfg Config, zoom int) []opendata.ContextTile {
 		if rows.City != nil {
 			city = rows.City[i]
 		}
-		loc := opendata.UserLocation(opendata.CityCenter(city), cfg.LocSeed, rows.UserID[i])
+		loc := opendata.UserLocation(opendata.CityCenter(city), opendata.DefaultLocSeed, rows.UserID[i])
 		x, y := opendata.LatLonToTile(loc.Lat, loc.Lon, cfg.Zoom)
 		key := opendata.TileToQuadkey(x, y, cfg.Zoom)[:zoom]
 		a := byKey[key]

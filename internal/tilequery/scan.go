@@ -14,10 +14,10 @@ import (
 	"speedctx/internal/opendata"
 )
 
-// Pushdown converts a tile-range query into a scan predicate under this
-// configuration's resolved location seed (DESIGN.md §15): attach it to
-// the SnapshotSelection of a scanner over zoned segments and AddScan only
-// folds row groups whose quadkey zone ranges can intersect r. Because the
+// Pushdown converts a tile-range query into a scan predicate (DESIGN.md
+// §15): attach it to the SnapshotSelection of a scanner over zoned
+// segments and AddScan only folds row groups whose quadkey zone ranges
+// can intersect r. Because the
 // skipped groups' rows could only have landed on tiles outside r — the
 // zone key derivation is the fold's own placement — the rendered tiles
 // for r are byte-identical with and without the predicate. nil r (a
@@ -26,7 +26,7 @@ func (c Config) Pushdown(r *opendata.TileRange) *dataset.ScanPredicate {
 	if r == nil {
 		return nil
 	}
-	return r.ZonePredicate(c.withDefaults().LocSeed)
+	return r.ZonePredicate()
 }
 
 // RowsView maps one scanner batch onto the fold's row view without

@@ -16,8 +16,9 @@
 //
 //   - Order-independent user placement. A subscriber's pseudo-location
 //     comes from opendata.UserLocation — a counter-based hash of
-//     (seed, userID) — not from a sequential RNG, so every reader of any
-//     subset of the rows lands a user's tests in the same tile.
+//     (opendata.DefaultLocSeed, userID) — not from a sequential RNG, so
+//     every reader of any subset of the rows lands a user's tests in the
+//     same tile.
 //
 //   - Sorted-merge reduction. A batch of at most one chunk folds straight
 //     into the index; a larger one fans out over internal/parallel in fixed
@@ -93,9 +94,6 @@ type Config struct {
 	// Zoom is the base aggregation zoom (tiles are accumulated at this
 	// zoom and rolled up to coarser query zooms). 0 means opendata.TileZoom.
 	Zoom int
-	// LocSeed seeds the per-user location hash. 0 means
-	// opendata.DefaultLocSeed.
-	LocSeed int64
 	// City is the city id assumed for rows without a City column.
 	City string
 	// Parallelism is the worker knob for folds (0 = all CPUs, 1 = serial).
@@ -106,9 +104,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Zoom == 0 {
 		c.Zoom = opendata.TileZoom
-	}
-	if c.LocSeed == 0 {
-		c.LocSeed = opendata.DefaultLocSeed
 	}
 	return c
 }
@@ -293,8 +288,8 @@ type cityMemo struct {
 }
 
 // userSlot is one user's memo entry. key is the packed base-tile key plus
-// one (0 = not placed yet): a pure function of (city, LocSeed, base zoom,
-// user), so it never goes stale. acc indexes the user's accumulator in
+// one (0 = not placed yet): a pure function of (city, base zoom, user),
+// so it never goes stale. acc indexes the user's accumulator in
 // placeMemo.accs — 0 when the restriction drops the user — and is
 // meaningless once pass has moved on.
 type userSlot struct {
@@ -422,7 +417,7 @@ func (ix *Index) AddRows(rows *Rows) (int, error) {
 // touches with the fold generation and returns how many it touched; a
 // partial map's touches are counted when AddRows merges it.
 //
-// A user's placement is pure in (city, LocSeed, userID), so each distinct
+// A user's placement is pure in (city, userID), so each distinct
 // user pins exactly one base tile: the hash + Web-Mercator trig runs once
 // per user per memo, not once per row, and the first row of a user in a
 // pass settles the user's range test and accumulator for the rest of it.
@@ -496,7 +491,7 @@ func (ix *Index) foldChunk(rows *Rows, lo, hi int, memo *placeMemo, tiles map[ui
 // in tiles if needed.
 func (ix *Index) placeUser(tiles map[uint64]*tileAcc, memo *placeMemo, s *userSlot, city string, user int) {
 	if s.key == 0 {
-		loc := opendata.UserLocation(opendata.CityCenter(city), ix.cfg.LocSeed, user)
+		loc := opendata.UserLocation(opendata.CityCenter(city), opendata.DefaultLocSeed, user)
 		x, y := opendata.LatLonToTile(loc.Lat, loc.Lon, ix.cfg.Zoom)
 		s.key = opendata.PackQuadkey(x, y) + 1
 	}
