@@ -12,9 +12,9 @@
 // With -ingest, the daemon also serves the contextualization API
 // (DESIGN.md §11): it fits each configured city's BST model at startup,
 // classifies every POSTed <download, upload> result against it, and
-// persists accepted rows as sorted .sxc segments under -ingest-dir,
-// compacted into one canonical snapshot at shutdown (quadkey-clustered
-// and zone-mapped with -ingest-cluster-zoom). The same server
+// persists accepted rows as quadkey-clustered, zone-mapped .sxc segments
+// under -ingest-dir, compacted into one canonical snapshot at shutdown
+// (clustered and zone-mapped too with -ingest-cluster-zoom). The same server
 // serves GET /v1/tiles — contextualized per-quadkey aggregates folded
 // live from the sealed segments (DESIGN.md §13; -tile-zoom, -tile-cache).
 package main

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -450,9 +451,16 @@ func (l *layout[S, R]) encodeZoned(e *snapEnc, kind byte, c *S, opts *ZoneOption
 	}
 	e.section(kind, n)
 	e.zoneDir(zb.b)
-	for _, g := range groups {
+	for i, g := range groups {
+		at := len(e.buf)
 		if err := l.encodeColumns(e, g); err != nil {
 			return err
+		}
+		if i == 0 {
+			// Reserve the other groups' room at the first group's size,
+			// so the image grows about once, not in dozens of small
+			// append steps that each copy it.
+			e.buf = slices.Grow(e.buf, (len(e.buf)-at)*(len(groups)-1))
 		}
 	}
 	return nil

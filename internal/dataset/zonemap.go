@@ -28,9 +28,11 @@ package dataset
 // construction, exactly like unselected columns.
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -400,22 +402,16 @@ func EncodeIngestSegmentZoned(c *IngestColumns, sketches []SketchBundle, opts *Z
 	return EncodeCitySnapshotZoned(&CitySnapshot{Ingest: c, Sketches: sketches}, opts)
 }
 
-// clusterSort sorts rows and their precomputed cluster keys together.
-type clusterSort struct {
-	rows []IngestRow
-	keys []uint64
-}
-
-func (s *clusterSort) Len() int { return len(s.rows) }
-func (s *clusterSort) Swap(i, j int) {
-	s.rows[i], s.rows[j] = s.rows[j], s.rows[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-}
-func (s *clusterSort) Less(i, j int) bool {
-	if s.keys[i] != s.keys[j] {
-		return s.keys[i] < s.keys[j]
-	}
-	return ingestRowLess(&s.rows[i], &s.rows[j])
+// clusterEntry is one row's record in the clustered sort: its cluster
+// key, then the leading fields of ingestRowLess (the city, as its rank in
+// byte order, and the test id), then its position in the rows. Most
+// comparisons settle on the entry alone, and the rows move once, after
+// the sort, instead of on every swap.
+type clusterEntry struct {
+	key  uint64
+	test int
+	city int32
+	row  int32
 }
 
 // SortIngestRowsClustered sorts rows into the clustered canonical order:
@@ -423,12 +419,66 @@ func (s *clusterSort) Less(i, j int) bool {
 // ingestRowLess total order. Like SortIngestRows, any permutation of the
 // same row multiset sorts to the same sequence, so clustered compaction
 // bytes stay a pure function of the row set (and the clustering options).
+// Row positions are int32: a sort of 2^31 rows (over 250 GB of rows) is
+// out of reach anyway.
 func SortIngestRowsClustered(rows []IngestRow, key func(city string, userID int) uint64) {
-	keys := make([]uint64, len(rows))
+	ents := make([]clusterEntry, len(rows))
+	seen := map[string]int32{}
+	var names []string
 	for i := range rows {
-		keys[i] = key(rows[i].City, rows[i].UserID)
+		r := &rows[i]
+		c, ok := seen[r.City]
+		if !ok {
+			c = int32(len(names))
+			seen[r.City] = c
+			names = append(names, r.City)
+		}
+		ents[i] = clusterEntry{key: key(r.City, r.UserID), test: r.TestID, city: c, row: int32(i)}
 	}
-	sort.Sort(&clusterSort{rows: rows, keys: keys})
+	// Replace first-seen indices with byte-order ranks.
+	sorted := slices.Clone(names)
+	slices.Sort(sorted)
+	rank := make([]int32, len(names))
+	for c, name := range names {
+		r, _ := slices.BinarySearch(sorted, name)
+		rank[c] = int32(r)
+	}
+	for i := range ents {
+		ents[i].city = rank[ents[i].city]
+	}
+	slices.SortFunc(ents, func(a, b clusterEntry) int {
+		switch {
+		case a.key != b.key:
+			return cmp.Compare(a.key, b.key)
+		case a.city != b.city:
+			return cmp.Compare(a.city, b.city)
+		case a.test != b.test:
+			return cmp.Compare(a.test, b.test)
+		case ingestRowLess(&rows[a.row], &rows[b.row]):
+			return -1
+		case ingestRowLess(&rows[b.row], &rows[a.row]):
+			return 1
+		}
+		return 0
+	})
+	// Position i takes rows[ents[i].row]: follow each cycle of the
+	// permutation once, marking visited entries with -1.
+	for i := range ents {
+		if ents[i].row < 0 {
+			continue
+		}
+		held, j := rows[i], i
+		for {
+			k := int(ents[j].row)
+			ents[j].row = -1
+			if k == i {
+				rows[j] = held
+				break
+			}
+			rows[j] = rows[k]
+			j = k
+		}
+	}
 }
 
 // ClusterOoklaColumns returns a copy of the columns permuted into

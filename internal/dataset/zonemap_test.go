@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -331,6 +332,26 @@ func TestSortIngestRowsClustered(t *testing.T) {
 		if testZoneKey16(a[i-1].City, a[i-1].UserID) > testZoneKey16(a[i].City, a[i].UserID) {
 			t.Fatalf("rows %d,%d out of cluster-key order", i-1, i)
 		}
+	}
+	// A coarse key ties rows of different cities, and repeated test ids
+	// and whole duplicate rows tie the entry fields too: the order must
+	// still be (key, ingestRowLess).
+	coarse := func(_ string, userID int) uint64 { return uint64(userID % 3) }
+	rows = append(rows, rows[:50]...)
+	for i := range rows {
+		rows[i].TestID %= 40
+	}
+	rand.New(rand.NewSource(4)).Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+	want := append([]IngestRow(nil), rows...)
+	sort.SliceStable(want, func(i, j int) bool {
+		if ki, kj := coarse(want[i].City, want[i].UserID), coarse(want[j].City, want[j].UserID); ki != kj {
+			return ki < kj
+		}
+		return ingestRowLess(&want[i], &want[j])
+	})
+	SortIngestRowsClustered(rows, coarse)
+	if !reflect.DeepEqual(rows, want) {
+		t.Fatal("clustered sort differs from the (key, ingestRowLess) order")
 	}
 }
 

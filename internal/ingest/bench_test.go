@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sort"
 	"testing"
 	"time"
 
+	"speedctx/internal/dataset"
 	"speedctx/internal/opendata"
 )
 
@@ -98,6 +100,49 @@ func BenchmarkIngestPipelineSubmit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := p.Submit(rows[i%len(rows)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPipelineSeal times one seal of a full default batch: 65,536
+// rows of four cities × 5,000 users in arrival order, sorted, encoded
+// and renamed into place over the previous iteration's segment. The batch
+// is restored to arrival order outside the timer, since seal sorts it in
+// place.
+func BenchmarkPipelineSeal(b *testing.B) {
+	const n, users = 65536, 5000
+	rng := rand.New(rand.NewSource(25))
+	base := time.Unix(1609459200, 0).UTC()
+	arrival := make([]dataset.IngestRow, n)
+	for i := range arrival {
+		city := string(rune('A' + i%4))
+		arrival[i] = dataset.IngestRow{
+			TestID:       i,
+			UserID:       rng.Intn(users),
+			City:         city,
+			ISP:          "ISP-" + city,
+			Timestamp:    base.Add(time.Duration(i) * time.Second),
+			DownloadMbps: rng.Float64() * 1000,
+			UploadMbps:   rng.Float64() * 35,
+			LatencyMs:    rng.Float64() * 50,
+			UploadTier:   rng.Intn(5) - 1,
+			Tier:         rng.Intn(7),
+			Confidence:   rng.Float64(),
+		}
+	}
+	p, err := newPipeline(PipelineConfig{Dir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	batch := make([]dataset.IngestRow, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		copy(batch, arrival)
+		b.StartTimer()
+		if err := p.seal(batch, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"speedctx/internal/core"
@@ -21,21 +23,33 @@ import (
 )
 
 // dirCacheFixture is a server over three sealed segments of the
-// classifier fixture rows, with its pipeline closed, and the in-memory
-// fold every response must render.
+// classifier fixture rows, with its pipeline closed, the in-memory fold
+// every response must render, and the lines the server logged.
 type dirCacheFixture struct {
 	dir    string
 	url    string
 	client *http.Client
 	rows   []dataset.IngestRow
 	ref    *tilequery.Index
+
+	logMu  sync.Mutex
+	logged []string
 }
 
 func newDirCacheFixture(t *testing.T) *dirCacheFixture {
 	t.Helper()
 	cls, rows := loadClassifiers(t)
 	f := &dirCacheFixture{dir: t.TempDir(), rows: rows}
-	ts, _, p := startServer(t, f.dir, PipelineConfig{BatchRows: (len(rows) + 2) / 3, MaxBatchAge: -1}, cls)
+	p, err := NewPipeline(PipelineConfig{Dir: f.dir, BatchRows: (len(rows) + 2) / 3, MaxBatchAge: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(p, StaticModels(cls), ServerConfig{Logf: func(format string, args ...any) {
+		f.logMu.Lock()
+		f.logged = append(f.logged, fmt.Sprintf(format, args...))
+		f.logMu.Unlock()
+	}})
+	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	f.url, f.client = ts.URL, ts.Client()
 	for i := range rows {
@@ -199,7 +213,8 @@ func TestTileDirCacheCompaction(t *testing.T) {
 // TestTileDirCacheCorruptPayload: a payload byte flipped in place in a
 // cached segment keeps the file's size and trailer, so the cached
 // directory is reused, and the scan's block checksum fails the query with
-// a 500 — on every later query too, never serving the old tiles.
+// a 500 — on every later query too, never serving the old tiles. The
+// checksum error goes to the server log; the body is the fixed text.
 func TestTileDirCacheCorruptPayload(t *testing.T) {
 	f := newDirCacheFixture(t)
 	push := f.queries(t)[1]
@@ -209,7 +224,7 @@ func TestTileDirCacheCorruptPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Unzoned segments store each download as its raw IEEE 754 bits.
+	// Sealed segments store each download as its raw IEEE 754 bits.
 	at := -1
 	for _, r := range f.rows {
 		if at = bytes.Index(data, binary.LittleEndian.AppendUint64(nil, math.Float64bits(r.DownloadMbps))); at >= 0 {
@@ -231,8 +246,12 @@ func TestTileDirCacheCorruptPayload(t *testing.T) {
 	}
 	for i := 0; i < 2; i++ {
 		code, body := getTiles(t, f.client, f.url, push.params)
-		if code != http.StatusInternalServerError || !strings.Contains(string(body), "checksum") {
-			t.Fatalf("query %d after corruption = %d: %s; want 500 with a checksum error", i, code, body)
+		f.logMu.Lock()
+		logged := strings.Join(f.logged, "\n")
+		f.logged = nil
+		f.logMu.Unlock()
+		if code != http.StatusInternalServerError || string(body) != tilesFailedText+"\n" || !strings.Contains(logged, "checksum") {
+			t.Fatalf("query %d after corruption = %d: %s, logged %q; want 500 with the fixed text and a logged checksum error", i, code, body, logged)
 		}
 	}
 	if parses, cached := f.dirCache(t); parses != 3 || cached != 3 {

@@ -8,14 +8,15 @@
 // Architecture (DESIGN.md §11):
 //
 //	HTTP handlers ──► pending batch ──► sealer goroutine ──► sealed .sxc segments
-//	 (classify)      (backpressure)   (size/age/Close)       (sort-on-seal)
+//	 (classify)      (backpressure)   (size/age/Close)       (clustered, zoned)
 //
 // Submit appends to one pending batch under a mutex. When the batch is full
 // and the sealer has not yet taken it, producers block — backpressure,
 // never drops — which surfaces to clients as slower acks, exactly like a
 // loaded collector should behave. One sealer goroutine seals the batches
 // in sequence order with the store's atomic tempfile+rename discipline;
-// each segment is internally sorted by a stable total key, and CompactWith
+// each segment is internally sorted by quadkey, then by a stable total
+// key, into zone-mapped row groups a bbox query can skip, and CompactWith
 // merges every segment into one canonical snapshot whose bytes depend only
 // on the ingested row set — not on batch size, producer count, or arrival
 // interleaving.
@@ -331,19 +332,23 @@ func (p *Pipeline) sealer() {
 	}
 }
 
-// seal sorts a batch into the stable key order, encodes it as a one-section
-// .sxc image (plus the batch's sketch bundles when sketches are configured),
-// and atomically writes segment file seq. Once the segment is renamed into
-// place, its sketches fold into the running sealed-sketch merge — so
-// SealedSketches only ever describes rows a restart would also recover. The
-// sealer latches the first error, which stops admission, and Close returns
-// it.
+// seal sorts a batch into the clustered canonical order, encodes it as a
+// one-section zoned .sxc image (plus the batch's sketch bundles when
+// sketches are configured) under the canonical zone options, and atomically
+// writes segment file seq. A segment is thus laid out like a clustered
+// compaction, so a bbox query skips its row groups the same way. Once the
+// segment is renamed into place, its sketches fold into the running
+// sealed-sketch merge — so SealedSketches only ever describes rows a
+// restart would also recover. The sealer latches the first error, which
+// stops admission, and Close returns it.
 func (p *Pipeline) seal(batch []dataset.IngestRow, seq int) error {
-	dataset.SortIngestRows(batch)
+	zo := opendata.NewZoneOptions(opendata.TileZoom, 0)
+	zo.Quadkey = (&keyMemo{derive: zo.Quadkey, slots: len(batch)}).key
+	dataset.SortIngestRowsClustered(batch, zo.Quadkey)
 	sketches, bundles, err := p.batchSketches(batch)
 	var buf []byte
 	if err == nil {
-		buf, err = dataset.EncodeIngestSegmentSketches(dataset.ColumnizeIngest(batch), bundles)
+		buf, err = dataset.EncodeIngestSegmentZoned(dataset.ColumnizeIngest(batch), bundles, zo)
 	}
 	if err == nil {
 		err = dataset.WriteFileAtomic(p.segmentPath(seq), buf)
@@ -363,6 +368,85 @@ func (p *Pipeline) seal(batch []dataset.IngestRow, seq int) error {
 	p.seals.Add(1)
 	p.sealed.Add(uint64(len(batch)))
 	return err
+}
+
+// keyMemo memoises the zone key derivation for one seal or clustered
+// compaction. The clustered sort and the zoned encoder each derive every
+// row's key, and a derivation (the UserLocation hash and the Mercator
+// trig) costs far more than a slice load, so each distinct (city, user) is
+// derived once per file. A user id indexes its city's dense table; the
+// tables together hold at most one slot per row, so no choice of ids makes
+// them cost more than 8 bytes per row. An id the tables cannot hold —
+// negative, or past the remaining slots — and a city past the first
+// memoCities are derived on every call.
+type keyMemo struct {
+	derive func(city string, userID int) uint64
+	slots  int // table slots still free
+	cities []*cityKeys
+	last   *cityKeys
+}
+
+// cityKeys is one city's table: the key plus one per user id, 0 for an id
+// not derived yet (packed keys stay below 1<<60).
+type cityKeys struct {
+	name string
+	keys []uint64
+}
+
+// key returns derive(city, user), deriving it at most once per table slot.
+func (m *keyMemo) key(city string, user int) uint64 {
+	if user < 0 {
+		return m.derive(city, user)
+	}
+	ck := m.city(city)
+	if ck == nil || user >= len(ck.keys) && !m.grow(ck, user) {
+		return m.derive(city, user)
+	}
+	if k := ck.keys[user]; k != 0 {
+		return k - 1
+	}
+	k := m.derive(city, user)
+	ck.keys[user] = k + 1
+	return k
+}
+
+// memoCities bounds a memo's city tables, and with them the linear
+// search that finds a row's table.
+const memoCities = 64
+
+// city returns name's table, or nil once memoCities tables exist and
+// none is name's. A file holds few cities, and the encoder asks for one
+// city's rows in a run, so the last table answers first.
+func (m *keyMemo) city(name string) *cityKeys {
+	if m.last != nil && m.last.name == name {
+		return m.last
+	}
+	for _, ck := range m.cities {
+		if ck.name == name {
+			m.last = ck
+			return ck
+		}
+	}
+	if len(m.cities) == memoCities {
+		return nil
+	}
+	m.last = &cityKeys{name: name}
+	m.cities = append(m.cities, m.last)
+	return m.last
+}
+
+// grow extends ck's table to cover user, doubling it when the free slots
+// allow, and reports false when they cannot cover user at all.
+func (m *keyMemo) grow(ck *cityKeys, user int) bool {
+	if user-len(ck.keys) >= m.slots {
+		return false
+	}
+	n := len(ck.keys) + min(m.slots, max(user-len(ck.keys)+1, len(ck.keys)))
+	m.slots -= n - len(ck.keys)
+	grown := make([]uint64, n)
+	copy(grown, ck.keys)
+	ck.keys = grown
+	return true
 }
 
 // batchSketches bins one sorted batch into per-city tier sketches (cities
@@ -576,6 +660,7 @@ func CompactWith(dir string, opts CompactOptions) (string, error) {
 	var buf []byte
 	if opts.ClusterZoom > 0 {
 		zo := opendata.NewZoneOptions(opts.ClusterZoom, opts.ZoneBlockRows)
+		zo.Quadkey = (&keyMemo{derive: zo.Quadkey, slots: len(rows)}).key
 		dataset.SortIngestRowsClustered(rows, zo.Quadkey)
 		buf, err = dataset.EncodeIngestSegmentZoned(dataset.ColumnizeIngest(rows), bundles, zo)
 	} else {

@@ -3,15 +3,19 @@ package ingest
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"speedctx/internal/dataset"
+	"speedctx/internal/opendata"
 )
 
 func testRows(n int, seed int64) []dataset.IngestRow {
@@ -316,5 +320,106 @@ func TestCompactIsIdempotent(t *testing.T) {
 	}
 	if len(entries) != 1 {
 		t.Fatalf("compacted dir has %d entries, want just %s", len(entries), CompactedName)
+	}
+}
+
+// TestSealDeterminismAndKeyMemo seals permutations of one batch whose user
+// ids include negative ones and ids far past the memo's dense tables, over
+// several cities. Every permutation must seal to the same bytes, and those
+// bytes must equal an unmemoised clustered sort and zoned encode of the
+// rows. The memo itself must return the plain derivation for every row,
+// derive each table-held (city, user) once, and hold at most one table
+// slot per batch row.
+func TestSealDeterminismAndKeyMemo(t *testing.T) {
+	rows := testRows(3000, 31)
+	cities := []string{"A", "B", "C", "D", "Springfield"}
+	for i := range rows {
+		rows[i].City = cities[i%len(cities)]
+		switch i % 7 {
+		case 0:
+			rows[i].UserID = -1 - i%5
+		case 1:
+			rows[i].UserID = 2*len(rows) + i%11
+		case 2:
+			rows[i].UserID = math.MaxInt - i%3
+		default:
+			rows[i].UserID %= 50
+		}
+	}
+
+	derive := opendata.ZoneQuadkey(opendata.TileZoom)
+	calls := 0
+	counted := func(city string, user int) uint64 {
+		calls++
+		return derive(city, user)
+	}
+	m := &keyMemo{derive: counted, slots: len(rows)}
+	held := map[[2]any]bool{}
+	wantCalls := 0
+	for pass := 0; pass < 2; pass++ {
+		for _, r := range rows {
+			if got, want := m.key(r.City, r.UserID), derive(r.City, r.UserID); got != want {
+				t.Fatalf("memo key(%q, %d) = %d, want %d", r.City, r.UserID, got, want)
+			}
+			switch k := [2]any{r.City, r.UserID}; {
+			case r.UserID < 0 || r.UserID >= len(rows):
+				wantCalls++
+			case !held[k]:
+				held[k] = true
+				wantCalls++
+			}
+		}
+	}
+	if calls != wantCalls {
+		t.Fatalf("memo derived %d keys, want %d (each held pair once, every other id per call)", calls, wantCalls)
+	}
+	slots := 0
+	for _, ck := range m.cities {
+		slots += len(ck.keys)
+	}
+	if slots > len(rows) {
+		t.Fatalf("memo tables hold %d slots for a %d-row batch", slots, len(rows))
+	}
+	// Cities past the first memoCities get no table.
+	calls = 0
+	m = &keyMemo{derive: counted, slots: 1000}
+	for pass := 0; pass < 2; pass++ {
+		for c := 0; c < memoCities+6; c++ {
+			m.key(fmt.Sprint("city-", c), 1)
+		}
+	}
+	if calls != memoCities+2*6 || len(m.cities) != memoCities {
+		t.Fatalf("%d cities twice: %d derivations and %d tables, want %d and %d", memoCities+6, calls, len(m.cities), memoCities+2*6, memoCities)
+	}
+
+	ref := slices.Clone(rows)
+	dataset.SortIngestRowsClustered(ref, derive)
+	want, err := dataset.EncodeIngestSegmentZoned(dataset.ColumnizeIngest(ref), nil, opendata.NewZoneOptions(opendata.TileZoom, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := newPipeline(PipelineConfig{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(31))
+	for perm := 0; perm < 4; perm++ {
+		batch := slices.Clone(rows)
+		switch perm {
+		case 1:
+			slices.Reverse(batch)
+		case 2, 3:
+			rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+		}
+		if err := p.seal(batch, perm); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(p.segmentPath(perm))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("permutation %d sealed %d bytes that differ from the unmemoised clustered encode (%d bytes)", perm, len(got), len(want))
+		}
 	}
 }

@@ -108,8 +108,8 @@ type ServerConfig struct {
 	// config the startup models were fit with, so refreshed and cold-start
 	// models are directly comparable.
 	FitConfig core.Config
-	// Logf, when non-nil, receives one line per refit and per refit
-	// failure.
+	// Logf, when non-nil, receives one line per refit, per refit
+	// failure and per failed /v1/tiles query.
 	Logf func(format string, args ...any)
 	// TileZoom is the base aggregation zoom of /v1/tiles (0 =
 	// opendata.TileZoom, 16).

@@ -352,14 +352,14 @@ func (s *Server) handleTiles(w http.ResponseWriter, r *http.Request) {
 	}
 	ts.mu.Unlock()
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		s.tilesFailed(w, err)
 		return
 	}
 
 	if q.Get("format") == "csv" {
 		w.Header().Set("Content-Type", "text/csv")
 		if err := tilequery.WriteTilesCSV(w, tiles); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
+			s.tilesFailed(w, err)
 		}
 		return
 	}
@@ -375,6 +375,17 @@ func (s *Server) handleTiles(w http.ResponseWriter, r *http.Request) {
 	w.Write(out)
 	*bp = out[:0]
 	s.bufPool.Put(bp)
+}
+
+// tilesFailedText is the whole body of a 500 from /v1/tiles.
+const tilesFailedText = "ingest: tiles: query failed"
+
+// tilesFailed answers a failed tile query with 500 and fixed text. The
+// error names server paths (a segment that could not be listed, opened or
+// scanned), so only ServerConfig.Logf sees it.
+func (s *Server) tilesFailed(w http.ResponseWriter, err error) {
+	s.cfg.logf("ingest: GET /v1/tiles: %v", err)
+	http.Error(w, tilesFailedText, http.StatusInternalServerError)
 }
 
 // appendTileStats renders the /statsz tile_cache block.

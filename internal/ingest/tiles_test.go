@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"speedctx/internal/dataset"
@@ -514,4 +516,142 @@ func scanYield(t *testing.T, dir string, sel dataset.SnapshotSelection) (rows, s
 		skipped += int64(ctr.BlocksSkipped)
 	}
 	return rows, scanned, skipped
+}
+
+// TestTilesErrorHidesPaths removes the segment directory under a live
+// server: an engine query, a bbox pushdown query and a CSV query then
+// fail with 500, and each body is exactly the fixed text, with no server
+// path in it. The detail, path included, goes to ServerConfig.Logf.
+func TestTilesErrorHidesPaths(t *testing.T) {
+	cls, rows := loadClassifiers(t)
+	dir := filepath.Join(t.TempDir(), "segments")
+	p, err := NewPipeline(PipelineConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var logged []string
+	srv := NewServer(p, StaticModels(cls), ServerConfig{Logf: func(format string, args ...any) {
+		mu.Lock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	client := ts.Client()
+	postOne(t, client, ts.URL, &rows[0])
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if code, body := getTiles(t, client, ts.URL, ""); code != http.StatusOK {
+		t.Fatalf("tiles before the removal = %d: %s", code, body)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	c := opendata.CityCenter(rows[0].City)
+	bbox := fmt.Sprintf("bbox=%g,%g,%g,%g", c.Lat-0.11, c.Lon-0.11, c.Lat+0.11, c.Lon+0.11)
+	for _, params := range []string{"", "?" + bbox, "?format=csv", "?format=csv&" + bbox} {
+		code, body := getTiles(t, client, ts.URL, params)
+		if code != http.StatusInternalServerError || string(body) != tilesFailedText+"\n" {
+			t.Fatalf("tiles%s after the removal = %d %q, want 500 %q", params, code, body, tilesFailedText)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(logged) != 4 {
+		t.Fatalf("Logf got %d lines, want one per failed query: %q", len(logged), logged)
+	}
+	for _, line := range logged {
+		if !strings.Contains(line, dir) {
+			t.Fatalf("logged %q, want the failure's detail naming %s", line, dir)
+		}
+	}
+}
+
+// TestSealedSegmentsSkipWithoutCompaction seals four cities' rows in
+// 8,192-row batches and never compacts: each sealed segment is zoned and
+// clustered on its own, so a zoom-16 neighbourhood bbox query skips row
+// groups of the fresh segments and still renders the in-memory fold of the
+// same rows.
+func TestSealedSegmentsSkipWithoutCompaction(t *testing.T) {
+	const batch = 8192
+	rows := testRows(4*batch, 25)
+	dir := t.TempDir()
+	p, err := NewPipeline(PipelineConfig{Dir: dir, BatchRows: batch, MaxBatchAge: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(p, nil, ServerConfig{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for i := range rows {
+		if err := p.Submit(rows[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if names := segmentNames(t, dir); len(names) != 4 {
+		t.Fatalf("store holds %v, want four sealed segments", names)
+	}
+
+	ref := tilequery.NewIndex(tilequery.Config{})
+	exp := &tilequery.Rows{}
+	for i := range rows {
+		r := &rows[i]
+		exp.UserID = append(exp.UserID, r.UserID)
+		exp.City = append(exp.City, r.City)
+		exp.Download = append(exp.Download, r.DownloadMbps)
+		exp.Upload = append(exp.Upload, r.UploadMbps)
+		exp.Latency = append(exp.Latency, r.LatencyMs)
+		exp.Tier = append(exp.Tier, r.Tier)
+	}
+	if _, err := ref.AddRows(exp); err != nil {
+		t.Fatal(err)
+	}
+	r := rows[len(rows)/3]
+	loc := opendata.UserLocation(opendata.CityCenter(r.City), opendata.DefaultLocSeed, r.UserID)
+	box := [4]float64{loc.Lat - 0.001, loc.Lon - 0.001, loc.Lat + 0.001, loc.Lon + 0.001}
+	rng, err := opendata.TileRangeForBBox(box[0], box[1], box[2], box[3], opendata.TileZoom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiles, err := ref.Tiles(tilequery.Query{Zoom: opendata.TileZoom, Range: &rng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := tilequery.AppendTilesJSON(nil, opendata.TileZoom, tiles, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, '\n')
+
+	client := ts.Client()
+	code, got := getTiles(t, client, ts.URL, fmt.Sprintf("?bbox=%g,%g,%g,%g", box[0], box[1], box[2], box[3]))
+	if code != http.StatusOK {
+		t.Fatalf("neighbourhood query = %d: %s", code, got)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("neighbourhood query renders %s, the in-memory fold %s", got, want)
+	}
+	resp, err := client.Get(ts.URL + "/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st struct {
+		Pushdown struct {
+			Queries       int64 `json:"queries"`
+			BlocksScanned int64 `json:"blocks_scanned"`
+			BlocksSkipped int64 `json:"blocks_skipped"`
+		} `json:"pushdown"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if pd := st.Pushdown; pd.Queries != 1 || pd.BlocksSkipped == 0 {
+		t.Fatalf("statsz pushdown: %+v, want one query that skipped row groups", pd)
+	}
 }
