@@ -14,8 +14,10 @@ check: fmt vet build race race-scan fuzz-smoke bench-smoke bench-compare snapsho
 fmt:
 	@out=$$(gofmt -l $$(git ls-files '*.go')) && test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
+# vet covers the benchmark module too: go vet ./... stops at its go.mod.
 vet:
 	$(GO) vet ./...
+	cd perfbench && GOPROXY=off GOFLAGS=-mod=readonly $(GO) vet .
 
 build:
 	$(GO) build ./...

@@ -16,10 +16,9 @@
 // parallelism for the BST fits and the `all` fan-out; 0 = all CPUs, 1 =
 // serial — output is identical at every setting), -fast (binned KDE +
 // histogram-EM fast paths for large slices; approximate but likewise
-// identical at every -par), -bins (fast-path resolution, 0 = auto) and
-// -snapshot-dir (a .sxc snapshot cache directory: cities load from it
-// instead of regenerating, and misses write back — output is byte-identical
-// with or without it; DESIGN.md §10).
+// identical at every -par) and -snapshot-dir (a .sxc snapshot cache
+// directory: cities load from it instead of regenerating, and misses write
+// back — output is byte-identical with or without it; DESIGN.md §10).
 package main
 
 import (
@@ -66,7 +65,6 @@ func run(args []string, out io.Writer) error {
 	seed := fs.Int64("seed", 2021, "generation seed")
 	par := fs.Int("par", 0, "worker parallelism: 0 = all CPUs, 1 = serial (output is identical at every setting)")
 	fast := fs.Bool("fast", false, "binned KDE + histogram-EM fast paths for large slices (approximate; see DESIGN.md §8)")
-	bins := fs.Int("bins", 0, "bin-grid resolution for -fast: 0 = auto from bandwidth/defaults")
 	ascii := fs.Bool("ascii", false, "render figures as terminal charts")
 	city := fs.String("city", "A", "city identifier (A-D)")
 	outDir := fs.String("out", "speedctx-data", "output directory for generate")
@@ -84,7 +82,6 @@ func run(args []string, out io.Writer) error {
 	s := experiments.NewSuite(*scale, *seed)
 	s.Parallelism = *par
 	s.FastFit = *fast
-	s.FastFitBins = *bins
 	s.SnapshotDir = *snapDir
 
 	switch cmd {

@@ -13,10 +13,10 @@
 // (DESIGN.md §11): it fits each configured city's BST model at startup,
 // classifies every POSTed <download, upload> result against it, and
 // persists accepted rows as quadkey-clustered, zone-mapped .sxc segments
-// under -ingest-dir, compacted into one canonical snapshot at shutdown
-// (clustered and zone-mapped too with -ingest-cluster-zoom). The same server
-// serves GET /v1/tiles — contextualized per-quadkey aggregates folded
-// live from the sealed segments (DESIGN.md §13; -tile-zoom, -tile-cache).
+// under -ingest-dir, compacted at shutdown into one snapshot clustered and
+// zone-mapped at the same zoom 16 (DESIGN.md §15). The same server serves
+// GET /v1/tiles — contextualized per-quadkey aggregates at zoom 16, folded
+// live from the sealed segments (DESIGN.md §13; -tile-cache).
 package main
 
 import (
@@ -36,6 +36,7 @@ import (
 	"speedctx/internal/experiments"
 	"speedctx/internal/ingest"
 	"speedctx/internal/ndt7"
+	"speedctx/internal/opendata"
 	"speedctx/internal/speedtest"
 )
 
@@ -76,11 +77,9 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	ingestFast := fs.Bool("ingest-fast", true, "fit the startup models with the fast paths (DESIGN.md §8)")
 	ingestBatch := fs.Int("ingest-batch-rows", 0, "rows per sealed segment (0 = default 65536)")
 	ingestAge := fs.Duration("ingest-age", 0, "max age of a partial batch before sealing (0 = default 2s)")
-	ingestCompact := fs.Bool("ingest-compact", true, "compact segments into one canonical snapshot at shutdown")
-	ingestClusterZoom := fs.Int("ingest-cluster-zoom", 0, "cluster the shutdown compaction by quadkey at this zoom into a zoned v3 snapshot, so bbox tile queries over it can skip row groups by zone map (DESIGN.md §15); 0 keeps the canonical v2 order")
+	ingestCompact := fs.Bool("ingest-compact", true, "compact segments into one quadkey-clustered, zone-mapped snapshot at shutdown")
 	refitRows := fs.Int("ingest-refit-rows", 0, "refit a city's model once this many sealed rows await folding (0 = no row trigger)")
 	refitAge := fs.Duration("ingest-refit-age", 0, "refit a city's model once it is this old and sealed rows await folding (0 = no age trigger)")
-	tileZoom := fs.Int("tile-zoom", 0, "base aggregation zoom for /v1/tiles (0 = default 16)")
 	tileCache := fs.Int("tile-cache", 0, "tile result cache capacity in tiles (0 = default)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -133,7 +132,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 			RefitAge:       *refitAge,
 			FitConfig:      fitCfg,
 			Logf:           logf,
-			TileZoom:       *tileZoom,
 			TileCacheTiles: *tileCache,
 		})
 		httpSrv = ingest.NewHTTPServer(ingestSrv.Handler())
@@ -182,7 +180,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 			firstErr = err
 		}
 		if *ingestCompact {
-			out, err := ingest.CompactWith(*ingestDir, ingest.CompactOptions{ClusterZoom: *ingestClusterZoom})
+			out, err := ingest.CompactWith(*ingestDir, ingest.CompactOptions{ClusterZoom: opendata.TileZoom})
 			if err != nil {
 				if firstErr == nil {
 					firstErr = err

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"io"
@@ -169,6 +170,25 @@ func TestDaemonIngestMode(t *testing.T) {
 		if cols.City[i] != "A" || !strings.HasPrefix(cols.ISP[i], "ISP-") {
 			t.Fatalf("row %d mangled: %q %q", i, cols.City[i], cols.ISP[i])
 		}
+	}
+
+	// The shutdown compaction keeps the sealed segments' layout: a
+	// zoned (v3) file whose rows sit in zone-mapped row groups, so bbox
+	// queries after a restart can still skip groups.
+	if ver := binary.LittleEndian.Uint16(data[4:6]); ver != dataset.SnapshotFormatVersionZoned {
+		t.Fatalf("compacted format version %d, want %d (zoned)", ver, dataset.SnapshotFormatVersionZoned)
+	}
+	sc, err := dataset.NewBlockScanner(dataset.BytesSource(data), dataset.SelectAll(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for sc.Scan() {
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if n := sc.Counters().BlocksScanned; n == 0 {
+		t.Fatal("compacted snapshot has no zone-mapped row groups")
 	}
 }
 

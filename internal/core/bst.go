@@ -32,37 +32,39 @@ type Sample struct {
 	Upload   float64
 }
 
-// Config tunes the BST pipeline. The zero value selects the defaults used
-// throughout the paper reproduction.
-type Config struct {
+// The BST recipe's fixed parameters (§4.2): the KDE that confirms each
+// stage's cluster count, and the rules that seed, cap and map its clusters.
+const (
 	// KDEGridPoints is the density-evaluation grid size for peak
-	// counting. Default 512.
-	KDEGridPoints int
+	// counting.
+	KDEGridPoints = 512
 	// MinRelPeak filters KDE peaks below this fraction of the maximum
-	// density. Default 0.02.
-	MinRelPeak float64
-	// Bandwidth selects the KDE bandwidth rule.
-	Bandwidth stats.BandwidthRule
-	// GMM tunes the EM fits' MaxIter, Tol and MinVariance. Its
-	// Parallelism, FastFit, Bins and Cache are always derived from
-	// Parallelism, FastFit, FastFitBins and FitCache below; values set
-	// here are replaced.
-	GMM stats.GMMConfig
-	// MaxDownloadClusters caps stage-2 component counts; the paper uses
-	// up to 10 clusters per upload tier. Default 10.
-	MaxDownloadClusters int
-	// ExtraUploadClusters bounds how many clusters beyond the offered
+	// density.
+	MinRelPeak = 0.02
+	// kdeBandwidth is the KDE bandwidth rule.
+	kdeBandwidth = stats.Silverman
+	// maxDownloadClusters caps stage-2 component counts; the paper uses
+	// up to 10 clusters per upload tier.
+	maxDownloadClusters = 10
+	// extraUploadClusters bounds how many clusters beyond the offered
 	// upload rates stage 1 may model (off-catalog subscribers, e.g. the
-	// ~1 Mbps M-Lab cluster). Default 2.
-	ExtraUploadClusters int
-	// UploadMatchTol is the relative tolerance for matching a detected
-	// upload cluster mean to an offered upload speed. Default 0.45.
-	UploadMatchTol float64
+	// ~1 Mbps M-Lab cluster).
+	extraUploadClusters = 2
+	// uploadMatchTol is the relative tolerance for matching a detected
+	// upload cluster mean to an offered upload speed.
+	uploadMatchTol = 0.45
 	// DownloadHeadroom is the multiplicative overprovisioning allowance
 	// when mapping download clusters to advertised plan speeds: a
 	// cluster belongs to the slowest plan whose advertised download
-	// times this headroom covers the cluster mean. Default 1.35.
-	DownloadHeadroom float64
+	// times this headroom covers the cluster mean.
+	DownloadHeadroom = 1.35
+)
+
+// Config holds the BST pipeline's execution knobs: the worker count, the
+// binned fast paths and the fit cache. The method's parameters are the
+// constants above; the zero value runs the exact fits at GOMAXPROCS
+// workers without a cache.
+type Config struct {
 	// Parallelism bounds the worker count used across the pipeline —
 	// KDE grid evaluation, the GMM EM sweeps, the per-sample assignment
 	// pass, and the stage-2 per-tier fan-out. 0 (the default) selects
@@ -77,10 +79,6 @@ type Config struct {
 	// bit-identical across parallelism levels; slices below the
 	// threshold keep the exact algorithms.
 	FastFit bool
-	// FastFitBins overrides the fast paths' bin-grid resolution; 0 (the
-	// default, recommended) selects an automatic resolution — bandwidth
-	// derived for the KDEs, a fixed histogram width for EM.
-	FastFitBins int
 	// FitCache, when non-nil, memoizes the pipeline's GMM fits
 	// content-addressed by (sample bytes, fit config), so repeated runs
 	// over identical city/tier slices — e.g. the experiments suite
@@ -88,27 +86,6 @@ type Config struct {
 	// across goroutines and across parallelism settings: cache hits are
 	// byte-identical to the fit they replaced.
 	FitCache *fitcache.Cache
-}
-
-func (c *Config) defaults() {
-	if c.KDEGridPoints <= 0 {
-		c.KDEGridPoints = 512
-	}
-	if c.MinRelPeak <= 0 {
-		c.MinRelPeak = 0.02
-	}
-	if c.MaxDownloadClusters <= 0 {
-		c.MaxDownloadClusters = 10
-	}
-	if c.ExtraUploadClusters <= 0 {
-		c.ExtraUploadClusters = 2
-	}
-	if c.UploadMatchTol <= 0 {
-		c.UploadMatchTol = 0.45
-	}
-	if c.DownloadHeadroom <= 0 {
-		c.DownloadHeadroom = 1.35
-	}
 }
 
 // UploadStage reports stage 1: the upload-speed clustering and its match to
@@ -161,15 +138,11 @@ type Result struct {
 // ErrTooFewSamples is returned when the dataset cannot support stage 1.
 var ErrTooFewSamples = errors.New("core: too few samples for BST")
 
-// resolve fills the defaults and derives the GMM's worker count, fast-path,
-// bin and cache knobs from the pipeline's, so one set of knobs drives every
-// KDE and EM fit of a run.
-func (c *Config) resolve() {
-	c.defaults()
-	c.GMM.Parallelism = c.Parallelism
-	c.GMM.FastFit = c.FastFit
-	c.GMM.Bins = c.FastFitBins
-	c.GMM.Cache = c.FitCache
+// resolve is the EM fits' configuration: the pipeline's worker count,
+// fast-path and cache knobs over the stats package's EM defaults, so one
+// set of knobs drives every KDE and EM fit of a run.
+func (c *Config) resolve() stats.GMMConfig {
+	return stats.GMMConfig{Parallelism: c.Parallelism, FastFit: c.FastFit, Cache: c.FitCache}
 }
 
 // stageInput is what one BST stage clusters: a raw sample (xs) or, for the
@@ -192,14 +165,13 @@ func (in stageInput) count() int {
 func (in stageInput) peaks(cfg *Config) []stats.Peak {
 	var kde *stats.KDE
 	if in.sk != nil {
-		kde = stats.NewKDESketch(in.sk, cfg.Bandwidth)
+		kde = stats.NewKDESketch(in.sk, kdeBandwidth)
 	} else {
-		kde = stats.NewKDE(in.xs, cfg.Bandwidth)
+		kde = stats.NewKDE(in.xs, kdeBandwidth)
 		kde.FastFit = cfg.FastFit
-		kde.Bins = cfg.FastFitBins
 	}
 	kde.Parallelism = cfg.Parallelism
-	return kde.Peaks(cfg.KDEGridPoints, cfg.MinRelPeak)
+	return kde.Peaks(KDEGridPoints, MinRelPeak)
 }
 
 // fitGMM fits a mixture seeded at initMeans, keeping at most one component
@@ -209,23 +181,22 @@ func (in stageInput) fitGMM(initMeans []float64, cfg *Config) (*stats.GMM, error
 		initMeans = initMeans[:n]
 	}
 	if in.sk != nil {
-		return stats.FitGMMInitSketch(in.sk, initMeans, cfg.GMM)
+		return stats.FitGMMInitSketch(in.sk, initMeans, cfg.resolve())
 	}
-	return stats.FitGMMInit(in.xs, initMeans, cfg.GMM)
+	return stats.FitGMMInit(in.xs, initMeans, cfg.resolve())
 }
 
 // fitStages is the two-stage pipeline behind Fit and FitFromSketches;
-// tiers is cat.UploadTiers(), which both callers also need. It resolves
-// cfg, fits stage 1 over the uploads, asks tierInputs for each upload
-// tier's stage-2 input (Fit buckets its samples by the fitted upload model;
-// a sketch refit already holds them), and fits stage 2 for every tier.
+// tiers is cat.UploadTiers(), which both callers also need. It fits stage 1
+// over the uploads, asks tierInputs for each upload tier's stage-2 input
+// (Fit buckets its samples by the fitted upload model; a sketch refit
+// already holds them), and fits stage 2 for every tier.
 // Tiers are independent, so the per-tier fits fan out across the pool;
 // each writes only its own Downloads slot, then calls tierDone, when
 // non-nil, for its tier on the same worker.
 func fitStages(up stageInput, cat *plans.Catalog, tiers []plans.UploadTier, cfg Config,
-	tierInputs func(*Result, *Config) []stageInput,
-	tierDone func(res *Result, ti int, cfg *Config)) (*Result, error) {
-	cfg.resolve()
+	tierInputs func(*Result) []stageInput,
+	tierDone func(res *Result, ti int)) (*Result, error) {
 	if n := up.count(); n < 2*len(tiers) {
 		return nil, fmt.Errorf("%w: %d samples for %d upload tiers", ErrTooFewSamples, n, len(tiers))
 	}
@@ -234,12 +205,12 @@ func fitStages(up stageInput, cat *plans.Catalog, tiers []plans.UploadTier, cfg 
 	if res.Upload, err = fitUpload(up, tiers, &cfg); err != nil {
 		return nil, err
 	}
-	downs := tierInputs(res, &cfg)
+	downs := tierInputs(res)
 	res.Downloads = make([]DownloadStage, len(tiers))
 	parallel.For(cfg.Parallelism, len(tiers), func(ti int) {
 		res.Downloads[ti] = fitDownload(ti, tiers[ti], downs[ti], &cfg)
 		if tierDone != nil {
-			tierDone(res, ti, &cfg)
+			tierDone(res, ti)
 		}
 	})
 	return res, nil
@@ -248,23 +219,23 @@ func fitStages(up stageInput, cat *plans.Catalog, tiers []plans.UploadTier, cfg 
 // fitUpload runs stage 1. Components are seeded at the offered upload rates
 // (the methodology checks that the measured clusters mirror the catalog),
 // plus KDE peaks far from every offered rate — off-catalog clusters such as
-// the ~1 Mbps M-Lab group — bounded by ExtraUploadClusters. Each fitted
+// the ~1 Mbps M-Lab group — bounded by extraUploadClusters. Each fitted
 // component is then matched to an offered rate.
 func fitUpload(in stageInput, tiers []plans.UploadTier, cfg *Config) (UploadStage, error) {
 	st := UploadStage{Peaks: in.peaks(cfg)}
-	initUp := make([]float64, 0, len(tiers)+cfg.ExtraUploadClusters)
+	initUp := make([]float64, 0, len(tiers)+extraUploadClusters)
 	for _, t := range tiers {
 		initUp = append(initUp, float64(t.Upload))
 	}
 	extra := 0
 	for _, pk := range st.Peaks {
-		if extra >= cfg.ExtraUploadClusters {
+		if extra >= extraUploadClusters {
 			break
 		}
 		farFromAll := true
 		for _, t := range tiers {
 			offered := float64(t.Upload)
-			if math.Abs(pk.X-offered)/offered <= cfg.UploadMatchTol {
+			if math.Abs(pk.X-offered)/offered <= uploadMatchTol {
 				farFromAll = false
 				break
 			}
@@ -279,7 +250,7 @@ func fitUpload(in stageInput, tiers []plans.UploadTier, cfg *Config) (UploadStag
 		return st, fmt.Errorf("core: stage-1 GMM: %w", err)
 	}
 	st.Model = um
-	st.ClusterTier = matchUploadClusters(um, tiers, cfg.UploadMatchTol)
+	st.ClusterTier = matchUploadClusters(um, tiers)
 	return st, nil
 }
 
@@ -293,9 +264,9 @@ func fitDownload(ti int, tier plans.UploadTier, in stageInput, cfg *Config) Down
 		return ds
 	}
 	ds.Peaks = in.peaks(cfg)
-	if dm, err := in.fitGMM(downloadInitMeans(ds.Peaks, tier, *cfg), cfg); err == nil {
+	if dm, err := in.fitGMM(downloadInitMeans(ds.Peaks, tier), cfg); err == nil {
 		ds.Model = dm
-		ds.ComponentPlan = mapDownloadClusters(dm, tier, cfg.DownloadHeadroom)
+		ds.ComponentPlan = mapDownloadClusters(dm, tier)
 	}
 	return ds
 }
@@ -313,9 +284,9 @@ func (u *UploadStage) assign(upload float64, scratch []float64) Assignment {
 // posterior, or, when the tier was too sparse to model, the headroom rule
 // picks the plan from the measurement. scratch must hold at least
 // Model.K() values when there is a model.
-func (ds *DownloadStage) assign(a *Assignment, download float64, tier plans.UploadTier, headroom float64, scratch []float64) {
+func (ds *DownloadStage) assign(a *Assignment, download float64, tier plans.UploadTier, scratch []float64) {
 	if ds.Model == nil {
-		a.Tier = planByCeiling(download, tier, headroom)
+		a.Tier = planByCeiling(download, tier)
 		return
 	}
 	comp, p := ds.Model.PredictScratch(download, scratch[:ds.Model.K()])
@@ -336,7 +307,7 @@ func Fit(samples []Sample, cat *plans.Catalog, cfg Config) (*Result, error) {
 		downs []float64
 	}
 	var buckets []tierBucket
-	bucket := func(res *Result, cfg *Config) []stageInput {
+	bucket := func(res *Result) []stageInput {
 		// Assign each sample to an upload tier. The pass is fanned out
 		// over fixed sample chunks: each chunk classifies its samples with
 		// a chunk-local scratch buffer and collects chunk-local tier
@@ -372,7 +343,7 @@ func Fit(samples []Sample, cat *plans.Catalog, cfg Config) (*Result, error) {
 	}
 	// The final per-sample plan assignment: each tier writes only its own
 	// samples' Assignments.
-	assign := func(res *Result, ti int, cfg *Config) {
+	assign := func(res *Result, ti int) {
 		ds := &res.Downloads[ti]
 		var scratch []float64
 		if ds.Model != nil {
@@ -380,7 +351,7 @@ func Fit(samples []Sample, cat *plans.Catalog, cfg Config) (*Result, error) {
 		}
 		b := &buckets[ti]
 		for bi, i := range b.idxs {
-			ds.assign(&res.Assignments[i], b.downs[bi], tiers[ti], cfg.DownloadHeadroom, scratch)
+			ds.assign(&res.Assignments[i], b.downs[bi], tiers[ti], scratch)
 		}
 	}
 	return fitStages(stageInput{xs: uploads}, cat, tiers, cfg, bucket, assign)
@@ -394,13 +365,13 @@ const assignChunk = 8192
 // downloadInitMeans builds the stage-2 initial component means: the KDE
 // peak locations (the clusters the paper counts in Figs 5 and 7), ensuring
 // every member plan's advertised download is represented, capped at
-// MaxDownloadClusters by keeping the densest peaks.
-func downloadInitMeans(peaks []stats.Peak, tier plans.UploadTier, cfg Config) []float64 {
+// maxDownloadClusters by keeping the densest peaks.
+func downloadInitMeans(peaks []stats.Peak, tier plans.UploadTier) []float64 {
 	kept := make([]stats.Peak, len(peaks))
 	copy(kept, peaks)
-	if len(kept) > cfg.MaxDownloadClusters {
+	if len(kept) > maxDownloadClusters {
 		sort.Slice(kept, func(a, b int) bool { return kept[a].Density > kept[b].Density })
-		kept = kept[:cfg.MaxDownloadClusters]
+		kept = kept[:maxDownloadClusters]
 	}
 	means := make([]float64, 0, len(kept)+len(tier.Plans))
 	for _, p := range kept {
@@ -417,7 +388,7 @@ func downloadInitMeans(peaks []stats.Peak, tier plans.UploadTier, cfg Config) []
 				break
 			}
 		}
-		if !near && len(means) < cfg.MaxDownloadClusters {
+		if !near && len(means) < maxDownloadClusters {
 			means = append(means, adv)
 		}
 	}
@@ -429,8 +400,8 @@ func downloadInitMeans(peaks []stats.Peak, tier plans.UploadTier, cfg Config) []
 }
 
 // matchUploadClusters maps each fitted upload component to the nearest
-// offered upload rate within tolerance, or -1 (off catalog).
-func matchUploadClusters(m *stats.GMM, tiers []plans.UploadTier, tol float64) []int {
+// offered upload rate within uploadMatchTol, or -1 (off catalog).
+func matchUploadClusters(m *stats.GMM, tiers []plans.UploadTier) []int {
 	out := make([]int, m.K())
 	for c, comp := range m.Components {
 		best, bestRel := -1, math.Inf(1)
@@ -441,7 +412,7 @@ func matchUploadClusters(m *stats.GMM, tiers []plans.UploadTier, tol float64) []
 				best, bestRel = ti, rel
 			}
 		}
-		if bestRel <= tol {
+		if bestRel <= uploadMatchTol {
 			out[c] = best
 		} else {
 			out[c] = -1
@@ -452,21 +423,21 @@ func matchUploadClusters(m *stats.GMM, tiers []plans.UploadTier, tol float64) []
 
 // mapDownloadClusters implements the paper's cluster-to-plan rule: a
 // download cluster belongs to the slowest member plan whose advertised
-// download (times the overprovisioning headroom) covers the cluster mean.
-// Clusters above every plan's ceiling belong to the fastest plan.
-func mapDownloadClusters(m *stats.GMM, tier plans.UploadTier, headroom float64) []int {
+// download (times DownloadHeadroom) covers the cluster mean. Clusters
+// above every plan's ceiling belong to the fastest plan.
+func mapDownloadClusters(m *stats.GMM, tier plans.UploadTier) []int {
 	out := make([]int, m.K())
 	for c, comp := range m.Components {
-		out[c] = planByCeiling(comp.Mean, tier, headroom)
+		out[c] = planByCeiling(comp.Mean, tier)
 	}
 	return out
 }
 
 // planByCeiling returns the 1-based plan tier for a download value under
-// the headroom rule.
-func planByCeiling(down float64, tier plans.UploadTier, headroom float64) int {
+// the DownloadHeadroom rule.
+func planByCeiling(down float64, tier plans.UploadTier) int {
 	for r, p := range tier.Plans {
-		if down <= float64(p.Download)*headroom {
+		if down <= float64(p.Download)*DownloadHeadroom {
 			return tier.FirstTier + r
 		}
 	}

@@ -179,7 +179,7 @@ func TestPlanByCeilingRule(t *testing.T) {
 		{500, 3}, // above every ceiling -> fastest member plan
 	}
 	for _, c := range cases {
-		if got := planByCeiling(c.mean, tier, 1.35); got != c.want {
+		if got := planByCeiling(c.mean, tier); got != c.want {
 			t.Errorf("planByCeiling(%v) = %d, want %d", c.mean, got, c.want)
 		}
 	}
@@ -194,21 +194,12 @@ func TestMatchUploadClusters(t *testing.T) {
 		{Mean: 17.0, Weight: 0.1, Variance: 0.4}, // group 2 (15)
 		{Mean: 39.9, Weight: 0.2, Variance: 1.0}, // group 3 (35)
 	}}
-	got := matchUploadClusters(m, tiers, 0.45)
+	got := matchUploadClusters(m, tiers)
 	want := []int{-1, 0, 1, 2, 3}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("component %d -> %d, want %d", i, got[i], want[i])
 		}
-	}
-}
-
-func TestFitConfigDefaults(t *testing.T) {
-	cfg := Config{}
-	cfg.defaults()
-	if cfg.KDEGridPoints != 512 || cfg.MaxDownloadClusters != 10 ||
-		cfg.DownloadHeadroom != 1.35 || cfg.UploadMatchTol != 0.45 {
-		t.Errorf("defaults = %+v", cfg)
 	}
 }
 

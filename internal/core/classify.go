@@ -18,17 +18,13 @@ import (
 // and the per-call posterior scratch comes from a sync.Pool, so the ingest
 // server can classify on every request goroutine without locking.
 type Classifier struct {
-	res      *Result
-	tiers    []plans.UploadTier
-	headroom float64
-	pool     sync.Pool // *[]float64, len = max component count across models
+	res   *Result
+	tiers []plans.UploadTier
+	pool  sync.Pool // *[]float64, len = max component count across models
 }
 
 // NewClassifier wraps a fitted Result for single-sample classification.
-// cfg must be the Config the Result was fit with (only DownloadHeadroom is
-// consulted; the zero value selects the same default Fit used).
-func NewClassifier(res *Result, cfg Config) *Classifier {
-	cfg.defaults()
+func NewClassifier(res *Result) *Classifier {
 	maxK := res.Upload.Model.K()
 	for i := range res.Downloads {
 		if m := res.Downloads[i].Model; m != nil && m.K() > maxK {
@@ -36,9 +32,8 @@ func NewClassifier(res *Result, cfg Config) *Classifier {
 		}
 	}
 	cl := &Classifier{
-		res:      res,
-		tiers:    res.Catalog.UploadTiers(),
-		headroom: cfg.DownloadHeadroom,
+		res:   res,
+		tiers: res.Catalog.UploadTiers(),
 	}
 	cl.pool.New = func() any {
 		s := make([]float64, maxK)
@@ -67,15 +62,7 @@ func (cl *Classifier) ClassifyOne(download, upload float64) Assignment {
 func (cl *Classifier) classify(download, upload float64, scratch []float64) Assignment {
 	a := cl.res.Upload.assign(upload, scratch)
 	if ti := a.UploadTier; ti >= 0 {
-		cl.res.Downloads[ti].assign(&a, download, cl.tiers[ti], cl.headroom, scratch)
+		cl.res.Downloads[ti].assign(&a, download, cl.tiers[ti], scratch)
 	}
 	return a
-}
-
-// ClassifyOne classifies one <download, upload> tuple against a fitted
-// Result. It is the convenience form of Classifier.ClassifyOne for one-off
-// callers; hot loops should build a Classifier once and reuse it (the
-// classifier amortizes its posterior scratch across calls).
-func ClassifyOne(res *Result, cfg Config, download, upload float64) Assignment {
-	return NewClassifier(res, cfg).ClassifyOne(download, upload)
 }

@@ -40,7 +40,6 @@ func TestClassifyOneMatchesBatch(t *testing.T) {
 	}{
 		{"exact", Config{}},
 		{"fast", Config{FastFit: true}},
-		{"fast-bins", Config{FastFit: true, FastFitBins: 256}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			offCatalog := 0
@@ -50,7 +49,7 @@ func TestClassifyOneMatchesBatch(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", cat.ISP, err)
 				}
-				cl := NewClassifier(res, tc.cfg)
+				cl := NewClassifier(res)
 				for i, s := range samples {
 					got := cl.ClassifyOne(s.Download, s.Upload)
 					want := res.Assignments[i]
@@ -97,7 +96,7 @@ func TestClassifyOneSparseTierFallback(t *testing.T) {
 	if !fallback {
 		t.Skip("no sparse tier produced; fixture drifted")
 	}
-	cl := NewClassifier(res, Config{})
+	cl := NewClassifier(res)
 	for i, s := range samples {
 		if got, want := cl.ClassifyOne(s.Download, s.Upload), res.Assignments[i]; got != want {
 			t.Fatalf("sample %d: ClassifyOne = %+v, batch = %+v", i, got, want)
@@ -116,7 +115,7 @@ func TestClassifyOneNoAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := NewClassifier(res, Config{})
+	cl := NewClassifier(res)
 	cl.ClassifyOne(samples[0].Download, samples[0].Upload) // warm the pool
 	i := 0
 	if n := testing.AllocsPerRun(1000, func() {
@@ -138,7 +137,7 @@ func TestClassifyOneConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := NewClassifier(res, Config{})
+	cl := NewClassifier(res)
 	const workers = 8
 	errc := make(chan error, workers)
 	for w := 0; w < workers; w++ {
@@ -176,7 +175,7 @@ func BenchmarkClassifyOne(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cl := NewClassifier(res, Config{})
+	cl := NewClassifier(res)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -14,7 +14,6 @@ import (
 // because download noise then drags assignments sideways. Exposed for the
 // ablation benches.
 func FitJoint(samples []Sample, cat *plans.Catalog, cfg Config) (*Result, error) {
-	cfg.defaults()
 	if len(samples) < 2*len(cat.Plans) {
 		return nil, fmt.Errorf("%w: %d samples for %d plans", ErrTooFewSamples, len(samples), len(cat.Plans))
 	}
@@ -26,7 +25,7 @@ func FitJoint(samples []Sample, cat *plans.Catalog, cfg Config) (*Result, error)
 	for i, p := range cat.Plans {
 		init[i] = stats.Point2{X: float64(p.Upload), Y: float64(p.Download)}
 	}
-	m, err := stats.FitGMM2D(pts, init, cfg.GMM)
+	m, err := stats.FitGMM2D(pts, init, cfg.resolve())
 	if err != nil {
 		return nil, fmt.Errorf("core: joint GMM: %w", err)
 	}

@@ -39,27 +39,3 @@ func TestFitParallelMatchesSerial(t *testing.T) {
 		}
 	}
 }
-
-// TestFitGMMKnobInheritance checks that the pipeline knob drives the EM
-// worker count: Fit derives the GMM's Parallelism from Config.Parallelism,
-// replacing a value the caller set on the GMM. (Both runs must agree
-// exactly regardless — that is the point of the determinism contract.)
-func TestFitGMMKnobInheritance(t *testing.T) {
-	cat := plans.CityA()
-	weights := []float64{0.3, 0.2, 0.1, 0.1, 0.1, 0.2}
-	samples, _ := synthTiered(cat, 3000, 4, weights)
-
-	a, err := Fit(samples, cat, Config{Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Parallelism: 4}
-	cfg.GMM.Parallelism = 1
-	b, err := Fit(samples, cat, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.Assignments, b.Assignments) {
-		t.Error("explicit GMM parallelism changed results; determinism contract broken")
-	}
-}

@@ -142,7 +142,7 @@ func TestBSTPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := SketchesFromResult(fast, samples, SketchSpecFor(mcat, 0))
+	ts, err := SketchesFromResult(fast, samples, SketchSpecFor(mcat))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,19 +40,15 @@ type SketchSpec struct {
 
 // sketchSpanFactor is the headroom factor of SketchSpecFor's grids: spans
 // reach 4× the fastest advertised speed, so overprovisioned measurements
-// (typically ≤ ~1.35× advertised, DownloadHeadroom) land far from the
+// (typically ≤ DownloadHeadroom × advertised) land far from the
 // clamping edge bin.
 const sketchSpanFactor = 4
 
 // SketchSpecFor derives a city's sketch spec from its plan catalog:
-// [0, 4×fastest advertised] on each axis, at the given resolution (0
-// selects stats.DefaultSketchBins, the single-pass -fast default). The spec
-// is a pure function of (catalog, bins), so independently configured
-// writers produce mergeable sketches.
-func SketchSpecFor(cat *plans.Catalog, bins int) SketchSpec {
-	if bins <= 0 {
-		bins = stats.DefaultSketchBins
-	}
+// [0, 4×fastest advertised] on each axis, at stats.DefaultSketchBins, the
+// single-pass -fast resolution. The spec is a pure function of the
+// catalog, so independently configured writers produce mergeable sketches.
+func SketchSpecFor(cat *plans.Catalog) SketchSpec {
 	maxUp := 0.0
 	for _, t := range cat.UploadTiers() {
 		if u := float64(t.Upload); u > maxUp {
@@ -67,8 +63,8 @@ func SketchSpecFor(cat *plans.Catalog, bins int) SketchSpec {
 		maxDown = 1
 	}
 	return SketchSpec{
-		Upload:   GridSpec{Lo: 0, Hi: sketchSpanFactor * maxUp, Bins: bins},
-		Download: GridSpec{Lo: 0, Hi: sketchSpanFactor * maxDown, Bins: bins},
+		Upload:   GridSpec{Lo: 0, Hi: sketchSpanFactor * maxUp, Bins: stats.DefaultSketchBins},
+		Download: GridSpec{Lo: 0, Hi: sketchSpanFactor * maxDown, Bins: stats.DefaultSketchBins},
 	}
 }
 
@@ -183,5 +179,5 @@ func FitFromSketches(ts *TierSketches, cat *plans.Catalog, cfg Config) (*Result,
 		downs[ti] = stageInput{sk: sk}
 	}
 	return fitStages(stageInput{sk: ts.Upload}, cat, tiers, cfg,
-		func(*Result, *Config) []stageInput { return downs }, nil)
+		func(*Result) []stageInput { return downs }, nil)
 }

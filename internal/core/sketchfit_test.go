@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"speedctx/internal/plans"
+	"speedctx/internal/stats"
 )
 
 // fitSketchesOf runs Fit over the panel, then re-deposits every sample into
@@ -50,7 +51,7 @@ func shardTierSketches(t *testing.T, res *Result, samples []Sample, spec SketchS
 func TestFitFromSketchesShardMergeDeterminism(t *testing.T) {
 	samples, _, cat := mbaSamples(t, 20000)
 	cfg := Config{FastFit: true}
-	spec := SketchSpecFor(cat, 0)
+	spec := SketchSpecFor(cat)
 	res, single := fitSketchesOf(t, samples, cat, cfg, spec)
 
 	want, err := FitFromSketches(single, cat, cfg)
@@ -100,14 +101,14 @@ func TestFitFromSketchesShardMergeDeterminism(t *testing.T) {
 func TestFitFromSketchesClassifies(t *testing.T) {
 	samples, _, cat := mbaSamples(t, 20000)
 	cfg := Config{FastFit: true}
-	spec := SketchSpecFor(cat, 0)
+	spec := SketchSpecFor(cat)
 	res, ts := fitSketchesOf(t, samples, cat, cfg, spec)
 
 	skRes, err := FitFromSketches(ts, cat, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := NewClassifier(skRes, cfg)
+	cl := NewClassifier(skRes)
 	agree := 0
 	for i, s := range samples {
 		if cl.ClassifyOne(s.Download, s.Upload).Tier == res.Assignments[i].Tier {
@@ -127,7 +128,7 @@ func TestFitFromSketchesClassifies(t *testing.T) {
 func BenchmarkFitFromSketches(b *testing.B) {
 	samples, _, cat := mbaSamples(b, 20000)
 	cfg := Config{FastFit: true}
-	spec := SketchSpecFor(cat, 0)
+	spec := SketchSpecFor(cat)
 	res, err := Fit(samples, cat, cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -152,8 +153,10 @@ func BenchmarkFitFromSketches(b *testing.B) {
 // TestTierSketchesMergeErrors pins the staleness failure modes: mismatched
 // tier counts and mismatched grids both refuse to merge.
 func TestTierSketchesMergeErrors(t *testing.T) {
-	cat, _ := plans.ByCity("A")
-	spec := SketchSpecFor(cat, 256)
+	spec := SketchSpec{
+		Upload:   GridSpec{Lo: 0, Hi: 140, Bins: 256},
+		Download: GridSpec{Lo: 0, Hi: 4000, Bins: 256},
+	}
 	a, err := NewTierSketches(spec, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -180,10 +183,13 @@ func TestTierSketchesMergeErrors(t *testing.T) {
 // spans, default resolution, and pure-function stability.
 func TestSketchSpecForDerivation(t *testing.T) {
 	cat, _ := plans.ByCity("A")
-	s1 := SketchSpecFor(cat, 0)
-	s2 := SketchSpecFor(cat, 0)
+	s1 := SketchSpecFor(cat)
+	s2 := SketchSpecFor(cat)
 	if s1 != s2 {
-		t.Fatal("spec not a pure function of (catalog, bins)")
+		t.Fatal("spec not a pure function of the catalog")
+	}
+	if s1.Upload.Bins != stats.DefaultSketchBins || s1.Download.Bins != stats.DefaultSketchBins {
+		t.Fatalf("spec resolution %+v, want %d bins", s1, stats.DefaultSketchBins)
 	}
 	if s1.Upload.Lo != 0 || s1.Download.Lo != 0 {
 		t.Fatalf("spec spans must start at 0: %+v", s1)

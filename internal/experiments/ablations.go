@@ -110,7 +110,7 @@ func (s *Suite) AblationUploadFirst() (*report.Table, error) {
 		for _, r := range b.MBA {
 			assigned := 0
 			for ti, p := range b.Catalog.Plans {
-				if r.DownloadMbps <= float64(p.Download)*1.35 {
+				if r.DownloadMbps <= float64(p.Download)*core.DownloadHeadroom {
 					assigned = ti + 1
 					break
 				}
@@ -146,8 +146,8 @@ func (s *Suite) AblationBandwidthRule() (*report.Table, error) {
 		for i, r := range b.MBA {
 			ups[i] = r.UploadMbps
 		}
-		sil := len(stats.NewKDE(ups, stats.Silverman).Peaks(512, 0.02))
-		sco := len(stats.NewKDE(ups, stats.Scott).Peaks(512, 0.02))
+		sil := len(stats.NewKDE(ups, stats.Silverman).Peaks(core.KDEGridPoints, core.MinRelPeak))
+		sco := len(stats.NewKDE(ups, stats.Scott).Peaks(core.KDEGridPoints, core.MinRelPeak))
 		t.AddRow(id, len(b.Catalog.UploadTiers()), sil, sco)
 	}
 	return t, nil

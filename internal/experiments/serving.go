@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"speedctx/internal/core"
-	"speedctx/internal/plans"
-)
+import "speedctx/internal/core"
 
 // CityClassifier fits (or reuses the memoized fit of) the city's Ookla
 // dataset and wraps it in the single-sample ingest fast path. This is the
@@ -20,7 +17,7 @@ func (s *Suite) CityClassifier(id string) (*core.Classifier, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.NewClassifier(a.Result, s.BSTConfig()), nil
+	return core.NewClassifier(a.Result), nil
 }
 
 // CityServingModel is CityClassifier plus the sketch state live refresh
@@ -38,17 +35,10 @@ func (s *Suite) CityServingModel(id string) (*core.Classifier, *core.TierSketche
 	if err != nil {
 		return nil, nil, core.SketchSpec{}, err
 	}
-	spec := s.CitySketchSpec(b.Catalog)
+	spec := core.SketchSpecFor(b.Catalog)
 	base, err := core.SketchesFromResult(a.Result, b.OoklaSampleView(), spec)
 	if err != nil {
 		return nil, nil, core.SketchSpec{}, err
 	}
-	return core.NewClassifier(a.Result, s.BSTConfig()), base, spec, nil
-}
-
-// CitySketchSpec derives the sketch grid the suite's serving models use
-// for a catalog: the catalog-scaled span at the suite's fast-fit bin
-// resolution.
-func (s *Suite) CitySketchSpec(cat *plans.Catalog) core.SketchSpec {
-	return core.SketchSpecFor(cat, s.FastFitBins)
+	return core.NewClassifier(a.Result), base, spec, nil
 }

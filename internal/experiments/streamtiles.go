@@ -123,7 +123,7 @@ func StreamTileIndex(fitPath, scanPath, cityID string, cfg core.Config, batchRow
 	if err != nil {
 		return nil, ctr, err
 	}
-	cl := core.NewClassifier(res, cfg)
+	cl := core.NewClassifier(res)
 
 	// Pass 2: tile columns, classified and folded batch by batch, with the
 	// predicate (if any) seeking past zone-mapped groups that cannot match.

@@ -49,8 +49,6 @@ type Suite struct {
 	// fast paths (core.Config.FastFit; DESIGN.md §8). Approximate but
 	// deterministic; set it before the first City call.
 	FastFit bool
-	// FastFitBins overrides the fast paths' bin resolution (0 = auto).
-	FastFitBins int
 	// FitCache memoizes GMM fits across every table, figure and sweep
 	// the suite drives, content-addressed by (slice bytes, fit config) —
 	// regenerating two tables over the same city slice fits once.
@@ -106,7 +104,6 @@ func (s *Suite) BSTConfig() core.Config {
 	return core.Config{
 		Parallelism: s.Parallelism,
 		FastFit:     s.FastFit,
-		FastFitBins: s.FastFitBins,
 		FitCache:    s.FitCache,
 	}
 }

@@ -23,7 +23,7 @@ import (
 // and are assembled into the table in fixed grid order. The rendered table
 // is identical at every setting.
 //
-// base carries the fit knobs (FastFit/FastFitBins/FitCache) each cell's BST
+// base carries the fit knobs (FastFit/FitCache) each cell's BST
 // run inherits; its Parallelism is ignored — cells are the parallel grain.
 func RobustnessSweep(seed int64, parallelism int, base core.Config) *report.Table {
 	cat := plans.CityA()

@@ -330,7 +330,7 @@ func TestTilesPushdownAllocsFlat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := newTileServer(dir, 0, 0)
+		ts := newTileServer(dir, 0)
 		ask := func() []opendata.ContextTile {
 			ts.mu.Lock()
 			defer ts.mu.Unlock()

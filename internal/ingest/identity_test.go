@@ -50,7 +50,7 @@ func newIdentityFixture(t *testing.T) *identityFixture {
 			if !ok {
 				t.Fatalf("no catalog for city %q", r.City)
 			}
-			f.specs[r.City] = CitySketchSpec{Spec: core.SketchSpecFor(cat, 0), Tiers: len(cat.UploadTiers())}
+			f.specs[r.City] = CitySketchSpec{Spec: core.SketchSpecFor(cat), Tiers: len(cat.UploadTiers())}
 		}
 		ref.UserID = append(ref.UserID, r.UserID)
 		ref.City = append(ref.City, r.City)

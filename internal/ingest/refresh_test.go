@@ -136,7 +136,7 @@ func TestServerLiveRefreshMatchesColdRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := core.NewClassifier(res, fitCfg)
+	want := core.NewClassifier(res)
 
 	liveAcks := make([][]byte, len(probes))
 	for i := range probes {

@@ -111,9 +111,6 @@ type ServerConfig struct {
 	// Logf, when non-nil, receives one line per refit, per refit
 	// failure and per failed /v1/tiles query.
 	Logf func(format string, args ...any)
-	// TileZoom is the base aggregation zoom of /v1/tiles (0 =
-	// opendata.TileZoom, 16).
-	TileZoom int
 	// TileCacheTiles bounds the tile result cache (0 = the tilequery
 	// default).
 	TileCacheTiles int
@@ -167,7 +164,7 @@ func NewServer(pipe *Pipeline, models map[string]*CityModel, cfg ServerConfig) *
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
-	s.tiles = newTileServer(pipe.cfg.Dir, cfg.TileZoom, cfg.TileCacheTiles)
+	s.tiles = newTileServer(pipe.cfg.Dir, cfg.TileCacheTiles)
 	now := time.Now().UnixNano()
 	for city, m := range models {
 		st := &cityState{base: m.Base}
@@ -258,7 +255,7 @@ func (s *Server) refitCity(city string, st *cityState) {
 		s.cfg.logf("ingest: refit %s: %v", city, err)
 		return
 	}
-	st.cl.Store(core.NewClassifier(res, s.cfg.FitConfig))
+	st.cl.Store(core.NewClassifier(res))
 	st.folded.Store(uint64(sealedSk.Count()))
 	gen := st.generation.Add(1)
 	st.refitNanos.Store(time.Now().UnixNano())

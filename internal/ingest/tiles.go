@@ -87,11 +87,11 @@ type segmentDir struct {
 	trailer uint64
 }
 
-// newTileServer serves the segments of dir as tiles at base zoom (0 =
-// opendata.TileZoom) through a result cache of cacheTiles tiles (0 = the
-// tilequery default).
-func newTileServer(dir string, zoom, cacheTiles int) *tileServer {
-	cfg := tilequery.Config{Zoom: zoom}
+// newTileServer serves the segments of dir as tiles at base zoom
+// opendata.TileZoom, the zoom every sealed segment is zoned at, through a
+// result cache of cacheTiles tiles (0 = the tilequery default).
+func newTileServer(dir string, cacheTiles int) *tileServer {
+	cfg := tilequery.Config{Zoom: opendata.TileZoom}
 	return &tileServer{
 		dir:    dir,
 		eng:    tilequery.NewEngine(cfg, cacheTiles),

@@ -298,11 +298,12 @@ func TestTilesPushdownClustered(t *testing.T) {
 
 // TestTilesPushdownMixedStore runs an interleaved bbox query sequence over
 // the store shape the serving path sees in production: a clustered
-// compacted snapshot plus two unzoned fresh segments. Every response —
-// pushdown, push=0, roll-up — must equal the in-memory fold of the same
-// rows, the pushdown /statsz counters must account every query, every row
-// and every row group its scans yielded or skipped, and a neighbourhood
-// query must drop rows before they reach an accumulator.
+// compacted snapshot plus two fresh segments, each sealed clustered and
+// zoned at opendata.TileZoom. Every response — pushdown, push=0, roll-up —
+// must equal the in-memory fold of the same rows, the pushdown /statsz
+// counters must account every query, every row and every row group its
+// scans yielded or skipped, and a neighbourhood query must drop rows
+// before they reach an accumulator.
 func TestTilesPushdownMixedStore(t *testing.T) {
 	cls, rows := loadClassifiers(t)
 	dir := t.TempDir()
@@ -318,7 +319,8 @@ func TestTilesPushdownMixedStore(t *testing.T) {
 	if _, err := CompactWith(dir, CompactOptions{ClusterZoom: opendata.TileZoom, ZoneBlockRows: 16}); err != nil {
 		t.Fatal(err)
 	}
-	// Every other fixture row again, sealed unclustered into two segments.
+	// Every other fixture row again, sealed clustered and zoned into two
+	// segments.
 	var fresh []dataset.IngestRow
 	for i := 0; i < len(rows); i += 2 {
 		fresh = append(fresh, rows[i])

@@ -20,11 +20,10 @@ import (
 // is already fast, so small fits keep their exact semantics.
 const fastFitMinN = 4096
 
-// gmmDefaultBins is the histogram resolution of the histogram-EM path when
-// no explicit bin count is configured. 4096 bins keep the quantization at
-// ~1/4000 of the sample span — far below the tier separation the BST
-// pipeline clusters on — while one EM iteration over the histogram fits in
-// a single fixed reduction chunk.
+// gmmDefaultBins is the histogram resolution of the histogram-EM path.
+// 4096 bins keep the quantization at ~1/4000 of the sample span — far below
+// the tier separation the BST pipeline clusters on — while one EM iteration
+// over the histogram fits in a single fixed reduction chunk.
 const gmmDefaultBins = 4096
 
 // DefaultSketchBins is the exported alias of the histogram-EM default
@@ -61,21 +60,12 @@ func autoKDEBins(span, h float64) int {
 // size n under this config.
 func (c *GMMConfig) useFast(n int) bool { return c.FastFit && n >= fastFitMinN }
 
-// emBins resolves the histogram resolution for the histogram-EM path.
-func (c *GMMConfig) emBins() int {
-	if c.Bins > 0 {
-		return c.Bins
-	}
-	return gmmDefaultBins
-}
-
 // sketchForEM builds the sketch the EM fast path runs over, or reports
 // ok=false when the sample cannot support it (degenerate span, or fewer
-// requested bins than components). The grid spans [min(xs), max(xs)], so
-// the single-pass fast fit and a fit from the same sketch share a grid key.
-func sketchForEM(xs []float64, k int, cfg GMMConfig) (s *Sketch, ok bool) {
-	bins := cfg.emBins()
-	if bins < 2 || bins < k {
+// bins than components). The grid spans [min(xs), max(xs)], so the
+// single-pass fast fit and a fit from the same sketch share a grid key.
+func sketchForEM(xs []float64, k int) (s *Sketch, ok bool) {
+	if gmmDefaultBins < k {
 		return nil, false
 	}
 	lo, hi := xs[0], xs[0]
@@ -90,7 +80,7 @@ func sketchForEM(xs []float64, k int, cfg GMMConfig) (s *Sketch, ok bool) {
 	if hi <= lo {
 		return nil, false
 	}
-	s, err := SketchFromSamples(xs, lo, hi, bins)
+	s, err := SketchFromSamples(xs, lo, hi, gmmDefaultBins)
 	if err != nil {
 		return nil, false
 	}

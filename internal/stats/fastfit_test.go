@@ -76,25 +76,6 @@ func TestBinnedKDEAccuracy(t *testing.T) {
 	}
 }
 
-// TestBinnedKDEExplicitBins covers the -bins override: a deliberately
-// coarse grid still produces a sane density (integrates to ~1), and a fine
-// explicit grid matches the auto-resolution accuracy.
-func TestBinnedKDEExplicitBins(t *testing.T) {
-	xs := speedMixtures["uploads"].Sample(NewRNG(5), 20000)
-	k := NewKDE(xs, Silverman)
-	k.FastFit = true
-	k.Bins = 256
-	grid := k.Grid(1024)
-	integral := 0.0
-	for i := 1; i < len(grid); i++ {
-		dx := grid[i].X - grid[i-1].X
-		integral += (grid[i].Y + grid[i-1].Y) / 2 * dx
-	}
-	if math.Abs(integral-1) > 0.02 {
-		t.Errorf("coarse binned density integrates to %.4f, want ~1", integral)
-	}
-}
-
 // TestFastFitThreshold pins the automatic fallback: below fastFitMinN the
 // FastFit knob must not change a single bit of the output.
 func TestFastFitThreshold(t *testing.T) {

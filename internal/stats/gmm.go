@@ -64,11 +64,9 @@ type GMMConfig struct {
 	// per-iteration cost from O(n·k) to O(B·k). The fit is approximate —
 	// parameters land within the binning quantization of the exact fit
 	// (DESIGN.md §8) — but remains bit-identical across parallelism
-	// levels. Smaller samples always take the exact path.
+	// levels. The histogram has gmmDefaultBins bins. Smaller samples
+	// always take the exact path.
 	FastFit bool
-	// Bins overrides the fast path's histogram resolution; 0 selects
-	// gmmDefaultBins. Ignored unless FastFit engages.
-	Bins int
 	// Cache, when non-nil, memoizes whole fits content-addressed by the
 	// sample bytes and the fit configuration (Parallelism excluded —
 	// results are bit-identical at every setting). Hits return a clone
@@ -179,7 +177,7 @@ func FitGMM(xs []float64, k int, cfg GMMConfig) (*GMM, error) {
 		return nil, ErrTooFewPoints
 	}
 	if cfg.useFast(n) {
-		if s, ok := sketchForEM(xs, k, cfg); ok {
+		if s, ok := sketchForEM(xs, k); ok {
 			return fitGMMSketchCached("FitGMM", s, nil, k, cfg)
 		}
 	}
@@ -276,7 +274,7 @@ func FitGMMInit(xs []float64, initMeans []float64, cfg GMMConfig) (*GMM, error) 
 		return nil, ErrTooFewPoints
 	}
 	if cfg.useFast(len(xs)) {
-		if s, ok := sketchForEM(xs, k, cfg); ok {
+		if s, ok := sketchForEM(xs, k); ok {
 			return fitGMMSketchCached("FitGMMInit", s, initMeans, k, cfg)
 		}
 	}

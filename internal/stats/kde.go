@@ -42,14 +42,11 @@ type KDE struct {
 	// with the kernel instead of the raw sample — O(12h/step) per point
 	// regardless of n. The density is approximate (within ~1e-3 of the
 	// peak density of the exact estimate at the automatic resolution) but
-	// still bit-identical at every Parallelism setting. Set it before the
+	// still bit-identical at every Parallelism setting. The grid
+	// resolution follows the bandwidth (autoKDEBins). Set it before the
 	// first evaluation; smaller samples always evaluate exactly. A
 	// sketch-backed KDE always evaluates over its sketch.
 	FastFit bool
-	// Bins overrides the fast path's grid resolution; 0 selects an
-	// automatic resolution from the bandwidth (autoKDEBins). Ignored
-	// unless FastFit engages.
-	Bins int
 
 	binOnce sync.Once
 	bin     *Sketch // non-nil once the fast path has engaged, or the backing sketch
@@ -129,14 +126,7 @@ func (k *KDE) binned() *Sketch {
 		if span <= 0 {
 			return
 		}
-		b := k.Bins
-		if b <= 0 {
-			b = autoKDEBins(span, k.bandwidth)
-		}
-		if b < 2 {
-			b = 2
-		}
-		s, err := SketchFromSamples(k.xs, k.xs[0], k.xs[n-1], b)
+		s, err := SketchFromSamples(k.xs, k.xs[0], k.xs[n-1], autoKDEBins(span, k.bandwidth))
 		if err != nil {
 			return // degenerate span; stay exact
 		}

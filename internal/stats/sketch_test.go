@@ -145,7 +145,7 @@ func TestFitGMMSketchMatchesSinglePass(t *testing.T) {
 		t.Fatal(err)
 	}
 	lo, hi := sampleBounds(xs)
-	bins := cfg.emBins()
+	bins := gmmDefaultBins
 	for _, shards := range sketchShardCounts {
 		parts := shardSketches(t, xs, lo, hi, bins, shards)
 		for oi, order := range orderings(shards) {
@@ -180,7 +180,7 @@ func TestFitGMMInitSketchMatchesSinglePass(t *testing.T) {
 		t.Fatal(err)
 	}
 	lo, hi := sampleBounds(xs)
-	parts := shardSketches(t, xs, lo, hi, cfg.emBins(), 7)
+	parts := shardSketches(t, xs, lo, hi, gmmDefaultBins, 7)
 	merged := parts[3].Clone()
 	for _, pi := range []int{6, 0, 5, 1, 4, 2} {
 		if err := merged.Merge(parts[pi]); err != nil {
@@ -207,7 +207,7 @@ func TestSketchFitSharedCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	lo, hi := sampleBounds(xs)
-	parts := shardSketches(t, xs, lo, hi, cfg.emBins(), 7)
+	parts := shardSketches(t, xs, lo, hi, gmmDefaultBins, 7)
 	merged := parts[0].Clone()
 	for _, p := range parts[1:] {
 		if err := merged.Merge(p); err != nil {

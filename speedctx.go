@@ -45,8 +45,9 @@ type UploadTier = plans.UploadTier
 // Sample is one speed test's <download, upload> pair in Mbps.
 type Sample = core.Sample
 
-// BSTConfig tunes the BST pipeline; the zero value is the paper
-// calibration.
+// BSTConfig holds the BST pipeline's execution knobs (Parallelism, FastFit,
+// FitCache); the method's parameters are fixed constants of the paper's
+// recipe, and the zero value runs the exact fits.
 type BSTConfig = core.Config
 
 // BSTResult is the full two-stage clustering output.
