@@ -58,7 +58,7 @@ bench-smoke:
 	$(GO) test -run NONE -bench 'KDEGrid|FitGMM|SketchMerge' -benchtime 1x ./internal/stats/
 	$(GO) test -run NONE -bench 'GenerateOokla/n=10000$$|WriteOoklaCSV|ReadOoklaCSV/n=100000|OoklaIngest/n=100000/src=(csv|snapshot)' -benchtime 1x ./internal/dataset/
 	$(GO) test -run NONE -bench 'Fit|ClassifyOne' -benchtime 1x ./internal/core/
-	$(GO) test -run NONE -bench 'IngestHTTPBatch64|IngestPipelineSubmit|PipelineSeal|ParseSubmission|ServerWarmRefresh|TilesHTTP' -benchtime 1x ./internal/ingest/
+	$(GO) test -run NONE -bench 'IngestHTTPBatch64|IngestPipelineSubmit|PipelineSeal|Compact|ParseSubmission|ServerWarmRefresh|TilesHTTP' -benchtime 1x ./internal/ingest/
 	$(GO) test -run NONE -bench 'TileAggregate/n=100000|TileQuery' -benchtime 1x ./internal/tilequery/
 
 # bench runs the full stats + generation benchmark suite with memory stats.
@@ -68,7 +68,7 @@ bench:
 	$(GO) test -run NONE -bench 'GenerateOokla|GenerateMLab|WriteOoklaCSV|ReadOoklaCSV|OoklaIngest' -benchmem -timeout 60m ./internal/dataset/
 	$(GO) test -run NONE -bench 'AllSnapshot' -benchmem -timeout 60m ./cmd/speedctx/
 	$(GO) test -run NONE -bench 'Fit|ClassifyOne' -benchmem ./internal/core/
-	$(GO) test -run NONE -bench 'IngestHTTP|IngestPipelineSubmit|PipelineSeal|ParseSubmission|ServerWarmRefresh|TilesHTTP' -benchmem ./internal/ingest/
+	$(GO) test -run NONE -bench 'IngestHTTP|IngestPipelineSubmit|PipelineSeal|Compact|ParseSubmission|ServerWarmRefresh|TilesHTTP' -benchmem ./internal/ingest/
 	$(GO) test -run NONE -bench 'TileScan|TileAggregate|TileQuery' -benchmem -timeout 30m ./internal/tilequery/
 
 # bench-baseline records the perf trajectory file for this PR series:

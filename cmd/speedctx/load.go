@@ -29,6 +29,7 @@ import (
 	"speedctx/internal/dataset"
 	"speedctx/internal/experiments"
 	"speedctx/internal/ingest"
+	"speedctx/internal/opendata"
 )
 
 type loadReport struct {
@@ -223,7 +224,7 @@ func runLoad(args []string, out io.Writer) error {
 		if err := pipe.Close(); err != nil {
 			return err
 		}
-		snap, err := ingest.CompactWith(segDir, ingest.CompactOptions{})
+		snap, err := ingest.CompactWith(segDir, ingest.CompactOptions{ClusterZoom: opendata.TileZoom})
 		if err != nil {
 			return err
 		}

@@ -1,15 +1,56 @@
 package main
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"io"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"speedctx/internal/dataset"
 	"speedctx/internal/ingest"
 )
+
+// TestLoadCompactsZoned: a self-hosted load run ingests every row with no
+// error and compacts its store into the zoned layout the segments were
+// sealed in, like speedtestd does.
+func TestLoadCompactsZoned(t *testing.T) {
+	dir := t.TempDir()
+	var out bytes.Buffer
+	if err := runLoad([]string{"-rows", "3000", "-conns", "2", "-dir", dir, "-json"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	var rep loadReport
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+		t.Fatalf("report %q: %v", out.String(), err)
+	}
+	if rep.Rows != 3000 || rep.Errors != 0 {
+		t.Fatalf("load ingested %d rows with %d errors, want 3000 and 0", rep.Rows, rep.Errors)
+	}
+	if want := filepath.Join(dir, ingest.CompactedName); rep.Snapshot != want {
+		t.Fatalf("snapshot %q, want %q", rep.Snapshot, want)
+	}
+	data, err := os.ReadFile(rep.Snapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ver := binary.LittleEndian.Uint16(data[4:6]); ver != dataset.SnapshotFormatVersionZoned {
+		t.Fatalf("compacted format version %d, want %d (zoned)", ver, dataset.SnapshotFormatVersionZoned)
+	}
+	snap, err := dataset.DecodeCitySnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := snap.Ingest.Len(); n != 3000 {
+		t.Fatalf("snapshot holds %d rows, want 3000", n)
+	}
+}
 
 // TestIngestServerDropsStalledHeaders: the self-hosted ingest listener that
 // load serves on (ingest.NewHTTPServer) carries header and idle timeouts,

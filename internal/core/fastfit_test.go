@@ -8,6 +8,7 @@ import (
 	"speedctx/internal/dataset"
 	"speedctx/internal/fitcache"
 	"speedctx/internal/plans"
+	"speedctx/internal/stats"
 )
 
 // mbaPanel memoizes one netsim-backed MBA generation shared by the fast-fit
@@ -175,5 +176,80 @@ func BenchmarkFit(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestFastFitEngagedDeterministicAcrossParallelism is the fast paths'
+// determinism gate at sizes where they engage: stage 1 and the largest
+// stage-2 slice hold more than stats' fast-path threshold (fastFitMinN,
+// 4,096 points). The FastFit Result must be bit-identical at Parallelism
+// 1 and 4, and its stages must report what the binned KDE and the
+// histogram EM compute, which differ from the exact KDE and EM: so the
+// gate compares fast fits, not exact fits taken under a fast flag.
+func TestFastFitEngagedDeterministicAcrossParallelism(t *testing.T) {
+	const fastFitMinN = 4096
+	cat := plans.CityA()
+	samples, _ := synthTiered(cat, 24000, 28, []float64{0.2, 0.2, 0.1, 0.15, 0.15, 0.2})
+	fit := func(p int) *Result {
+		res, err := Fit(samples, cat, Config{FastFit: true, Parallelism: p})
+		if err != nil {
+			t.Fatalf("Parallelism=%d: %v", p, err)
+		}
+		return res
+	}
+	serial := fit(1)
+	if !reflect.DeepEqual(fit(4), serial) {
+		t.Fatal("Parallelism=4: fast-fit Result differs from serial")
+	}
+
+	fast, exact := &Config{FastFit: true, Parallelism: 1}, &Config{Parallelism: 1}
+	checkPeaks := func(stage string, xs []float64, got []stats.Peak) {
+		t.Helper()
+		in := stageInput{xs: xs}
+		if !reflect.DeepEqual(got, in.peaks(fast)) {
+			t.Fatalf("%s: peaks differ from the binned KDE's", stage)
+		}
+		if reflect.DeepEqual(got, in.peaks(exact)) {
+			t.Fatalf("%s: peaks equal the exact KDE's, so the binned KDE shows nothing", stage)
+		}
+	}
+	uploads := make([]float64, len(samples))
+	for i, s := range samples {
+		uploads[i] = s.Upload
+	}
+	checkPeaks("stage 1", uploads, serial.Upload.Peaks)
+
+	tiers := cat.UploadTiers()
+	big := 0
+	for ti, ds := range serial.Downloads {
+		if ds.SampleCount > serial.Downloads[big].SampleCount {
+			big = ti
+		}
+	}
+	ds := serial.Downloads[big]
+	if ds.SampleCount <= fastFitMinN || ds.Model == nil {
+		t.Fatalf("largest stage-2 slice holds %d samples (model %v), want over %d", ds.SampleCount, ds.Model != nil, fastFitMinN)
+	}
+	var downs []float64
+	for i, a := range serial.Assignments {
+		if a.UploadTier == big {
+			downs = append(downs, samples[i].Download)
+		}
+	}
+	checkPeaks("stage 2", downs, ds.Peaks)
+	init := downloadInitMeans(ds.Peaks, tiers[big])
+	histEM, err := stats.FitGMMInit(downs, init, fast.resolve())
+	if err != nil {
+		t.Fatal(err)
+	}
+	exactEM, err := stats.FitGMMInit(downs, init, exact.resolve())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ds.Model, histEM) {
+		t.Fatal("stage 2: model differs from the histogram EM's")
+	}
+	if reflect.DeepEqual(ds.Model, exactEM) {
+		t.Fatal("stage 2: model equals the exact EM's, so the histogram EM shows nothing")
 	}
 }

@@ -176,15 +176,7 @@ type IngestColumns struct {
 
 // ColumnizeIngest extracts every column in one pass over the rows.
 func ColumnizeIngest(rows []IngestRow) *IngestColumns {
-	n := len(rows)
-	c := &IngestColumns{
-		Download: make([]float64, n), Upload: make([]float64, n),
-		Latency: make([]float64, n), Confidence: make([]float64, n),
-		TestID: make([]int, n), UserID: make([]int, n),
-		UploadTier: make([]int, n), Tier: make([]int, n),
-		City: make([]string, n), ISP: make([]string, n),
-		Timestamp: make([]time.Time, n),
-	}
+	c := newIngestColumns(len(rows))
 	for i := range rows {
 		r := &rows[i]
 		c.Download[i], c.Upload[i], c.Latency[i] = r.DownloadMbps, r.UploadMbps, r.LatencyMs
@@ -197,6 +189,41 @@ func ColumnizeIngest(rows []IngestRow) *IngestColumns {
 	return c
 }
 
+// newIngestColumns allocates every column at n rows.
+func newIngestColumns(n int) *IngestColumns {
+	return &IngestColumns{
+		Download: make([]float64, n), Upload: make([]float64, n),
+		Latency: make([]float64, n), Confidence: make([]float64, n),
+		TestID: make([]int, n), UserID: make([]int, n),
+		UploadTier: make([]int, n), Tier: make([]int, n),
+		City: make([]string, n), ISP: make([]string, n),
+		Timestamp: make([]time.Time, n),
+	}
+}
+
+// copyRow stores row j of src as row i.
+func (c *IngestColumns) copyRow(i int, src *IngestColumns, j int) {
+	c.Download[i], c.Upload[i], c.Latency[i] = src.Download[j], src.Upload[j], src.Latency[j]
+	c.Confidence[i] = src.Confidence[j]
+	c.TestID[i], c.UserID[i] = src.TestID[j], src.UserID[j]
+	c.UploadTier[i], c.Tier[i] = src.UploadTier[j], src.Tier[j]
+	c.City[i], c.ISP[i] = src.City[j], src.ISP[j]
+	c.Timestamp[i] = src.Timestamp[j]
+}
+
+// row returns row i as a row struct.
+func (c *IngestColumns) row(i int) IngestRow {
+	return IngestRow{
+		TestID: c.TestID[i], UserID: c.UserID[i],
+		City: c.City[i], ISP: c.ISP[i],
+		Timestamp:    c.Timestamp[i],
+		DownloadMbps: c.Download[i], UploadMbps: c.Upload[i],
+		LatencyMs:  c.Latency[i],
+		UploadTier: c.UploadTier[i], Tier: c.Tier[i],
+		Confidence: c.Confidence[i],
+	}
+}
+
 // Len returns the row count.
 func (c *IngestColumns) Len() int { return len(c.Download) }
 
@@ -205,15 +232,7 @@ func (c *IngestColumns) Len() int { return len(c.Download) }
 func (c *IngestColumns) Rows() []IngestRow {
 	rows := make([]IngestRow, c.Len())
 	for i := range rows {
-		rows[i] = IngestRow{
-			TestID: c.TestID[i], UserID: c.UserID[i],
-			City: c.City[i], ISP: c.ISP[i],
-			Timestamp:    c.Timestamp[i],
-			DownloadMbps: c.Download[i], UploadMbps: c.Upload[i],
-			LatencyMs:  c.Latency[i],
-			UploadTier: c.UploadTier[i], Tier: c.Tier[i],
-			Confidence: c.Confidence[i],
-		}
+		rows[i] = c.row(i)
 	}
 	return rows
 }

@@ -18,7 +18,6 @@ import (
 	"math"
 	"time"
 
-	"speedctx/internal/parallel"
 	"speedctx/internal/stats"
 )
 
@@ -649,44 +648,4 @@ func (s *BlockScanner) decodeSketchSectionWhole(ss scanSection) ([]SketchBundle,
 		return nil, s.fail("sketch section: %d trailing mass bytes", r)
 	}
 	return out, nil
-}
-
-// ScanSegments opens each path as a file-backed scan of the same
-// selection and runs scan over the per-file scanners, parallelized across
-// files via internal/parallel. Results come back in path order regardless
-// of worker count or completion order, and the error reported is the
-// first failing path's, so multi-segment scan→fold pipelines reduce
-// deterministically: fold results[0], results[1], ... left to right.
-func ScanSegments[T any](par int, paths []string, sel SnapshotSelection, batchRows int, scan func(i int, sc *BlockScanner) (T, error)) ([]T, error) {
-	results := make([]T, len(paths))
-	errs := make([]error, len(paths))
-	parallel.For(par, len(paths), func(i int) {
-		src, err := OpenFileSource(paths[i])
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		defer src.Close()
-		sc, err := NewBlockScanner(src, sel, batchRows)
-		if err != nil {
-			errs[i] = fmt.Errorf("%s: %w", paths[i], err)
-			return
-		}
-		v, err := scan(i, sc)
-		if err != nil {
-			errs[i] = fmt.Errorf("%s: %w", paths[i], err)
-			return
-		}
-		if err := sc.Err(); err != nil {
-			errs[i] = fmt.Errorf("%s: %w", paths[i], err)
-			return
-		}
-		results[i] = v
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
 }

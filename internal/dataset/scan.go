@@ -242,7 +242,7 @@ type ColumnsBatch struct {
 //	err = sc.Err()
 //
 // A scanner is single-goroutine; scan multiple files concurrently with one
-// scanner each (ScanSegments).
+// scanner each.
 type BlockScanner struct {
 	src    ScanSource
 	mem    []byte // non-nil for byteSource: alias payloads, skip copies

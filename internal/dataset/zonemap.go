@@ -414,26 +414,29 @@ type clusterEntry struct {
 	row  int32
 }
 
-// SortIngestRowsClustered sorts rows into the clustered canonical order:
-// ascending packed quadkey under key, ties broken by the full
-// ingestRowLess total order. Like SortIngestRows, any permutation of the
-// same row multiset sorts to the same sequence, so clustered compaction
-// bytes stay a pure function of the row set (and the clustering options).
-// Row positions are int32: a sort of 2^31 rows (over 250 GB of rows) is
-// out of reach anyway.
-func SortIngestRowsClustered(rows []IngestRow, key func(city string, userID int) uint64) {
-	ents := make([]clusterEntry, len(rows))
+// clusterOrder sorts n rows, which at describes by position, into the
+// clustered canonical order under key and returns the sorted entries:
+// entry i names the row that belongs at position i. less is ingestRowLess
+// over two row positions, for the ties the entry leaves. A nil key puts
+// every row at key 0, which leaves the v2 order (ingestRowLess) alone,
+// since that order also leads with the city and the test id.
+func clusterOrder(n int, at func(i int) (city string, userID, testID int), key func(city string, userID int) uint64, less func(a, b int32) bool) []clusterEntry {
+	ents := make([]clusterEntry, n)
 	seen := map[string]int32{}
 	var names []string
-	for i := range rows {
-		r := &rows[i]
-		c, ok := seen[r.City]
+	for i := range ents {
+		city, user, test := at(i)
+		c, ok := seen[city]
 		if !ok {
 			c = int32(len(names))
-			seen[r.City] = c
-			names = append(names, r.City)
+			seen[city] = c
+			names = append(names, city)
 		}
-		ents[i] = clusterEntry{key: key(r.City, r.UserID), test: r.TestID, city: c, row: int32(i)}
+		var k uint64
+		if key != nil {
+			k = key(city, user)
+		}
+		ents[i] = clusterEntry{key: k, test: test, city: c, row: int32(i)}
 	}
 	// Replace first-seen indices with byte-order ranks.
 	sorted := slices.Clone(names)
@@ -454,13 +457,27 @@ func SortIngestRowsClustered(rows []IngestRow, key func(city string, userID int)
 			return cmp.Compare(a.city, b.city)
 		case a.test != b.test:
 			return cmp.Compare(a.test, b.test)
-		case ingestRowLess(&rows[a.row], &rows[b.row]):
+		case less(a.row, b.row):
 			return -1
-		case ingestRowLess(&rows[b.row], &rows[a.row]):
+		case less(b.row, a.row):
 			return 1
 		}
 		return 0
 	})
+	return ents
+}
+
+// SortIngestRowsClustered sorts rows into the clustered canonical order:
+// ascending packed quadkey under key, ties broken by the full
+// ingestRowLess total order. Like SortIngestRows, any permutation of the
+// same row multiset sorts to the same sequence, so clustered compaction
+// bytes stay a pure function of the row set (and the clustering options).
+// Row positions are int32: a sort of 2^31 rows (over 250 GB of rows) is
+// out of reach anyway.
+func SortIngestRowsClustered(rows []IngestRow, key func(city string, userID int) uint64) {
+	ents := clusterOrder(len(rows),
+		func(i int) (string, int, int) { r := &rows[i]; return r.City, r.UserID, r.TestID },
+		key, func(a, b int32) bool { return ingestRowLess(&rows[a], &rows[b]) })
 	// Position i takes rows[ents[i].row]: follow each cycle of the
 	// permutation once, marking visited entries with -1.
 	for i := range ents {

@@ -304,17 +304,17 @@ func TestZoneMapPushdownIdentity(t *testing.T) {
 	}
 }
 
-// TestCompactBatchedIdentity: every split compacts to the same bytes at
-// every scan parallelism and batch size, and the compacted file folds back
-// to the in-memory tiles.
+// TestCompactBatchedIdentity: at each output layout, every split compacts
+// to the same bytes at every scan batch size, and the compacted file folds
+// back to the in-memory tiles.
 func TestCompactBatchedIdentity(t *testing.T) {
 	f := newIdentityFixture(t)
-	var want []byte
-	for _, split := range identitySplits {
-		for _, par := range identityPars {
+	for _, zoom := range []int{0, opendata.TileZoom} {
+		var want []byte
+		for _, split := range identitySplits {
 			for _, batch := range identityBatches {
 				dir, _ := f.seal(t, split)
-				path, err := CompactWith(dir, CompactOptions{Par: par, BatchRows: batch})
+				path, err := CompactWith(dir, CompactOptions{BatchRows: batch, ClusterZoom: zoom})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -324,7 +324,7 @@ func TestCompactBatchedIdentity(t *testing.T) {
 				}
 				if want != nil {
 					if !bytes.Equal(got, want) {
-						t.Fatalf("split %d par %d batch %d: compacted bytes differ", split, par, batch)
+						t.Fatalf("zoom %d split %d batch %d: compacted bytes differ", zoom, split, batch)
 					}
 					continue
 				}
@@ -332,7 +332,7 @@ func TestCompactBatchedIdentity(t *testing.T) {
 				ix := tilequery.NewIndex(tilequery.Config{Parallelism: 1})
 				foldFiles(t, ix, []string{path}, tileSelection, 0)
 				if !bytes.Equal(renderQueries(t, ix, identityZooms...), renderQueries(t, f.ref, identityZooms...)) {
-					t.Fatalf("tiles folded from %s differ from the in-memory fold", CompactedName)
+					t.Fatalf("zoom %d: tiles folded from %s differ from the in-memory fold", zoom, CompactedName)
 				}
 			}
 		}

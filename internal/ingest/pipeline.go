@@ -578,19 +578,20 @@ func listSegments(dir string) ([]string, error) {
 	return names, nil
 }
 
-// CompactOptions tunes CompactWith. The zero value means all-CPU scans,
-// default batches and unclustered v2 output.
+// CompactOptions tunes CompactWith. The zero value means default scan
+// batches and unclustered v2 output.
 type CompactOptions struct {
-	// Par is the number of segments scanned concurrently (0 = all CPUs).
-	Par int
-	// BatchRows is the scan batch size (0 = dataset.DefaultScanBatchRows).
-	// Neither knob affects the output bytes.
+	// BatchRows is the scan batch of each streamed run (0 =
+	// dataset.DefaultScanBatchRows). It does not affect the output bytes.
 	BatchRows int
 	// ClusterZoom > 0 emits the compacted snapshot as a format-v3
 	// quadkey-clustered zoned file (DESIGN.md §15): rows sorted by packed
 	// quadkey at this zoom (ties broken by the stable row key — the
 	// clustered canonical order), split into zone-mapped row groups that
-	// bbox tile queries skip by seek. 0 keeps the unclustered v2 layout.
+	// bbox tile queries skip by seek. Every sealed segment is a sorted run
+	// in this order at opendata.TileZoom, so at that zoom the merge streams
+	// the segments instead of sorting them. 0 keeps the unclustered v2
+	// layout, for which every run is sorted alone before the merge.
 	ClusterZoom int
 	// ZoneBlockRows is the rows-per-group split of a clustered snapshot
 	// (0 = the dataset default, 4096).
@@ -604,32 +605,56 @@ type CompactOptions struct {
 // count, or arrival interleaving that drained the same rows compacts to
 // the same file — both sort orders are total and deterministic.
 //
-// The merge scan streams every segment concurrently (DESIGN.md §14):
-// per-file block scanners decode in parallel and the per-segment payloads
-// reduce in sorted file order, so decode overlaps the fold while the
-// output bytes stay independent of worker count.
+// Every input file is a sorted run, and the compaction is a k-way merge
+// of the runs (dataset.MergeIngestRuns, DESIGN.md §14) on one goroutine,
+// written straight into the output columns. A run whose zone directory
+// records the output's zoom and location seed — every sealed segment, at
+// ClusterZoom opendata.TileZoom — streams a batch at a time; any other
+// run is read and sorted alone first. A streamed run found out of order
+// fails the compaction with an error naming its file, before anything is
+// written or removed.
 func CompactWith(dir string, opts CompactOptions) (string, error) {
 	files, err := listSegments(dir)
 	if err != nil {
 		return "", err
 	}
-	paths := make([]string, len(files))
-	for i, name := range files {
-		paths[i] = filepath.Join(dir, name)
+	runs := make([]dataset.IngestRun, 0, len(files))
+	var srcs []*dataset.FileSource
+	defer func() {
+		for _, src := range srcs {
+			src.Close()
+		}
+	}()
+	rows := 0
+	for _, name := range files {
+		src, err := dataset.OpenFileSource(filepath.Join(dir, name))
+		if err != nil {
+			return "", fmt.Errorf("ingest: compact: %w", err)
+		}
+		srcs = append(srcs, src)
+		d, err := dataset.ParseDirectory(src)
+		if err != nil {
+			return "", fmt.Errorf("ingest: compact: %s: %w", name, err)
+		}
+		runs = append(runs, dataset.IngestRun{Name: name, Src: src, Dir: d})
+		rows += d.IngestRows()
 	}
-	segs, err := scanSegmentsForCompact(paths, opts.Par, opts.BatchRows)
+	var zo *dataset.ZoneOptions
+	if opts.ClusterZoom > 0 {
+		zo = opendata.NewZoneOptions(opts.ClusterZoom, opts.ZoneBlockRows)
+		zo.Quadkey = (&keyMemo{derive: zo.Quadkey, slots: rows}).key
+	}
+	cols, sketches, err := dataset.MergeIngestRuns(runs, zo, opts.BatchRows)
 	if err != nil {
 		return "", fmt.Errorf("ingest: compact: %w", err)
 	}
-	var rows []dataset.IngestRow
 	type sketchKey struct {
 		city string
 		tier int
 	}
 	merged := make(map[sketchKey]*dataset.SketchBundle)
-	for si, seg := range segs {
-		rows = append(rows, seg.rows...)
-		for _, b := range seg.bundles {
+	for si, bs := range sketches {
+		for _, b := range bs {
 			k := sketchKey{b.City, b.Tier}
 			if m, ok := merged[k]; ok {
 				if err := m.Sketch.Merge(b.Sketch); err != nil {
@@ -658,14 +683,10 @@ func CompactWith(dir string, opts CompactOptions) (string, error) {
 		bundles = append(bundles, *merged[k])
 	}
 	var buf []byte
-	if opts.ClusterZoom > 0 {
-		zo := opendata.NewZoneOptions(opts.ClusterZoom, opts.ZoneBlockRows)
-		zo.Quadkey = (&keyMemo{derive: zo.Quadkey, slots: len(rows)}).key
-		dataset.SortIngestRowsClustered(rows, zo.Quadkey)
-		buf, err = dataset.EncodeIngestSegmentZoned(dataset.ColumnizeIngest(rows), bundles, zo)
+	if zo != nil {
+		buf, err = dataset.EncodeIngestSegmentZoned(cols, bundles, zo)
 	} else {
-		dataset.SortIngestRows(rows)
-		buf, err = dataset.EncodeIngestSegmentSketches(dataset.ColumnizeIngest(rows), bundles)
+		buf, err = dataset.EncodeIngestSegmentSketches(cols, bundles)
 	}
 	if err != nil {
 		return "", err

@@ -2,15 +2,12 @@ package ingest
 
 // Streamed segment scans (DESIGN.md §14): every ingest-side consumer of a
 // sealed .sxc segment — the tile-layer refresh fold, sketch priming at
-// startup, and compaction — iterates the file through a
-// dataset.BlockScanner instead of materializing whole-segment columns, so
-// peak memory stays bounded by the scan batch however large a segment
-// grew.
+// startup, and compaction's merge (dataset.MergeIngestRuns) — iterates the
+// file through a dataset.BlockScanner instead of materializing
+// whole-segment columns, so peak memory stays bounded by the scan batch
+// however large a segment grew.
 
 import (
-	"errors"
-	"fmt"
-
 	"speedctx/internal/core"
 	"speedctx/internal/dataset"
 )
@@ -82,51 +79,4 @@ func scanSegmentBundles(path string) ([]dataset.SketchBundle, error) {
 		return nil, err
 	}
 	return bundles, nil
-}
-
-// segmentScan is one segment's compaction payload: its rows (copied out
-// of the reused batch buffers) and its persisted sketch bundles.
-type segmentScan struct {
-	rows    []dataset.IngestRow
-	bundles []dataset.SketchBundle
-}
-
-// compactSelection materializes everything a compaction re-encodes: the
-// full ingest section plus the sketch bundles.
-var compactSelection = dataset.SnapshotSelection{
-	Ingest: dataset.AllColumns, Sketches: true,
-}
-
-// scanSegmentsForCompact streams every segment concurrently (one scanner
-// per file via internal/parallel) and returns the per-segment payloads in
-// path order — the deterministic ordered reduction compaction folds over.
-func scanSegmentsForCompact(paths []string, par, batchRows int) ([]segmentScan, error) {
-	return dataset.ScanSegments(par, paths, compactSelection, batchRows,
-		func(_ int, sc *dataset.BlockScanner) (segmentScan, error) {
-			var d segmentScan
-			sawIngest := false
-			for sc.Scan() {
-				b := sc.Batch()
-				switch b.Kind {
-				case dataset.SectionIngest:
-					sawIngest = true
-					if b.Rows > 0 {
-						// Rows() copies each row out of the batch's reused
-						// columns (strings are stable dictionary entries).
-						d.rows = append(d.rows, b.Ingest.Rows()...)
-					}
-				case dataset.SectionSketch:
-					d.bundles = append(d.bundles, b.Sketches...)
-				default:
-					return d, fmt.Errorf("unexpected section kind %d in segment", b.Kind)
-				}
-			}
-			if err := sc.Err(); err != nil {
-				return d, err
-			}
-			if !sawIngest {
-				return d, errors.New("snapshot carries no ingest section")
-			}
-			return d, nil
-		})
 }
