@@ -15,7 +15,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"speedctx/internal/stats"
@@ -204,11 +203,14 @@ func (c *blockCursor) deltaInts(dst []int) error {
 		stop := c.varintStop(p)
 		pos := 0
 		for i < len(dst) && pos < stop {
-			// Fast path: deltas are almost always single-byte varints.
+			// Fast paths: in clustered order most user-id deltas are one-
+			// or two-byte varints. Longer and malformed ones go through
+			// binary.Uvarint, so an error names the varint's row.
 			u, w := uint64(p[pos]), 1
 			if u >= 0x80 {
-				u, w = binary.Uvarint(p[pos:])
-				if w <= 0 {
+				if pos+1 < len(p) && p[pos+1] < 0x80 {
+					u, w = u&0x7f|uint64(p[pos+1])<<7, 2
+				} else if u, w = binary.Uvarint(p[pos:]); w <= 0 {
 					c.wpos += pos
 					return c.colErr("bad varint at row %d", c.row+i)
 				}
@@ -292,10 +294,7 @@ func (c *blockCursor) floats(dst []float64) error {
 		if rest := len(dst) - i; k > rest {
 			k = rest
 		}
-		p := c.win[c.wpos:]
-		for j := 0; j < k; j++ {
-			dst[i+j] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*j:]))
-		}
+		decodeRawFloats(dst[i:i+k], c.win[c.wpos:])
 		c.wpos += 8 * k
 		i += k
 	}

@@ -403,6 +403,12 @@ func FuzzBlockScanner(f *testing.F) {
 	zflip := append([]byte(nil), zoned...)
 	zflip[12] ^= 0x55
 	f.Add(zflip, uint32(6), uint32(6), false, uint16(4))
+	// Decode-kernel seeds: an ingest image whose user-id deltas are
+	// varints of 1, 2, 3 and 10 bytes, and the same image with its
+	// user-id block ending in a dangling continuation byte.
+	kimg := kernelIngestImage(f)
+	f.Add(kimg, uint32(0), ^uint32(0), false, uint16(5))
+	f.Add(danglingUserIDImage(f, kimg), uint32(0), ^uint32(0), false, uint16(7))
 	f.Fuzz(func(t *testing.T, b []byte, ooklaSel, otherSel uint32, sketches bool, batch uint16) {
 		sel := SnapshotSelection{
 			Ookla: ColumnSet(ooklaSel), Android: ColumnSet(ooklaSel),

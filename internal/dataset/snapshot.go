@@ -389,10 +389,16 @@ func appendFloats(b []byte, v []float64) []byte {
 	return b
 }
 
+// appendStrings writes a first-seen dictionary, then one index per row.
+// Clustered rows come in long runs of one city and ISP, so each pass
+// looks the dictionary up once per run of equal values, not once per row.
 func appendStrings[T ~string](b []byte, v []T) []byte {
 	dict := map[T]int{}
 	var names []T
-	for _, s := range v {
+	for i, s := range v {
+		if i > 0 && s == v[i-1] {
+			continue
+		}
 		if _, ok := dict[s]; !ok {
 			dict[s] = len(names)
 			names = append(names, s)
@@ -403,8 +409,12 @@ func appendStrings[T ~string](b []byte, v []T) []byte {
 		b = binary.AppendUvarint(b, uint64(len(s)))
 		b = append(b, s...)
 	}
-	for _, s := range v {
-		b = binary.AppendUvarint(b, uint64(dict[s]))
+	idx := 0
+	for i, s := range v {
+		if i == 0 || s != v[i-1] {
+			idx = dict[s]
+		}
+		b = binary.AppendUvarint(b, uint64(idx))
 	}
 	return b
 }

@@ -307,11 +307,15 @@ func BenchmarkTilesHTTP(b *testing.B) {
 	if err := p.Close(); err != nil { // seal the tail batch
 		b.Fatal(err)
 	}
-	loc := opendata.UserLocation(opendata.CityCenter(rows[0].City), opendata.DefaultLocSeed, rows[0].UserID)
+	center := opendata.CityCenter(rows[0].City)
+	loc := opendata.UserLocation(center, opendata.DefaultLocSeed, rows[0].UserID)
 	for _, q := range []struct{ name, params string }{
 		{"query=base", ""},
 		{"query=rollup", "?zoom=12&metric=download"},
 		{"query=bbox", fmt.Sprintf("?zoom=16&bbox=%g,%g,%g,%g", loc.Lat-0.001, loc.Lon-0.001, loc.Lat+0.001, loc.Lon+0.001)},
+		// A whole city at zoom 12 on the pushdown path: every row of the
+		// city decodes and folds on each query.
+		{"query=city", fmt.Sprintf("?zoom=12&bbox=%g,%g,%g,%g", center.Lat-0.1, center.Lon-0.1, center.Lat+0.1, center.Lon+0.1)},
 	} {
 		b.Run(q.name, func(b *testing.B) {
 			if code, body := getTiles(b, client, ts.URL, q.params); code != http.StatusOK || len(body) == 0 {

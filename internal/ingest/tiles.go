@@ -230,6 +230,11 @@ func (ts *tileServer) tilesPushdown(query tilequery.Query) ([]opendata.ContextTi
 	if err != nil {
 		return nil, err
 	}
+	return ts.pushdown(names, query)
+}
+
+// pushdown is tilesPushdown over an already listed segment set.
+func (ts *tileServer) pushdown(names []string, query tilequery.Query) ([]opendata.ContextTile, error) {
 	sel := tileSelection
 	sel.Predicate = query.Range.ZonePredicate()
 	ix := ts.push

@@ -30,6 +30,7 @@ package tilequery
 import (
 	"fmt"
 	"sort"
+	"unsafe"
 
 	"speedctx/internal/dataset"
 	"speedctx/internal/opendata"
@@ -430,7 +431,7 @@ func (ix *Index) foldChunk(rows *Rows, lo, hi int, memo *placeMemo, tiles map[ui
 		pass     = memo.pass
 		gen      = ix.gen
 		cm       *cityMemo
-		curCity  = "\x00"
+		curCity  string
 		users    = rows.UserID
 		cityCol  = rows.City
 		download = rows.Download
@@ -444,8 +445,13 @@ func (ix *Index) foldChunk(rows *Rows, lo, hi int, memo *placeMemo, tiles map[ui
 		if cityCol != nil {
 			city = cityCol[i]
 		}
-		if city != curCity || cm == nil {
-			cm = memo.city(city)
+		// A scanner batch's cities alias one dictionary entry per
+		// section, so a run of one city is a run of one string: test
+		// identity first and compare contents only when it changes.
+		if cm == nil || !sameString(city, curCity) {
+			if cm == nil || city != curCity {
+				cm = memo.city(city)
+			}
 			curCity = city
 		}
 		user := users[i]
@@ -483,6 +489,13 @@ func (ix *Index) foldChunk(rows *Rows, lo, hi int, memo *placeMemo, tiles map[ui
 			latUs, tier, hasTier, access)
 	}
 	return filtered, touched
+}
+
+// sameString reports whether a and b are the same string value: the same
+// bytes at the same address. Equal contents at different addresses
+// report false.
+func sameString(a, b string) bool {
+	return len(a) == len(b) && unsafe.StringData(a) == unsafe.StringData(b)
 }
 
 // placeUser settles a user's first row of a pass: it places the user (once
@@ -582,7 +595,14 @@ func renderGroup(g group, zoom int) opendata.ContextTile {
 	if len(g.children) == 1 {
 		a = *g.children[0]
 	} else {
-		a.devices = map[int]struct{}{}
+		// A user places on one tile per city, so the children's device
+		// sets rarely overlap and their sizes sum to about the union's:
+		// presized to that, the union never rehashes.
+		n := 0
+		for _, c := range g.children {
+			n += len(c.devices)
+		}
+		a.devices = make(map[int]struct{}, n)
 		for _, c := range g.children {
 			a.merge(c)
 		}
