@@ -178,15 +178,19 @@ type IngestColumns struct {
 func ColumnizeIngest(rows []IngestRow) *IngestColumns {
 	c := newIngestColumns(len(rows))
 	for i := range rows {
-		r := &rows[i]
-		c.Download[i], c.Upload[i], c.Latency[i] = r.DownloadMbps, r.UploadMbps, r.LatencyMs
-		c.Confidence[i] = r.Confidence
-		c.TestID[i], c.UserID[i] = r.TestID, r.UserID
-		c.UploadTier[i], c.Tier[i] = r.UploadTier, r.Tier
-		c.City[i], c.ISP[i] = r.City, r.ISP
-		c.Timestamp[i] = r.Timestamp
+		c.setRow(i, &rows[i])
 	}
 	return c
+}
+
+// setRow stores r as row i.
+func (c *IngestColumns) setRow(i int, r *IngestRow) {
+	c.Download[i], c.Upload[i], c.Latency[i] = r.DownloadMbps, r.UploadMbps, r.LatencyMs
+	c.Confidence[i] = r.Confidence
+	c.TestID[i], c.UserID[i] = r.TestID, r.UserID
+	c.UploadTier[i], c.Tier[i] = r.UploadTier, r.Tier
+	c.City[i], c.ISP[i] = r.City, r.ISP
+	c.Timestamp[i] = r.Timestamp
 }
 
 // newIngestColumns allocates every column at n rows.

@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 	"time"
 
@@ -108,7 +107,7 @@ func byteEnum[T interface {
 type column[S, R any] interface {
 	blockID() byte
 	rows(c *S) int
-	encode(e *snapEnc, c *S) error
+	payload(b []byte, c *S) ([]byte, error)
 	zone(z *zoneDirBuilder, c *S)
 	bind(s *BlockScanner, bi blockInfo, rows int, c *S) error
 	drop(c *S)
@@ -156,15 +155,8 @@ func ingestCol[T any](id byte, c codec[T], get func(*IngestColumns) *[]T) *field
 func (f *field[S, R, T]) blockID() byte { return f.id }
 func (f *field[S, R, T]) rows(c *S) int { return len(*f.get(c)) }
 
-func (f *field[S, R, T]) encode(e *snapEnc, c *S) error {
-	payload, err := f.c.enc(e.scratch[:0], *f.get(c))
-	if err != nil {
-		return err
-	}
-	e.column(f.id, payload)
-	e.scratch = payload
-	return nil
-}
+// payload appends the column's block payload to b.
+func (f *field[S, R, T]) payload(b []byte, c *S) ([]byte, error) { return f.c.enc(b, *f.get(c)) }
 
 func (f *field[S, R, T]) zone(z *zoneDirBuilder, c *S) {
 	if f.c.bounds == nil {
@@ -413,57 +405,56 @@ func (l *layout[S, R]) encode(e *snapEnc, kind byte, c *S) error {
 		return err
 	}
 	e.section(kind, n)
-	return l.encodeColumns(e, c)
+	return l.encodeColumns(e, c, l.lengthWidths(n))
 }
 
-// encodeColumns emits one block per column, ids 1..N. Zoned encodes call
-// it once per row group over sliced columns; every codec restarts per
-// payload, so a group decodes exactly like a small section.
-func (l *layout[S, R]) encodeColumns(e *snapEnc, c *S) error {
-	for _, f := range l.cols {
-		if err := f.encode(e, c); err != nil {
+// encodeColumns emits one block per column, ids 1..N, each payload
+// encoded straight into the image. widths[i] is the uvarint width column
+// i's payload length is expected to take, which the column's block
+// updates. The zoned writer calls it once per row group; every codec
+// restarts per payload, so a group decodes exactly like a small section.
+func (l *layout[S, R]) encodeColumns(e *snapEnc, c *S, widths []int) error {
+	for i, f := range l.cols {
+		at, b := e.openBlock(widths[i])
+		b, err := f.payload(b, c)
+		if err != nil {
 			return err
 		}
+		e.closeBlock(f.blockID(), at, &widths[i], b)
 	}
 	return nil
 }
 
-// encodeZoned renders c as a zoned v3 section under kind: a zone directory
-// recording each row group's placement range and column bounds, then the
-// groups' column blocks.
+// lengthWidths is every column's first guess at its payload length's
+// uvarint width over rows rows: that of two bytes a row.
+func (l *layout[S, R]) lengthWidths(rows int) []int {
+	w := make([]int, len(l.cols))
+	for i := range w {
+		w[i] = uvarintLen(uint64(2 * rows))
+	}
+	return w
+}
+
+// encodeZoned renders c as a zoned v3 section under kind through the
+// group writer, one row group of sliced columns at a time.
 func (l *layout[S, R]) encodeZoned(e *snapEnc, kind byte, c *S, opts *ZoneOptions) error {
 	n, err := l.rowCount(c)
 	if err != nil {
 		return err
 	}
 	city, user := l.place(c)
-	keys := zoneKeys(opts.Quadkey, city, user)
-	spans := zoneGroupSpans(n, opts.blockRows())
-	var zb zoneDirBuilder
-	zb.header(opts, len(spans))
-	groups := make([]*S, len(spans))
-	for i, sp := range spans {
-		groups[i] = l.slice(c, sp[0], sp[1])
-		zb.group(sp[1]-sp[0], keys[sp[0]:sp[1]])
-		for _, f := range l.cols {
-			f.zone(&zb, groups[i])
+	w := newZonedWriter(l, e, kind, n, opts, 0)
+	keys := make([]uint64, 0, min(n, opts.blockRows()))
+	for _, sp := range zoneGroupSpans(n, opts.blockRows()) {
+		keys = keys[:0]
+		for i := sp[0]; i < sp[1]; i++ {
+			keys = append(keys, opts.Quadkey(city[i], user[i]))
 		}
-	}
-	e.section(kind, n)
-	e.zoneDir(zb.b)
-	for i, g := range groups {
-		at := len(e.buf)
-		if err := l.encodeColumns(e, g); err != nil {
+		if err := w.group(l.slice(c, sp[0], sp[1]), keys); err != nil {
 			return err
 		}
-		if i == 0 {
-			// Reserve the other groups' room at the first group's size,
-			// so the image grows about once, not in dozens of small
-			// append steps that each copy it.
-			e.buf = slices.Grow(e.buf, (len(e.buf)-at)*(len(groups)-1))
-		}
 	}
-	return nil
+	return w.finish()
 }
 
 // zoneKeys derives each row's packed cluster key from its (city, user).
