@@ -150,48 +150,56 @@ func BenchmarkPipelineSeal(b *testing.B) {
 	}
 }
 
+// compactSegments seals segs segments of 65,536 rows each (four cities ×
+// 5,000 users, every segment with fresh test ids) into a new pipeline's
+// directory and returns the pipeline and each segment's image.
+func compactSegments(tb testing.TB, segs int) (*Pipeline, [][]byte) {
+	tb.Helper()
+	const rows, users = 65536, 5000
+	rng := rand.New(rand.NewSource(28))
+	base := time.Unix(1609459200, 0).UTC()
+	p, err := newPipeline(PipelineConfig{Dir: tb.TempDir()})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	images := make([][]byte, segs)
+	batch := make([]dataset.IngestRow, rows)
+	for s := range images {
+		for i := range batch {
+			city := string(rune('A' + i%4))
+			batch[i] = dataset.IngestRow{
+				TestID:       s*rows + i,
+				UserID:       rng.Intn(users),
+				City:         city,
+				ISP:          "ISP-" + city,
+				Timestamp:    base.Add(time.Duration(s*rows+i) * time.Second),
+				DownloadMbps: rng.Float64() * 1000,
+				UploadMbps:   rng.Float64() * 35,
+				LatencyMs:    rng.Float64() * 50,
+				UploadTier:   rng.Intn(5) - 1,
+				Tier:         rng.Intn(7),
+				Confidence:   rng.Float64(),
+			}
+		}
+		if err := p.seal(batch, s); err != nil {
+			tb.Fatal(err)
+		}
+		if images[s], err = os.ReadFile(p.segmentPath(s)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return p, images
+}
+
 // BenchmarkCompact times CompactWith at opendata.TileZoom over 4 and 16
-// sealed segments of 65,536 rows each (four cities × 5,000 users, every
-// segment with fresh test ids), reporting ns per compacted row and the
-// bytes allocated per compaction. The segments are sealed once; each
+// sealed segments of compactSegments, reporting ns per compacted row and
+// the bytes allocated per compaction. The segments are sealed once; each
 // iteration rewrites them into the directory outside the timer, since
 // compaction removes them.
 func BenchmarkCompact(b *testing.B) {
-	const rows, users = 65536, 5000
 	for _, segs := range []int{4, 16} {
 		b.Run(fmt.Sprintf("segs=%d", segs), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(28))
-			base := time.Unix(1609459200, 0).UTC()
-			p, err := newPipeline(PipelineConfig{Dir: b.TempDir()})
-			if err != nil {
-				b.Fatal(err)
-			}
-			images := make([][]byte, segs)
-			batch := make([]dataset.IngestRow, rows)
-			for s := range images {
-				for i := range batch {
-					city := string(rune('A' + i%4))
-					batch[i] = dataset.IngestRow{
-						TestID:       s*rows + i,
-						UserID:       rng.Intn(users),
-						City:         city,
-						ISP:          "ISP-" + city,
-						Timestamp:    base.Add(time.Duration(s*rows+i) * time.Second),
-						DownloadMbps: rng.Float64() * 1000,
-						UploadMbps:   rng.Float64() * 35,
-						LatencyMs:    rng.Float64() * 50,
-						UploadTier:   rng.Intn(5) - 1,
-						Tier:         rng.Intn(7),
-						Confidence:   rng.Float64(),
-					}
-				}
-				if err := p.seal(batch, s); err != nil {
-					b.Fatal(err)
-				}
-				if images[s], err = os.ReadFile(p.segmentPath(s)); err != nil {
-					b.Fatal(err)
-				}
-			}
+			p, images := compactSegments(b, segs)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -209,7 +217,7 @@ func BenchmarkCompact(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*segs*rows), "ns/row")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*segs*65536), "ns/row")
 		})
 	}
 }

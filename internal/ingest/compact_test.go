@@ -2,9 +2,11 @@ package ingest
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -259,5 +261,72 @@ func TestCompactRejectsUnorderedZonedSegment(t *testing.T) {
 	// The same file is only sorted alone, never checked, in a v2 merge.
 	if _, err := CompactWith(f.dir, CompactOptions{}); err != nil {
 		t.Fatalf("v2 compaction of the same directory: %v", err)
+	}
+}
+
+// allocatedBy returns the bytes the heap allocated while f ran on the
+// calling goroutine (the TotalAlloc delta).
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestCompactAllocsBounded: a clustered compaction of 4 and of 16 sealed
+// 65,536-row segments allocates at most 1.5× its output file plus 4 MB,
+// and so does one seal against its segment. Both write the image a zone
+// group at a time; output columns held whole (about 120 B a row, three
+// times the image) cannot fit the bound.
+func TestCompactAllocsBounded(t *testing.T) {
+	const slack = 4 << 20
+	check := func(what string, alloc uint64, file int64) {
+		t.Helper()
+		bound := uint64(1.5*float64(file)) + slack
+		t.Logf("%s: allocated %.1f MB for a %.1f MB file (bound %.1f MB)", what, float64(alloc)/1e6, float64(file)/1e6, float64(bound)/1e6)
+		if alloc > bound {
+			t.Errorf("%s allocated %d bytes, over 1.5× its %d-byte file plus 4 MB", what, alloc, file)
+		}
+	}
+	p, images := compactSegments(t, 16)
+
+	batch := testRows(65536, 61)
+	var err error
+	alloc := allocatedBy(func() { err = p.seal(batch, len(images)) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := os.Stat(p.segmentPath(len(images)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("seal", alloc, st.Size())
+
+	for _, segs := range []int{4, 16} {
+		names, err := listSegments(p.cfg.Dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names {
+			if err := os.Remove(filepath.Join(p.cfg.Dir, name)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for s, img := range images[:segs] {
+			if err := os.WriteFile(p.segmentPath(s), img, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var path string
+		alloc := allocatedBy(func() { path, err = CompactWith(p.cfg.Dir, CompactOptions{ClusterZoom: opendata.TileZoom}) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("compaction of %d segments", segs), alloc, st.Size())
 	}
 }
