@@ -71,9 +71,11 @@ bench:
 	$(GO) test -run NONE -bench 'IngestHTTP|IngestPipelineSubmit|PipelineSeal|Compact|ParseSubmission|ServerWarmRefresh|TilesHTTP' -benchmem ./internal/ingest/
 	$(GO) test -run NONE -bench 'TileScan|TileAggregate|TileQuery' -benchmem -timeout 30m ./internal/tilequery/
 
-# bench-baseline records the perf trajectory file for this PR series:
-# benchmark name -> ns/op. Compare future PRs against the committed
-# BENCH_pr*.json files. The sub-second stats benches repeat 5 times and
+# bench-baseline records this machine's benchmark baseline into the
+# untracked bench_baseline.json: benchmark name -> ns/op (and B/op where
+# -benchmem is on). Compare it against the committed BENCH_pr*.json files,
+# or copy the entries a PR means to gate into a new committed file; it
+# never overwrites one. The sub-second stats benches repeat 5 times and
 # bench2json.sh keeps the per-bench minimum (noise on a shared VM only
 # inflates samples). The multi-minute generation sizes run once — they pin
 # large-n throughput, are stable run-to-run, and exist for the trajectory,
@@ -86,14 +88,15 @@ bench-baseline:
 	  $(GO) test -run NONE -bench 'ClassifyOne' -benchtime 200000x -count 5 ./internal/core/ ; \
 	  $(GO) test -run NONE -bench 'FitFromSketches' -benchtime 20x -count 5 ./internal/core/ ; \
 	  $(GO) test -run NONE -bench 'IngestPipelineSubmit|ParseSubmission' -benchtime 200000x -count 3 ./internal/ingest/ ; \
+	  $(GO) test -run NONE -bench 'PipelineSeal|Compact' -benchtime 5x -count 3 -benchmem ./internal/ingest/ ; \
 	  $(GO) test -run NONE -bench 'ServerWarmRefresh' -benchtime 20x -count 5 ./internal/ingest/ ; \
 	  $(GO) test -run NONE -bench 'IngestHTTP' -benchtime 3000x -count 3 ./internal/ingest/ ; \
 	  $(GO) test -run NONE -bench 'TilesHTTP' -benchtime 2000x -count 3 ./internal/ingest/ ; \
 	  $(GO) test -run NONE -bench 'TileScan' -benchtime 3x -count 3 -benchmem -timeout 30m ./internal/tilequery/ ; \
 	  $(GO) test -run NONE -bench 'TileAggregate' -benchtime 10x -count 3 ./internal/tilequery/ ; \
 	  $(GO) test -run NONE -bench 'TileQuery' -benchtime 200x -count 5 ./internal/tilequery/ ) \
-		| scripts/bench2json.sh > BENCH_pr16.json
-	@cat BENCH_pr16.json
+		| scripts/bench2json.sh > bench_baseline.json
+	@cat bench_baseline.json
 
 # bench-compare gates the committed perf trajectory: fail if any benchmark
 # shared with an earlier baseline regressed >10% (machine-normalized; see

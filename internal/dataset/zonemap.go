@@ -397,7 +397,11 @@ func EncodeCitySnapshotZoned(snap *CitySnapshot, opts *ZoneOptions) ([]byte, err
 }
 
 // EncodeIngestSegmentZoned is EncodeIngestSegmentSketches with a zoned v3
-// ingest section — the clustered-compaction output format.
+// ingest section — the sealed-segment and clustered-compaction format.
+// It feeds the zoned group writer sliced views of c, a row group at a
+// time; the seal (EncodeIngestRowsZoned) and compaction
+// (MergeIngestRuns) write the same bytes through the same writer without
+// holding c whole.
 func EncodeIngestSegmentZoned(c *IngestColumns, sketches []SketchBundle, opts *ZoneOptions) ([]byte, error) {
 	return EncodeCitySnapshotZoned(&CitySnapshot{Ingest: c, Sketches: sketches}, opts)
 }
