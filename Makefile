@@ -29,12 +29,15 @@ race:
 	$(GO) test -race ./...
 
 # race-scan re-runs the streaming-scan packages under the race detector
-# at GOMAXPROCS 1 and 4 (-cpu 1,4). Every "all CPUs" parallelism knob
-# resolves to GOMAXPROCS (internal/parallel.Workers), so the second pass
-# forces the parallel merge paths even on a 1- or 2-core box — the pooled
+# at GOMAXPROCS 1 and 4 (-cpu 1,4). The "all CPUs" knobs of
+# internal/dataset (the chunk-parallel CSV readers and the generators)
+# resolve to GOMAXPROCS (internal/parallel.Workers), so the second pass
+# forces their parallel paths even on a 1- or 2-core box, and the pooled
 # batch buffers and per-file scanners of DESIGN.md §14 must stay
-# race-clean when segments decode concurrently — while the first pins the
-# serial paths the plain `race` run skips on multi-core machines.
+# race-clean while the ingest sealer and tile handlers run concurrently;
+# the first pins the serial paths the plain `race` run skips on
+# multi-core machines. The tile fold (internal/tilequery) is serial at
+# every setting.
 race-scan:
 	$(GO) test -race -cpu 1,4 ./internal/dataset/... ./internal/tilequery/... ./internal/ingest/...
 

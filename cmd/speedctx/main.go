@@ -326,7 +326,7 @@ func generate(s *experiments.Suite, city, outDir string, out io.Writer) error {
 	c := b.OoklaCols()
 	tiles, err := tilequery.Aggregate(&tilequery.Rows{
 		UserID: c.UserID, Download: c.Download, Upload: c.Upload, Latency: c.Latency,
-	}, tilequery.Config{City: city, Parallelism: s.Parallelism}, tilequery.Query{})
+	}, tilequery.Config{City: city}, tilequery.Query{})
 	if err != nil {
 		return err
 	}

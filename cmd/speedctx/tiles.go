@@ -32,7 +32,7 @@ func runTiles(args []string, out io.Writer) error {
 	city := fs.String("city", "A", "city identifier (A-D)")
 	scale := fs.Float64("scale", 0.02, "fraction of the paper's dataset sizes")
 	seed := fs.Int64("seed", 2021, "generation seed")
-	par := fs.Int("par", 0, "aggregation parallelism: 0 = all CPUs, 1 = serial (output is identical at every setting)")
+	par := fs.Int("par", 0, "generation and BST fit parallelism: 0 = all CPUs, 1 = serial (output is identical at every setting)")
 	zoom := fs.Int("zoom", opendata.TileZoom, "output zoom level (1..16)")
 	bbox := fs.String("bbox", "", "restrict output to minLat,minLon,maxLat,maxLon")
 	metric := fs.String("metric", "", "single-metric projection: download|upload|latency|tests|devices (JSON only)")
@@ -67,7 +67,7 @@ func runTiles(args []string, out io.Writer) error {
 		q.Range = &rng
 	}
 
-	tqcfg := tilequery.Config{City: *city, Parallelism: *par}
+	tqcfg := tilequery.Config{City: *city}
 	var tiles []opendata.ContextTile
 	if *snapDir != "" {
 		fitCfg := core.Config{Parallelism: *par, FastFit: true}

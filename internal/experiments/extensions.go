@@ -119,7 +119,7 @@ func (s *Suite) aggregationTiles(cityID string) ([]opendata.ContextTile, error) 
 		Latency:  c.Latency,
 		Tier:     c.TruthTier,
 	}
-	return tilequery.Aggregate(rows, tilequery.Config{City: cityID, Parallelism: s.Parallelism}, tilequery.Query{})
+	return tilequery.Aggregate(rows, tilequery.Config{City: cityID}, tilequery.Query{})
 }
 
 // majorityTier returns the most frequent tier of a tile's mix, breaking

@@ -75,10 +75,10 @@ var tileSnapshotSelection = dataset.SnapshotSelection{
 // Because accumulation is a pure function of the row multiset and
 // ClassifyOne is bit-identical to Fit's per-sample assignment, the index
 // renders tiles byte-identical to Suite.TileRows + Aggregate over the
-// generated city — at every batchRows (<= 0 selects the default) and
-// every tqcfg.Parallelism; with rng set, that holds for tiles inside rng,
-// since skipped groups hold only rows placed outside it. The returned
-// counters describe the second (tile-column) pass.
+// generated city — at every batchRows (<= 0 selects the default); with
+// rng set, that holds for tiles inside rng, since skipped groups hold only
+// rows placed outside it. The returned counters describe the second
+// (tile-column) pass.
 func StreamTileIndex(fitPath, scanPath, cityID string, cfg core.Config, batchRows int, tqcfg tilequery.Config, rng *opendata.TileRange) (*tilequery.Index, dataset.DecodeCounters, error) {
 	var ctr dataset.DecodeCounters
 	cat, ok := plans.ByCity(cityID)

@@ -71,7 +71,7 @@ func indexTilesJSON(t *testing.T, ix *tilequery.Index) []byte {
 // (StreamTileIndex), at zooms 16 and 12. The streamed scan must really
 // skip the unrequested columns and sections, and a bbox pushed into a
 // scan of the clustered zoned sibling must render the in-memory bbox
-// tiles too. TestStreamTileIndexIdentity sweeps batch size × parallelism.
+// tiles too. TestStreamTileIndexIdentity sweeps the scan batch size.
 func TestTileRowsSnapshotIdentity(t *testing.T) {
 	s, store := newSnapshotTestSuite(t)
 	for _, city := range FixtureCities("A", "B") {

@@ -3,8 +3,8 @@ package ingest
 // The streamed-consumer identity matrix (DESIGN.md §14, §15): one
 // synthesized row set, sealed through the real pipeline into {1, 3}
 // segments, must give the same tiles, sketches and compacted bytes however
-// it is scanned — at scan batch {1, 4096, whole file} and fold parallelism
-// {1, 4, all} — as the in-memory reference computed from the rows.
+// it is scanned — at scan batch {1, 4096, whole file} — as the in-memory
+// reference computed from the rows.
 
 import (
 	"bytes"
@@ -27,7 +27,6 @@ import (
 var (
 	identitySplits  = []int{1, 3}
 	identityBatches = []int{1, 4096, 1 << 30}
-	identityPars    = []int{1, 4, 0}
 )
 
 // identityFixture is the matrix's shared input: the rows, their per-city
@@ -59,7 +58,7 @@ func newIdentityFixture(t *testing.T) *identityFixture {
 		ref.Latency = append(ref.Latency, r.LatencyMs)
 		ref.Tier = append(ref.Tier, r.Tier)
 	}
-	f.ref = tilequery.NewIndex(tilequery.Config{Parallelism: 1})
+	f.ref = tilequery.NewIndex(tilequery.Config{})
 	if _, err := f.ref.AddRows(ref); err != nil {
 		t.Fatal(err)
 	}
@@ -152,20 +151,19 @@ func TestStreamedTilesIdentity(t *testing.T) {
 	for _, split := range identitySplits {
 		_, paths := f.seal(t, split)
 		for _, batch := range identityBatches {
-			for _, par := range identityPars {
-				ix := tilequery.NewIndex(tilequery.Config{Parallelism: par})
-				foldFiles(t, ix, paths, tileSelection, batch)
-				if got := renderQueries(t, ix, identityZooms...); !bytes.Equal(got, want) {
-					t.Fatalf("split %d batch %d par %d: streamed tiles differ from the in-memory fold", split, batch, par)
-				}
+			ix := tilequery.NewIndex(tilequery.Config{})
+			foldFiles(t, ix, paths, tileSelection, batch)
+			if got := renderQueries(t, ix, identityZooms...); !bytes.Equal(got, want) {
+				t.Fatalf("split %d batch %d: streamed tiles differ from the in-memory fold", split, batch)
 			}
 		}
 	}
 }
 
 // TestStreamedSketchesIdentity: re-binning each segment's rows through the
-// sketch fallback scan and merging the segments rebuilds, bit for bit, one
-// AddSample pass over every row, per city, at every split and batch.
+// sketch fallback scan (one scan per segment for every city) and merging
+// the segments rebuilds, bit for bit, one AddSample pass over every row,
+// per city, at every split and batch.
 func TestStreamedSketchesIdentity(t *testing.T) {
 	f := newIdentityFixture(t)
 	want := make(map[string]*core.TierSketches, len(f.specs))
@@ -182,21 +180,30 @@ func TestStreamedSketchesIdentity(t *testing.T) {
 	for _, split := range identitySplits {
 		_, paths := f.seal(t, split)
 		for _, batch := range identityBatches {
+			merged := make(map[string]*core.TierSketches, len(f.specs))
 			for city, spec := range f.specs {
-				merged, err := core.NewTierSketches(spec.Spec, spec.Tiers)
+				ts, err := core.NewTierSketches(spec.Spec, spec.Tiers)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, path := range paths {
-					seg, err := rebinCitySamples(path, city, spec, batch)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := merged.Merge(seg); err != nil {
+				merged[city] = ts
+			}
+			for _, path := range paths {
+				segs, err := rebinCitySamples(path, f.specs, batch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(segs) != len(f.specs) {
+					t.Fatalf("rebin returned %d cities, want %d", len(segs), len(f.specs))
+				}
+				for city, seg := range segs {
+					if err := merged[city].Merge(seg); err != nil {
 						t.Fatal(err)
 					}
 				}
-				if !reflect.DeepEqual(merged, want[city]) {
+			}
+			for city := range f.specs {
+				if !reflect.DeepEqual(merged[city], want[city]) {
 					t.Fatalf("split %d batch %d city %s: streamed deposit differs from the AddSample pass", split, batch, city)
 				}
 			}
@@ -225,9 +232,74 @@ func TestRebinCitySamplesCorruptBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, batch := range identityBatches {
-		if _, err := rebinCitySamples(paths[0], r.City, f.specs[r.City], batch); err == nil ||
+		if _, err := rebinCitySamples(paths[0], f.specs, batch); err == nil ||
 			!strings.Contains(err.Error(), "checksum") {
 			t.Fatalf("batch %d: corrupt block gave %v, want a checksum error", batch, err)
+		}
+	}
+}
+
+// TestPrimeSketchesWithoutBundles: a restart over segments that hold
+// sketch bundles for only some configured cities, or none at all, primes
+// the sketches a live pipeline configured for every city from the start
+// accumulates, bit for bit: each city without a bundle is re-binned from
+// the segment's rows.
+func TestPrimeSketchesWithoutBundles(t *testing.T) {
+	f := newIdentityFixture(t)
+	const batch = 1500
+	live, err := NewPipeline(PipelineConfig{Dir: t.TempDir(), MaxBatchAge: -1, Sketches: f.specs, BatchRows: batch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range f.rows {
+		if err := live.Submit(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := live.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The first run seals bundles for city A only, the second none.
+	dir := t.TempDir()
+	half := len(f.rows) / 2
+	for _, run := range []struct {
+		rows  []dataset.IngestRow
+		specs map[string]CitySketchSpec
+	}{
+		{f.rows[:half], map[string]CitySketchSpec{"A": f.specs["A"]}},
+		{f.rows[half:], nil},
+	} {
+		p, err := NewPipeline(PipelineConfig{Dir: dir, MaxBatchAge: -1, Sketches: run.specs, BatchRows: batch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range run.rows {
+			if err := p.Submit(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if names := segmentNames(t, dir); len(names) != 4 {
+		t.Fatalf("%d segments on disk after two runs, want 4: %v", len(names), names)
+	}
+
+	restarted, err := NewPipeline(PipelineConfig{Dir: dir, MaxBatchAge: -1, Sketches: f.specs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Close()
+	for city := range f.specs {
+		want, _ := live.SealedSketchesFor(city)
+		got, ok := restarted.SealedSketchesFor(city)
+		if !ok || got.Count() == 0 {
+			t.Fatalf("city %s: restart primed no sketches", city)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("city %s: primed sketches (%d rows) differ from the live pipeline's (%d rows)", city, got.Count(), want.Count())
 		}
 	}
 }
@@ -235,7 +307,7 @@ func TestRebinCitySamplesCorruptBlock(t *testing.T) {
 // TestZoneMapPushdownIdentity: bbox queries over a quadkey-clustered zoned
 // (v3) compaction and a canonical (v2) one, with pushdown on (zone
 // predicate plus a fold restricted by Reset(range)) and off, render the
-// in-memory fold's bytes at every batch and parallelism. Only the
+// in-memory fold's bytes at every batch. Only the
 // clustered+pushdown cells may skip row groups, and they must.
 func TestZoneMapPushdownIdentity(t *testing.T) {
 	f := newIdentityFixture(t)
@@ -273,22 +345,20 @@ func TestZoneMapPushdownIdentity(t *testing.T) {
 			for _, q := range queries {
 				want := renderQueries(t, f.ref, q)
 				for _, batch := range identityBatches {
-					for _, par := range identityPars {
-						cfg := tilequery.Config{Parallelism: par}
-						sel := tileSelection
-						ix := tilequery.NewIndex(cfg)
-						if push {
-							sel.Predicate = cfg.Pushdown(q.Range)
-							if err := ix.Reset(q.Range); err != nil {
-								t.Fatal(err)
-							}
+					cfg := tilequery.Config{}
+					sel := tileSelection
+					ix := tilequery.NewIndex(cfg)
+					if push {
+						sel.Predicate = cfg.Pushdown(q.Range)
+						if err := ix.Reset(q.Range); err != nil {
+							t.Fatal(err)
 						}
-						got := foldFiles(t, ix, []string{path}, sel, batch)
-						ctr.BlocksScanned += got.BlocksScanned
-						ctr.BlocksSkipped += got.BlocksSkipped
-						if !bytes.Equal(renderQueries(t, ix, q), want) {
-							t.Fatalf("%s zoom %d batch %d par %d: tiles differ from the in-memory fold", cell, q.Zoom, batch, par)
-						}
+					}
+					got := foldFiles(t, ix, []string{path}, sel, batch)
+					ctr.BlocksScanned += got.BlocksScanned
+					ctr.BlocksSkipped += got.BlocksSkipped
+					if !bytes.Equal(renderQueries(t, ix, q), want) {
+						t.Fatalf("%s zoom %d batch %d: tiles differ from the in-memory fold", cell, q.Zoom, batch)
 					}
 				}
 			}
@@ -329,7 +399,7 @@ func TestCompactBatchedIdentity(t *testing.T) {
 					continue
 				}
 				want = got
-				ix := tilequery.NewIndex(tilequery.Config{Parallelism: 1})
+				ix := tilequery.NewIndex(tilequery.Config{})
 				foldFiles(t, ix, []string{path}, tileSelection, 0)
 				if !bytes.Equal(renderQueries(t, ix, identityZooms...), renderQueries(t, f.ref, identityZooms...)) {
 					t.Fatalf("zoom %d: tiles folded from %s differ from the in-memory fold", zoom, CompactedName)

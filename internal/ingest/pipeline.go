@@ -25,6 +25,7 @@ package ingest
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -193,6 +194,8 @@ func (p *Pipeline) primeSketches(files []string) error {
 // assembled into fresh spec-shaped sketches (from its persisted bundles,
 // or by streaming its raw rows when a bundle is absent or on a foreign
 // grid), then folded in — so a partially bad segment never half-merges.
+// A segment holds bundles only for the cities that had rows in its batch,
+// so every city without usable bundles is re-binned in one shared scan.
 func (p *Pipeline) foldSegmentSketches(path string) error {
 	bundles, err := scanSegmentBundles(path)
 	if err != nil {
@@ -202,16 +205,26 @@ func (p *Pipeline) foldSegmentSketches(path string) error {
 	for _, b := range bundles {
 		byCity[b.City] = append(byCity[b.City], b)
 	}
+	segs := make(map[string]*core.TierSketches, len(p.cfg.Sketches))
+	rebin := make(map[string]CitySketchSpec)
 	for city, spec := range p.cfg.Sketches {
-		seg, err := segmentSketches(spec, byCity[city])
-		if err != nil {
-			// Absent bundles or a foreign grid: rebuild this city's
-			// contribution by re-binning the segment's raw rows off a
-			// second, column-pruned stream.
-			if seg, err = rebinCitySamples(path, city, spec, 0); err != nil {
-				return err
-			}
+		if seg, err := segmentSketches(spec, byCity[city]); err == nil {
+			segs[city] = seg
+		} else {
+			rebin[city] = spec
 		}
+	}
+	if len(rebin) > 0 {
+		// Absent bundles or a foreign grid: rebuild those cities'
+		// contributions by re-binning the segment's raw rows off a
+		// second, column-pruned stream.
+		rebinned, err := rebinCitySamples(path, rebin, 0)
+		if err != nil {
+			return err
+		}
+		maps.Copy(segs, rebinned)
+	}
+	for city, seg := range segs {
 		if seg.Count() == 0 {
 			continue
 		}

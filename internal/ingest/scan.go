@@ -21,12 +21,22 @@ var sketchSampleSelection = dataset.SnapshotSelection{
 	),
 }
 
-// rebinCitySamples rebuilds one city's sketch contribution by streaming
-// the segment's raw rows — the fallback for legacy segments without
-// bundles, or bundles on a foreign grid. Bin masses are integer counts, so
-// the result is the AddSample pass over the city's rows at every batch
-// size. On a scan error the partial sketches are discarded.
-func rebinCitySamples(path, city string, spec CitySketchSpec, batchRows int) (*core.TierSketches, error) {
+// rebinCitySamples rebuilds the sketch contribution of every city in
+// specs in one stream over the segment's raw rows — the fallback for
+// legacy segments without bundles, cities a segment holds no bundle for,
+// or bundles on a foreign grid. Bin masses are integer counts, so each
+// city's result is the AddSample pass over its rows at every batch size.
+// Rows of cities outside specs are skipped. On a scan error the partial
+// sketches are discarded.
+func rebinCitySamples(path string, specs map[string]CitySketchSpec, batchRows int) (map[string]*core.TierSketches, error) {
+	out := make(map[string]*core.TierSketches, len(specs))
+	for city, spec := range specs {
+		ts, err := core.NewTierSketches(spec.Spec, spec.Tiers)
+		if err != nil {
+			return nil, err
+		}
+		out[city] = ts
+	}
 	src, err := dataset.OpenFileSource(path)
 	if err != nil {
 		return nil, err
@@ -36,18 +46,19 @@ func rebinCitySamples(path, city string, spec CitySketchSpec, batchRows int) (*c
 	if err != nil {
 		return nil, err
 	}
-	ts, err := core.NewTierSketches(spec.Spec, spec.Tiers)
-	if err != nil {
-		return nil, err
-	}
 	for sc.Scan() {
 		b := sc.Batch()
 		if b.Kind != dataset.SectionIngest || b.Rows == 0 {
 			continue
 		}
 		g := b.Ingest
+		// Look the city up only when it differs from the previous row's.
+		cur, ts := "", out[""]
 		for i, c := range g.City {
-			if c == city {
+			if c != cur {
+				cur, ts = c, out[c]
+			}
+			if ts != nil {
 				ts.AddSample(g.UploadTier[i], g.Download[i], g.Upload[i])
 			}
 		}
@@ -55,7 +66,7 @@ func rebinCitySamples(path, city string, spec CitySketchSpec, batchRows int) (*c
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	return ts, nil
+	return out, nil
 }
 
 // scanSegmentBundles streams just a segment's sketch section — the scan

@@ -91,11 +91,10 @@ type segmentDir struct {
 // opendata.TileZoom, the zoom every sealed segment is zoned at, through a
 // result cache of cacheTiles tiles (0 = the tilequery default).
 func newTileServer(dir string, cacheTiles int) *tileServer {
-	cfg := tilequery.Config{Zoom: opendata.TileZoom}
 	return &tileServer{
 		dir:    dir,
-		eng:    tilequery.NewEngine(cfg, cacheTiles),
-		push:   tilequery.NewIndex(cfg),
+		eng:    tilequery.NewEngine(tilequery.Config{}, cacheTiles),
+		push:   tilequery.NewIndex(tilequery.Config{}),
 		folded: make(map[string]bool),
 		dirs:   make(map[string]segmentDir),
 	}
@@ -322,11 +321,11 @@ func (s *Server) handleTiles(w http.ResponseWriter, r *http.Request) {
 	ts := s.tiles
 	q := r.URL.Query()
 
-	zoom := ts.eng.Zoom()
+	zoom := opendata.TileZoom
 	if v := q.Get("zoom"); v != "" {
 		z, err := strconv.Atoi(v)
-		if err != nil || z < 1 || z > ts.eng.Zoom() {
-			http.Error(w, fmt.Sprintf("ingest: zoom must be an integer in [1, %d]", ts.eng.Zoom()), http.StatusBadRequest)
+		if err != nil || z < 1 || z > opendata.TileZoom {
+			http.Error(w, fmt.Sprintf("ingest: zoom must be an integer in [1, %d]", opendata.TileZoom), http.StatusBadRequest)
 			return
 		}
 		zoom = z

@@ -281,25 +281,22 @@ func measurePeakBytes(f func(sample func())) float64 {
 	return peak
 }
 
-// BenchmarkTileAggregate isolates the fold: serial versus all-CPU
-// sharded aggregation over prebuilt rows.
+// BenchmarkTileAggregate isolates the fold: one AddRows over prebuilt
+// rows, then a base-zoom render.
 func BenchmarkTileAggregate(b *testing.B) {
 	for _, n := range []int{100_000, 1_000_000} {
 		rows := synthRows(n, "A", "B")
-		for _, par := range []int{1, 0} {
-			name := "n=" + itoa(n) + "/par=" + itoa(par)
-			b.Run(name, func(b *testing.B) {
-				b.ReportAllocs()
-				start := time.Now()
-				for i := 0; i < b.N; i++ {
-					tiles, err := Aggregate(rows, Config{Parallelism: par}, Query{})
-					if err != nil || len(tiles) == 0 {
-						b.Fatal(err)
-					}
+		b.Run("n="+itoa(n), func(b *testing.B) {
+			b.ReportAllocs()
+			start := time.Now()
+			for i := 0; i < b.N; i++ {
+				tiles, err := Aggregate(rows, Config{}, Query{})
+				if err != nil || len(tiles) == 0 {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(b.N*n)/time.Since(start).Seconds(), "rows/s")
-			})
-		}
+			}
+			b.ReportMetric(float64(b.N*n)/time.Since(start).Seconds(), "rows/s")
+		})
 	}
 }
 

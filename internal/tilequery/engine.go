@@ -30,9 +30,12 @@ type Engine struct {
 	mu    sync.Mutex
 	ix    *Index
 	cache *fitcache.Cache
-	hits  uint64
-	miss  uint64
-	inval uint64
+	// cacheTiles is the result cache's configured capacity, kept across
+	// Resets.
+	cacheTiles int
+	hits       uint64
+	miss       uint64
+	inval      uint64
 }
 
 // EngineStats is a point-in-time snapshot of engine counters for /statsz.
@@ -40,8 +43,6 @@ type EngineStats struct {
 	// Rows and Tiles size the index: rows folded, non-empty base tiles.
 	Rows  int
 	Tiles int
-	// Gen is the fold generation.
-	Gen uint64
 	// CacheHits / CacheMisses / Invalidations count result-cache outcomes;
 	// Invalidations is the cumulative number of (base-tile, fold) touches
 	// that obsoleted cached entries.
@@ -58,7 +59,7 @@ func NewEngine(cfg Config, cacheTiles int) *Engine {
 	if cacheTiles <= 0 {
 		cacheTiles = DefaultCacheTiles
 	}
-	return &Engine{ix: NewIndex(cfg), cache: fitcache.New(cacheTiles)}
+	return &Engine{ix: NewIndex(cfg), cache: fitcache.New(cacheTiles), cacheTiles: cacheTiles}
 }
 
 // AddRows folds a row batch, counting the base tiles whose cached results
@@ -75,19 +76,15 @@ func (e *Engine) AddRows(rows *Rows) error {
 }
 
 // Reset empties the index, keeping its placement memo (used when a
-// segment directory is compacted out from under a server). The result
-// cache need not be dropped: entries of the dead index become unreachable
-// as generations restart only if keys collide, so Reset replaces the cache
-// too, keeping the correctness argument trivial.
+// segment directory is compacted out from under a server). Fold
+// generations restart, so a dead index's cache entries could collide with
+// a new one's keys: Reset replaces the cache with an empty one of the
+// configured capacity, keeping the correctness argument trivial.
 func (e *Engine) Reset() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	cap := e.cache.Snapshot().Len
-	if cap < DefaultCacheTiles {
-		cap = DefaultCacheTiles
-	}
 	_ = e.ix.Reset(nil) // an unrestricted Reset cannot fail
-	e.cache = fitcache.New(cap)
+	e.cache = fitcache.New(e.cacheTiles)
 }
 
 // Stats returns current counters.
@@ -95,17 +92,10 @@ func (e *Engine) Stats() EngineStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return EngineStats{
-		Rows: e.ix.RowCount(), Tiles: e.ix.TileCount(), Gen: e.ix.Gen(),
+		Rows: e.ix.RowCount(), Tiles: e.ix.TileCount(),
 		CacheHits: e.hits, CacheMisses: e.miss, Invalidations: e.inval,
 		CacheLen: e.cache.Len(),
 	}
-}
-
-// Zoom returns the base aggregation zoom.
-func (e *Engine) Zoom() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.ix.cfg.Zoom
 }
 
 // Tiles answers a query through the result cache: rolled tiles in quadkey
@@ -143,7 +133,6 @@ func (e *Engine) tileKey(g group, zoom int) fitcache.Key {
 	h.Uint64(dataset.DataVersion)
 	h.Uint64(g.key)
 	h.Int(zoom)
-	h.Int(e.ix.cfg.Zoom)
 	h.String(e.ix.cfg.City)
 	h.Uint64(g.version)
 	return h.Sum()

@@ -31,14 +31,13 @@ func appendRows(dst, src *Rows) {
 // touchedTiles counts the distinct base tiles rows land on inside r (nil =
 // everywhere), placing each row afresh the way naiveTiles does: the
 // reference for the touched count AddRows reports.
-func touchedTiles(rows *Rows, cfg Config, r *opendata.TileRange) int {
-	cfg = cfg.withDefaults()
+func touchedTiles(rows *Rows, r *opendata.TileRange) int {
 	seen := map[[2]int]bool{}
 	for i := 0; i < rows.Len(); i++ {
 		loc := opendata.UserLocation(opendata.CityCenter(rows.City[i]), opendata.DefaultLocSeed, rows.UserID[i])
-		x, y := opendata.LatLonToTile(loc.Lat, loc.Lon, cfg.Zoom)
+		x, y := opendata.LatLonToTile(loc.Lat, loc.Lon, opendata.TileZoom)
 		if r != nil {
-			if s := uint(cfg.Zoom - r.Zoom); !r.Contains(x>>s, y>>s) {
+			if s := uint(opendata.TileZoom - r.Zoom); !r.Contains(x>>s, y>>s) {
 				continue
 			}
 		}
@@ -48,21 +47,21 @@ func touchedTiles(rows *Rows, cfg Config, r *opendata.TileRange) int {
 }
 
 // TestEpochFoldProperty runs random sequences of Reset(nil | range),
-// inline AddRows batches of 1…aggChunkRows rows (users repeat across
-// batches, and some ids take the sparse memo path) and one multi-chunk
-// batch against one index. The inline path folds straight into the
-// index's tiles through a memo whose accumulators live for the Reset
-// epoch, so at the end of every epoch the index must render the bytes a
-// one-shot Aggregate of the epoch's rows renders, and every call's touched
-// count must equal the distinct base tiles that call's rows land on.
+// AddRows batches of 1…bigBatch rows (users repeat across batches, and
+// some ids take the sparse memo path) and one batch of more than bigBatch
+// rows against one index. Every batch folds straight into the index's
+// tiles through a memo whose accumulators live for the Reset epoch, so at
+// the end of every epoch the index must render the bytes a one-shot
+// Aggregate of the epoch's rows renders, and every call's touched count
+// must equal the distinct base tiles that call's rows land on.
 func TestEpochFoldProperty(t *testing.T) {
-	pool := synthRows(aggChunkRows+aggChunkRows/4, "A", "B")
+	pool := synthRows(bigBatch+bigBatch/4, "A", "B")
 	for i := range pool.UserID {
 		if i%7 == 0 {
 			pool.UserID[i] += denseUserCap + 1_000
 		}
 	}
-	cfg := Config{Parallelism: 4}
+	cfg := Config{}
 	ref := NewIndex(cfg)
 	if _, err := ref.AddRows(pool); err != nil {
 		t.Fatal(err)
@@ -96,7 +95,7 @@ func TestEpochFoldProperty(t *testing.T) {
 			t.Fatalf("sequence %d: folded %d + filtered %d rows, epoch holds %d", seq, ix.RowCount(), ix.FilteredRows(), epoch.Len())
 		}
 	}
-	var resets, restricted, multi int
+	var resets, restricted, big int
 	for seq := 0; seq < 6; seq++ {
 		bigDone := false
 		for step := 0; step < 8; step++ {
@@ -117,10 +116,10 @@ func TestEpochFoldProperty(t *testing.T) {
 					restricted++
 				}
 			default:
-				n := 1 + rng.Intn(aggChunkRows)
+				n := 1 + rng.Intn(bigBatch)
 				if k == 1 && !bigDone {
-					n, bigDone = aggChunkRows+1+rng.Intn(aggChunkRows/4-1), true
-					multi++
+					n, bigDone = bigBatch+1+rng.Intn(bigBatch/4-1), true
+					big++
 				} else if rng.Intn(2) == 0 {
 					n = 1 + rng.Intn(64)
 				}
@@ -130,7 +129,7 @@ func TestEpochFoldProperty(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want := touchedTiles(batch, cfg, restrict); touched != want {
+				if want := touchedTiles(batch, restrict); touched != want {
 					t.Fatalf("sequence %d step %d: %d-row batch under %+v touched %d tiles, want %d", seq, step, n, restrict, touched, want)
 				}
 				appendRows(epoch, batch)
@@ -138,7 +137,7 @@ func TestEpochFoldProperty(t *testing.T) {
 		}
 		check(seq)
 	}
-	if restricted == 0 || restricted == resets || multi == 0 {
-		t.Fatalf("sequences drew %d resets (%d restricted) and %d multi-chunk batches; want every step kind", resets, restricted, multi)
+	if restricted == 0 || restricted == resets || big == 0 {
+		t.Fatalf("sequences drew %d resets (%d restricted) and %d batches over %d rows; want every step kind", resets, restricted, big, bigBatch)
 	}
 }

@@ -14,12 +14,11 @@ import (
 // tile aggregation this package replaces: one pass over the rows with the
 // location hash and Web-Mercator projection recomputed per row, string
 // quadkeys as map keys, roll-up by quadkey-string prefix, sort at the end.
-// It is deliberately engine-free — no per-user memo, no packed keys, no
-// chunked fold — and serves two jobs: the full-decode benchmark baseline
+// It is deliberately engine-free — no per-user memo, no packed keys —
+// and serves two jobs: the full-decode benchmark baseline
 // (what answering a tile query cost before this layer existed), and an
 // independent oracle the engine's output must match byte-for-byte.
 func naiveTiles(rows *Rows, cfg Config, zoom int) []opendata.ContextTile {
-	cfg = cfg.withDefaults()
 	type acc struct {
 		sumD, sumU, sumLat int64
 		tests, wifi, eth   int
@@ -33,8 +32,8 @@ func naiveTiles(rows *Rows, cfg Config, zoom int) []opendata.ContextTile {
 			city = rows.City[i]
 		}
 		loc := opendata.UserLocation(opendata.CityCenter(city), opendata.DefaultLocSeed, rows.UserID[i])
-		x, y := opendata.LatLonToTile(loc.Lat, loc.Lon, cfg.Zoom)
-		key := opendata.TileToQuadkey(x, y, cfg.Zoom)[:zoom]
+		x, y := opendata.LatLonToTile(loc.Lat, loc.Lon, opendata.TileZoom)
+		key := opendata.TileToQuadkey(x, y, opendata.TileZoom)[:zoom]
 		a := byKey[key]
 		if a == nil {
 			a = &acc{devices: map[int]struct{}{}}
@@ -93,33 +92,29 @@ func naiveTiles(rows *Rows, cfg Config, zoom int) []opendata.ContextTile {
 	return out
 }
 
-// TestNaiveOracle pins the memoized, chunk-parallel engine to the naive
-// reference implementation: identical rendered bytes at the base zoom and
-// a roll-up zoom, at every parallelism setting. This is what licenses the
-// benchmark's full-vs-pruned ratio as a like-for-like comparison.
+// TestNaiveOracle pins the memoized engine to the naive reference
+// implementation: identical rendered bytes at the base zoom and a roll-up
+// zoom, for one batch far above any scanner batch. This is what licenses
+// the benchmark's full-vs-pruned ratio as a like-for-like comparison.
 func TestNaiveOracle(t *testing.T) {
-	rows := synthRows(3*aggChunkRows+101, "A", "B")
+	rows := synthRows(3*bigBatch+101, "A", "B")
 	cfg := Config{}
 	for _, zoom := range []int{opendata.TileZoom, 11} {
 		want, err := AppendTilesJSON(nil, zoom, naiveTiles(rows, cfg, zoom), "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, par := range []int{1, 4, 0} {
-			c := cfg
-			c.Parallelism = par
-			tiles, err := Aggregate(rows, c, Query{Zoom: zoom})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := AppendTilesJSON(nil, zoom, tiles, "")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("zoom %d par %d: engine diverges from naive reference (%d vs %d bytes)",
-					zoom, par, len(got), len(want))
-			}
+		tiles, err := Aggregate(rows, cfg, Query{Zoom: zoom})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := AppendTilesJSON(nil, zoom, tiles, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("zoom %d: engine diverges from naive reference (%d vs %d bytes)",
+				zoom, len(got), len(want))
 		}
 	}
 }
@@ -143,19 +138,15 @@ func TestNaiveOracleSparseUsers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, par := range []int{1, 0} {
-		c := cfg
-		c.Parallelism = par
-		tiles, err := Aggregate(rows, c, Query{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := AppendTilesJSON(nil, opendata.TileZoom, tiles, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("par %d: sparse-user fold diverges from naive reference", par)
-		}
+	tiles, err := Aggregate(rows, cfg, Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := AppendTilesJSON(nil, opendata.TileZoom, tiles, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("sparse-user fold diverges from naive reference")
 	}
 }

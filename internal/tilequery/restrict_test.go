@@ -16,7 +16,7 @@ import (
 func restrictQueries(ix *Index, seed int64) []Query {
 	rng := rand.New(rand.NewSource(seed))
 	keys := ix.sortedKeys()
-	base := ix.Zoom()
+	base := opendata.TileZoom
 	var qs []Query
 	add := func(r opendata.TileRange) { qs = append(qs, Query{Zoom: r.Zoom, Range: &r}) }
 	for z := 1; z <= base; z++ {
@@ -96,11 +96,12 @@ func checkRestricted(t *testing.T, name string, ref *Index, qs []Query, fold fun
 
 // TestRestrictedFoldMatchesUnrestricted: a fold restricted to a query's
 // range renders byte-identical tiles to an unrestricted fold of the same
-// rows, through every AddRows path and through AddScan at any batch size.
+// rows, through AddRows at a scanner-sized and a far larger batch and
+// through AddScan at any batch size.
 func TestRestrictedFoldMatchesUnrestricted(t *testing.T) {
 	t.Run("AddRows/single-chunk", func(t *testing.T) {
 		rows := synthRows(20_000, "A", "B")
-		ref := NewIndex(Config{Parallelism: 1})
+		ref := NewIndex(Config{})
 		if _, err := ref.AddRows(rows); err != nil {
 			t.Fatal(err)
 		}
@@ -111,8 +112,8 @@ func TestRestrictedFoldMatchesUnrestricted(t *testing.T) {
 	})
 
 	t.Run("AddRows/multi-chunk", func(t *testing.T) {
-		rows := synthRows(aggChunkRows+aggChunkRows/3, "A", "B")
-		ref := NewIndex(Config{Parallelism: 1})
+		rows := synthRows(bigBatch+bigBatch/3, "A", "B")
+		ref := NewIndex(Config{})
 		if _, err := ref.AddRows(rows); err != nil {
 			t.Fatal(err)
 		}
@@ -125,13 +126,10 @@ func TestRestrictedFoldMatchesUnrestricted(t *testing.T) {
 				qs = append(qs, all[i])
 			}
 		}
-		for _, par := range []int{1, 4} {
-			ref.cfg.Parallelism = par
-			checkRestricted(t, "multi-chunk", ref, qs, func(ix *Index) error {
-				_, err := ix.AddRows(rows)
-				return err
-			})
-		}
+		checkRestricted(t, "multi-chunk", ref, qs, func(ix *Index) error {
+			_, err := ix.AddRows(rows)
+			return err
+		})
 	})
 
 	t.Run("AddScan", func(t *testing.T) {
@@ -184,7 +182,7 @@ func TestRestrictedTilesMismatch(t *testing.T) {
 			t.Fatalf("query %+v on an index restricted to %+v: want error", q, r)
 		}
 	}
-	fine := opendata.TileRange{Zoom: ix.Zoom() + 1}
+	fine := opendata.TileRange{Zoom: opendata.TileZoom + 1}
 	if err := ix.Reset(&fine); err == nil {
 		t.Fatal("restriction finer than the base zoom: want error")
 	}

@@ -5,7 +5,7 @@ package tilequery
 // accumulators, so aggregating a snapshot never materializes whole-city
 // columns. Because accumulation is a pure function of the row multiset,
 // the index an AddScan builds is identical to one built by AddRows over
-// the materialized decode — at every batch size and every Parallelism.
+// the materialized decode — at every batch size.
 
 import (
 	"fmt"
@@ -72,8 +72,8 @@ func (ix *Index) AddScan(sc *dataset.BlockScanner) (int, error) {
 		if err != nil {
 			return touched, err
 		}
-		// AddRows finishes its parallel fold before returning, so aliasing
-		// the scanner's reused buffers is safe.
+		// AddRows is done with the rows when it returns, so aliasing the
+		// scanner's reused buffers is safe.
 		t, err := ix.AddRows(rows)
 		if err != nil {
 			return touched, err

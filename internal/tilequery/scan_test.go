@@ -82,7 +82,7 @@ func renderIxJSON(t *testing.T, ix *Index) []byte {
 }
 
 // TestAddScanMatchesAddRows: folding a snapshot through the block scanner
-// at any batch size and parallelism renders byte-identical tiles to
+// at any batch size renders byte-identical tiles to
 // folding the materialized whole-section scan, for both the Ookla and the
 // ingest row-view mappings.
 func TestAddScanMatchesAddRows(t *testing.T) {
@@ -102,7 +102,7 @@ func TestAddScanMatchesAddRows(t *testing.T) {
 	}
 	for name, sel := range sels {
 		t.Run(name, func(t *testing.T) {
-			cfg := Config{City: "A", Parallelism: 1}
+			cfg := Config{City: "A"}
 			snap, _ := wholeSection(t, data, sel)
 			ref := NewIndex(cfg)
 			var refRows *Rows
@@ -122,22 +122,20 @@ func TestAddScanMatchesAddRows(t *testing.T) {
 			want := renderIxJSON(t, ref)
 
 			for _, batch := range []int{1, 97, 4096, 1 << 30} {
-				for _, par := range []int{1, 4, 0} {
-					sc, err := dataset.NewBlockScanner(dataset.BytesSource(data), sel, batch)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ix := NewIndex(Config{City: "A", Parallelism: par})
-					touched, err := ix.AddScan(sc)
-					if err != nil {
-						t.Fatalf("batch %d par %d: %v", batch, par, err)
-					}
-					if touched < refTouched {
-						t.Fatalf("batch %d: %d touches < materialized fold's %d", batch, touched, refTouched)
-					}
-					if got := renderIxJSON(t, ix); !bytes.Equal(got, want) {
-						t.Fatalf("batch %d par %d: streamed tiles differ from materialized fold", batch, par)
-					}
+				sc, err := dataset.NewBlockScanner(dataset.BytesSource(data), sel, batch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ix := NewIndex(cfg)
+				touched, err := ix.AddScan(sc)
+				if err != nil {
+					t.Fatalf("batch %d: %v", batch, err)
+				}
+				if touched < refTouched {
+					t.Fatalf("batch %d: %d touches < materialized fold's %d", batch, touched, refTouched)
+				}
+				if got := renderIxJSON(t, ix); !bytes.Equal(got, want) {
+					t.Fatalf("batch %d: streamed tiles differ from materialized fold", batch)
 				}
 			}
 		})

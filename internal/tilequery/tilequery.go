@@ -9,10 +9,10 @@
 //     per-row rounded integer units (kbps, microseconds) plus counts and a
 //     device-id set. Integer addition and set union are associative and
 //     commutative, so a tile's aggregate is a pure function of its row
-//     multiset — independent of row order, chunk boundaries, worker count,
-//     merge order, and of whether rows arrived in one batch or across many
-//     ingest segments. Bit-identical output at any parallelism falls out
-//     with no float-ordering machinery.
+//     multiset — independent of row order, merge order, and of whether
+//     rows arrived in one batch or across many ingest segments. Bit-identical
+//     output however the rows are batched falls out with no float-ordering
+//     machinery.
 //
 //   - Order-independent user placement. A subscriber's pseudo-location
 //     comes from opendata.UserLocation — a counter-based hash of
@@ -20,11 +20,11 @@
 //     every reader of any subset of the rows lands a user's tests in the
 //     same tile.
 //
-//   - Sorted-merge reduction. A batch of at most one chunk folds straight
-//     into the index; a larger one fans out over internal/parallel in fixed
-//     chunks whose partial maps merge into the index (safe in any order,
-//     by the first decision). Results always render in packed-quadkey
-//     order, which at one zoom equals lexicographic quadkey order.
+//   - One fold loop. Every batch, whatever its size, folds row by row
+//     straight into the index's own tiles through a placement memo that
+//     lives for the index's Reset epoch. Results always render in
+//     packed-quadkey order, which at one zoom equals lexicographic quadkey
+//     order.
 package tilequery
 
 import (
@@ -34,7 +34,6 @@ import (
 
 	"speedctx/internal/dataset"
 	"speedctx/internal/opendata"
-	"speedctx/internal/parallel"
 )
 
 // roundMilli converts a float measurement to integer milli-units (Mbps →
@@ -90,30 +89,19 @@ func (r *Rows) validate() error {
 }
 
 // Config fixes the aggregation parameters an Index is built under. Two
-// indexes with equal Configs over equal row multisets are identical.
+// indexes with equal Configs over equal row multisets are identical. Tiles
+// accumulate at the base zoom opendata.TileZoom and roll up to coarser
+// query zooms.
 type Config struct {
-	// Zoom is the base aggregation zoom (tiles are accumulated at this
-	// zoom and rolled up to coarser query zooms). 0 means opendata.TileZoom.
-	Zoom int
 	// City is the city id assumed for rows without a City column.
 	City string
-	// Parallelism is the worker knob for folds (0 = all CPUs, 1 = serial).
-	// It does not affect output.
-	Parallelism int
-}
-
-func (c Config) withDefaults() Config {
-	if c.Zoom == 0 {
-		c.Zoom = opendata.TileZoom
-	}
-	return c
 }
 
 // Query selects what to aggregate: a roll-up zoom and an optional tile
 // rectangle (nil Range = every non-empty tile).
 type Query struct {
-	// Zoom is the output zoom; 0 means the index's base zoom. Must not
-	// exceed the base zoom.
+	// Zoom is the output zoom; 0 means the base zoom opendata.TileZoom.
+	// Must not exceed the base zoom.
 	Zoom int
 	// Range restricts output to tiles inside the rectangle, which must be
 	// at the query zoom. Nil = no restriction.
@@ -131,7 +119,8 @@ type tileAcc struct {
 	tiers    []int
 	devices  map[int]struct{}
 	// modGen is the index fold generation that last touched this tile —
-	// the per-tile version the result cache keys on.
+	// the per-tile version the result cache keys on. The generation bumps
+	// once per AddRows call.
 	modGen uint64
 }
 
@@ -193,16 +182,15 @@ type Index struct {
 	restrict *opendata.TileRange
 	shift    uint
 
-	// memo is the placement memo of the inline fold path. Its tile keys
-	// outlive AddRows calls and Resets (placements are pure in the
-	// config); its pass is the Reset epoch, and its accumulators are
-	// entries of tiles.
+	// memo is the placement memo of the fold. Its tile keys outlive
+	// AddRows calls and Resets (placements are pure in the config); its
+	// pass is the Reset epoch, and its accumulators are entries of tiles.
 	memo placeMemo
 }
 
 // NewIndex returns an empty index under cfg.
 func NewIndex(cfg Config) *Index {
-	ix := &Index{cfg: cfg.withDefaults(), tiles: map[uint64]*tileAcc{}}
+	ix := &Index{cfg: cfg, tiles: map[uint64]*tileAcc{}}
 	ix.memo.begin()
 	return ix
 }
@@ -219,12 +207,12 @@ func NewIndex(cfg Config) *Index {
 func (ix *Index) Reset(r *opendata.TileRange) error {
 	var shift uint
 	if r != nil {
-		if r.Zoom < 0 || r.Zoom > ix.cfg.Zoom {
-			return fmt.Errorf("tilequery: restriction zoom %d outside [0, %d]", r.Zoom, ix.cfg.Zoom)
+		if r.Zoom < 0 || r.Zoom > opendata.TileZoom {
+			return fmt.Errorf("tilequery: restriction zoom %d outside [0, %d]", r.Zoom, opendata.TileZoom)
 		}
 		rc := *r
 		r = &rc
-		shift = 2 * uint(ix.cfg.Zoom-r.Zoom)
+		shift = 2 * uint(opendata.TileZoom-r.Zoom)
 	}
 	ix.gen, ix.rows, ix.filtered = 0, 0, 0
 	clear(ix.tiles)
@@ -233,12 +221,6 @@ func (ix *Index) Reset(r *opendata.TileRange) error {
 	ix.memo.begin()
 	return nil
 }
-
-// Zoom returns the base aggregation zoom.
-func (ix *Index) Zoom() int { return ix.cfg.Zoom }
-
-// Gen returns the fold generation — it bumps once per AddRows call.
-func (ix *Index) Gen() uint64 { return ix.gen }
 
 // RowCount returns the rows folded into accumulators since the last Reset.
 func (ix *Index) RowCount() int { return ix.rows }
@@ -250,12 +232,6 @@ func (ix *Index) FilteredRows() int { return ix.filtered }
 // TileCount returns the number of non-empty base tiles.
 func (ix *Index) TileCount() int { return len(ix.tiles) }
 
-// aggChunkRows is the fold chunk size: big enough that per-chunk memo
-// setup and the partial-map merges amortize, small enough to parallelize
-// 100k-row folds. Chunk boundaries never affect output (integer-exact
-// accumulation), so this is purely a throughput knob.
-const aggChunkRows = 1 << 17
-
 // denseUserCap bounds the dense per-user memo: user ids below it index a
 // slice (one load per row), ids at or above it fall back to a map. City
 // generators and the ingest fixtures assign small dense ids, so the fast
@@ -264,10 +240,9 @@ const aggChunkRows = 1 << 17
 const denseUserCap = 1 << 16
 
 // placeMemo maps (city, user) to the user's placement. A pass is one
-// accumulator epoch: the index's own memo starts one per Reset, so every
-// inline AddRows call between two Resets shares it, while a parallel
-// chunk's memo lives for its one chunk. Slots written in earlier passes
-// keep their tile key but not their accumulator.
+// accumulator epoch: the index's memo starts one per Reset, so every
+// AddRows call between two Resets shares it. Slots written in earlier
+// passes keep their tile key but not their accumulator.
 type placeMemo struct {
 	pass uint64
 	// accs holds the current pass's accumulators, indexed by userSlot.acc;
@@ -341,26 +316,22 @@ func (cm *cityMemo) slot(user int) *userSlot {
 	return s
 }
 
-// chunkFold is one parallel chunk's result: the partial tile map and the
-// count of rows the restriction dropped.
-type chunkFold struct {
-	tiles    map[uint64]*tileAcc
-	filtered int
-}
-
 // AddRows folds a row batch into the index and returns the number of
 // distinct base tiles the batch touched. Because accumulators are
 // integer-exact, the index state after the fold is a pure function of the
-// row multiset — identical at every Parallelism setting and however the
-// same rows are split across AddRows calls.
+// row multiset — identical however the same rows are split across AddRows
+// calls.
 //
-// A batch of at most one chunk (every scanner batch) folds inline, straight
-// into the index's tiles through its persistent placement memo: a user's
-// range test, tile lookup and device-set insert run once per Reset epoch,
-// not once per batch. A larger batch fans out over internal/parallel in
-// fixed chunks, each folding into a partial map through a memo of its
-// own, so concurrent chunks never write shared state; the partials merge
-// into the index afterwards.
+// Every row folds straight into the index's tiles through its persistent
+// placement memo. A user's placement is pure in (city, userID), so each
+// distinct user pins exactly one base tile: the hash + Web-Mercator trig
+// runs once per user per index, not once per row, and the first row of a
+// user in a Reset epoch settles the user's range test and accumulator for
+// the rest of it. The memo also remembers that the user's id is already in
+// the tile's device set, so repeat rows skip the set insert too. Row order
+// still cannot matter: the memo only short-cuts recomputing pure functions
+// and re-inserting set members. Each tile the batch reaches is marked with
+// the fold generation, and counted the first time.
 func (ix *Index) AddRows(rows *Rows) (int, error) {
 	if err := rows.validate(); err != nil {
 		return 0, err
@@ -370,66 +341,13 @@ func (ix *Index) AddRows(rows *Rows) (int, error) {
 		return 0, nil
 	}
 	ix.gen++
-	if n <= aggChunkRows {
-		before := len(ix.tiles)
-		filtered, touched := ix.foldChunk(rows, 0, n, &ix.memo, ix.tiles, true)
-		ix.filtered += filtered
-		ix.rows += n - filtered
-		ix.dirty = ix.dirty || len(ix.tiles) != before
-		return touched, nil
-	}
-	partials := parallel.MapChunks(ix.cfg.Parallelism, n, aggChunkRows,
-		func(_, lo, hi int) chunkFold {
-			memo := &placeMemo{}
-			memo.begin()
-			part := make(map[uint64]*tileAcc)
-			filtered, _ := ix.foldChunk(rows, lo, hi, memo, part, false)
-			return chunkFold{tiles: part, filtered: filtered}
-		})
-	touched := 0
-	for _, part := range partials {
-		ix.filtered += part.filtered
-		n -= part.filtered
-		// Map iteration order is random, and that is fine: merging integer
-		// accumulators commutes.
-		for key, acc := range part.tiles {
-			dst := ix.tiles[key]
-			if dst == nil {
-				ix.tiles[key] = acc
-				acc.modGen = ix.gen
-				ix.dirty = true
-				touched++
-				continue
-			}
-			dst.merge(acc)
-			if dst.modGen != ix.gen {
-				dst.modGen = ix.gen
-				touched++
-			}
-		}
-	}
-	ix.rows += n
-	return touched, nil
-}
-
-// foldChunk accumulates rows [lo, hi) into tiles, within memo's current
-// pass, and returns the count of rows the restriction dropped. When own is
-// set, tiles is the index's own map, and foldChunk also marks each tile it
-// touches with the fold generation and returns how many it touched; a
-// partial map's touches are counted when AddRows merges it.
-//
-// A user's placement is pure in (city, userID), so each distinct
-// user pins exactly one base tile: the hash + Web-Mercator trig runs once
-// per user per memo, not once per row, and the first row of a user in a
-// pass settles the user's range test and accumulator for the rest of it.
-// The memo also remembers that the user's id is already in the tile's
-// device set, so repeat rows skip the set insert too. Row order still
-// cannot matter: the memo only short-cuts recomputing pure functions and
-// re-inserting set members.
-func (ix *Index) foldChunk(rows *Rows, lo, hi int, memo *placeMemo, tiles map[uint64]*tileAcc, own bool) (filtered, touched int) {
+	before := len(ix.tiles)
 	var (
+		memo     = &ix.memo
 		pass     = memo.pass
 		gen      = ix.gen
+		filtered int
+		touched  int
 		cm       *cityMemo
 		curCity  string
 		users    = rows.UserID
@@ -440,7 +358,7 @@ func (ix *Index) foldChunk(rows *Rows, lo, hi int, memo *placeMemo, tiles map[ui
 		tiers    = rows.Tier
 		accesses = rows.Access
 	)
-	for i := lo; i < hi; i++ {
+	for i := 0; i < n; i++ {
 		city := ix.cfg.City
 		if cityCol != nil {
 			city = cityCol[i]
@@ -462,14 +380,14 @@ func (ix *Index) foldChunk(rows *Rows, lo, hi int, memo *placeMemo, tiles map[ui
 			slot = cm.slot(user)
 		}
 		if slot.pass != pass {
-			ix.placeUser(tiles, memo, slot, city, user)
+			ix.placeUser(slot, city, user)
 		}
 		if slot.acc == 0 { // the restriction dropped the user
 			filtered++
 			continue
 		}
 		acc := memo.accs[slot.acc]
-		if own && acc.modGen != gen {
+		if acc.modGen != gen {
 			acc.modGen = gen
 			touched++
 		}
@@ -488,7 +406,10 @@ func (ix *Index) foldChunk(rows *Rows, lo, hi int, memo *placeMemo, tiles map[ui
 		acc.addRow(roundMilli(download[i]), roundMilli(upload[i]),
 			latUs, tier, hasTier, access)
 	}
-	return filtered, touched
+	ix.filtered += filtered
+	ix.rows += n - filtered
+	ix.dirty = ix.dirty || len(ix.tiles) != before
+	return touched, nil
 }
 
 // sameString reports whether a and b are the same string value: the same
@@ -499,13 +420,14 @@ func sameString(a, b string) bool {
 }
 
 // placeUser settles a user's first row of a pass: it places the user (once
-// per memo), applies the restriction with the same roll-up test groups
+// per index), applies the restriction with the same roll-up test groups
 // uses, and records the user in its tile's device set, creating the tile
-// in tiles if needed.
-func (ix *Index) placeUser(tiles map[uint64]*tileAcc, memo *placeMemo, s *userSlot, city string, user int) {
+// if needed.
+func (ix *Index) placeUser(s *userSlot, city string, user int) {
+	memo := &ix.memo
 	if s.key == 0 {
 		loc := opendata.UserLocation(opendata.CityCenter(city), opendata.DefaultLocSeed, user)
-		x, y := opendata.LatLonToTile(loc.Lat, loc.Lon, ix.cfg.Zoom)
+		x, y := opendata.LatLonToTile(loc.Lat, loc.Lon, opendata.TileZoom)
 		s.key = opendata.PackQuadkey(x, y) + 1
 	}
 	s.pass, s.acc = memo.pass, 0
@@ -515,10 +437,10 @@ func (ix *Index) placeUser(tiles map[uint64]*tileAcc, memo *placeMemo, s *userSl
 			return
 		}
 	}
-	acc := tiles[key]
+	acc := ix.tiles[key]
 	if acc == nil {
 		acc = &tileAcc{devices: map[int]struct{}{}}
-		tiles[key] = acc
+		ix.tiles[key] = acc
 	}
 	acc.devices[user] = struct{}{}
 	s.acc = int32(len(memo.accs))
@@ -554,10 +476,10 @@ type group struct {
 func (ix *Index) groups(q Query) ([]group, int, error) {
 	zoom := q.Zoom
 	if zoom == 0 {
-		zoom = ix.cfg.Zoom
+		zoom = opendata.TileZoom
 	}
-	if zoom < 0 || zoom > ix.cfg.Zoom {
-		return nil, 0, fmt.Errorf("tilequery: query zoom %d outside [0, %d]", zoom, ix.cfg.Zoom)
+	if zoom < 0 || zoom > opendata.TileZoom {
+		return nil, 0, fmt.Errorf("tilequery: query zoom %d outside [0, %d]", zoom, opendata.TileZoom)
 	}
 	if q.Range != nil && q.Range.Zoom != zoom {
 		return nil, 0, fmt.Errorf("tilequery: range zoom %d does not match query zoom %d", q.Range.Zoom, zoom)
@@ -565,7 +487,7 @@ func (ix *Index) groups(q Query) ([]group, int, error) {
 	if ix.restrict != nil && (q.Range == nil || *q.Range != *ix.restrict) {
 		return nil, 0, fmt.Errorf("tilequery: query range %v differs from the index restriction %v", q.Range, *ix.restrict)
 	}
-	shift := 2 * uint(ix.cfg.Zoom-zoom)
+	shift := 2 * uint(opendata.TileZoom-zoom)
 	var out []group
 	keys := ix.sortedKeys()
 	for i := 0; i < len(keys); {

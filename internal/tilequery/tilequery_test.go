@@ -52,6 +52,11 @@ func mixT(z uint64) uint64 {
 	return z
 }
 
+// bigBatch is a fold batch far above the default scanner batch
+// (dataset.DefaultScanBatchRows), the size in-memory Aggregate callers hand
+// AddRows.
+const bigBatch = 1 << 17
+
 func renderJSON(t *testing.T, tiles []opendata.ContextTile, zoom int) []byte {
 	t.Helper()
 	out, err := AppendTilesJSON(nil, zoom, tiles, "")
@@ -59,26 +64,6 @@ func renderJSON(t *testing.T, tiles []opendata.ContextTile, zoom int) []byte {
 		t.Fatal(err)
 	}
 	return out
-}
-
-func TestAggregateParallelismInvariant(t *testing.T) {
-	// More rows than one fold chunk so parallel runs really split the work.
-	rows := synthRows(3*aggChunkRows/2+17, "A", "B")
-	var want []byte
-	for _, par := range []int{1, 4, 0} {
-		tiles, err := Aggregate(rows, Config{Parallelism: par}, Query{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := renderJSON(t, tiles, opendata.TileZoom)
-		if want == nil {
-			want = got
-			continue
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("parallelism %d changed the rendered bytes", par)
-		}
-	}
 }
 
 func TestAddRowsBatchSplitInvariant(t *testing.T) {
@@ -155,7 +140,7 @@ func TestRollupZoom(t *testing.T) {
 		}
 	}
 
-	if _, err := ix.Tiles(Query{Zoom: ix.Zoom() + 1}); err == nil {
+	if _, err := ix.Tiles(Query{Zoom: opendata.TileZoom + 1}); err == nil {
 		t.Fatal("query zoom above the base zoom accepted")
 	}
 }
@@ -173,7 +158,7 @@ func TestRangeFilter(t *testing.T) {
 	// Filter by the quadkey prefix of the first tile: the result must be
 	// exactly the string-prefix-filtered subset of the full output.
 	prefix := all[0].Quadkey[:6]
-	r, err := opendata.PrefixRange(prefix, ix.Zoom())
+	r, err := opendata.PrefixRange(prefix, opendata.TileZoom)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,6 +254,33 @@ func TestEngineInvalidationOnFold(t *testing.T) {
 	}
 	if !bytes.Equal(renderJSON(t, tiles, opendata.TileZoom), renderJSON(t, coldTiles, opendata.TileZoom)) {
 		t.Fatal("warm engine diverged from cold engine over the same rows")
+	}
+}
+
+// TestEngineResetKeepsCacheCapacity: Reset (a compaction refold or a
+// failed fold) replaces the result cache with one of the configured
+// capacity, neither growing a small cache nor shrinking a large one.
+func TestEngineResetKeepsCacheCapacity(t *testing.T) {
+	const capacity = 8
+	rows := synthRows(2_000, "A", "B")
+	eng := NewEngine(Config{}, capacity)
+	for round := 0; round < 2; round++ {
+		if round > 0 {
+			eng.Reset()
+		}
+		if err := eng.AddRows(rows); err != nil {
+			t.Fatal(err)
+		}
+		tiles, err := eng.Tiles(Query{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tiles) <= capacity {
+			t.Fatalf("query answered %d tiles, want more than the cache's %d", len(tiles), capacity)
+		}
+		if n := eng.Stats().CacheLen; n > capacity {
+			t.Fatalf("round %d: cache holds %d entries, capacity %d", round, n, capacity)
+		}
 	}
 }
 
