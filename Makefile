@@ -56,13 +56,14 @@ fuzz-smoke:
 
 # bench-smoke runs one iteration of the parallel stats and dataset
 # generation benchmarks — enough to catch a broken benchmark without paying
-# for a full measurement run.
+# for a full measurement run. Every size level is anchored (^n=…$$), so
+# n=100000 does not also select n=1000000.
 bench-smoke:
 	$(GO) test -run NONE -bench 'KDEGrid|FitGMM|SketchMerge' -benchtime 1x ./internal/stats/
-	$(GO) test -run NONE -bench 'GenerateOokla/n=10000$$|WriteOoklaCSV|ReadOoklaCSV/n=100000|OoklaIngest/n=100000/src=(csv|snapshot)' -benchtime 1x ./internal/dataset/
+	$(GO) test -run NONE -bench 'GenerateOokla/^n=10000$$|WriteOoklaCSV|ReadOoklaCSV/^n=100000$$|OoklaIngest/^n=100000$$/^src=(csv|snapshot)$$' -benchtime 1x ./internal/dataset/
 	$(GO) test -run NONE -bench 'Fit|ClassifyOne' -benchtime 1x ./internal/core/
 	$(GO) test -run NONE -bench 'IngestHTTPBatch64|IngestPipelineSubmit|PipelineSeal|Compact|ParseSubmission|ServerWarmRefresh|TilesHTTP' -benchtime 1x ./internal/ingest/
-	$(GO) test -run NONE -bench 'TileAggregate/n=100000|TileQuery' -benchtime 1x ./internal/tilequery/
+	$(GO) test -run NONE -bench 'TileAggregate/^n=100000$$|TileQuery' -benchtime 1x ./internal/tilequery/
 
 # bench runs the full stats + generation benchmark suite with memory stats.
 # The n=1000000 generation sizes need more than go test's default 10m.

@@ -13,11 +13,7 @@ package dataset
 
 import (
 	"encoding/binary"
-	"errors"
-	"fmt"
 	"time"
-
-	"speedctx/internal/stats"
 )
 
 // blockCursor streams one column block's payload. Over an in-memory
@@ -103,7 +99,7 @@ func (c *blockCursor) fill(need int) error {
 	if fetch > c.left {
 		fetch = c.left
 	}
-	if _, err := io_ReadFullAt(c.s.src, buf[keep:keep+int(fetch)], c.next); err != nil {
+	if _, err := readAtLeast(c.s.src, buf[keep:keep+int(fetch)], c.next, int(fetch)); err != nil {
 		return c.s.fail("column %d (block %d): %v", c.bi.id, c.bi.ordinal, err)
 	}
 	c.sum.update(buf[keep : keep+int(fetch)])
@@ -116,25 +112,6 @@ func (c *blockCursor) fill(need int) error {
 		return c.s.fail("column %d checksum mismatch (block %d)", c.bi.id, c.bi.ordinal)
 	}
 	return nil
-}
-
-// io_ReadFullAt reads exactly len(p) bytes at off.
-func io_ReadFullAt(src ScanSource, p []byte, off int64) (int, error) {
-	n := 0
-	for n < len(p) {
-		m, err := src.ReadAt(p[n:], off+int64(n))
-		n += m
-		if n >= len(p) {
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		if m == 0 {
-			return n, errors.New("truncated read")
-		}
-	}
-	return n, nil
 }
 
 // take consumes exactly n bytes from the window.
@@ -522,129 +499,4 @@ func execStrings[T ~string](s *BlockScanner, bi blockInfo, rows int, slot *[]T) 
 		return dictIndexes(c, names, *slot)
 	}})
 	return nil
-}
-
-// decodeSketchSectionWhole materializes the sketch section as one batch.
-// Sketch rows are variable-length records over a shared mass payload whose
-// partition depends on the bins column, so the section streams as a unit,
-// never split mid-row; sketch sections are metadata-sized (one row per
-// city×tier), not measurement-sized.
-func (s *BlockScanner) decodeSketchSectionWhole(ss scanSection) ([]SketchBundle, error) {
-	n := ss.rows
-	var (
-		cities                       []string
-		tiers, versions, counts, bin []int
-		lows, highs                  []float64
-	)
-	open := func(i int) (*blockCursor, error) { return s.newCursor(ss.cols[i]) }
-
-	c0, err := open(0)
-	if err != nil {
-		return nil, err
-	}
-	names, err := cursorDict[string](c0)
-	if err != nil {
-		return nil, err
-	}
-	if int64(n) > c0.remaining() {
-		return nil, c0.colErr("%d bytes cannot hold %d indexes", c0.remaining(), n)
-	}
-	cities = make([]string, n)
-	if err := dictIndexes(c0, names, cities); err != nil {
-		return nil, err
-	}
-	ints := func(i int, dst *[]int) error {
-		c, err := open(i)
-		if err != nil {
-			return err
-		}
-		if int64(n) > c.bi.length {
-			return c.colErr("%d bytes cannot hold %d varints", c.bi.length, n)
-		}
-		*dst = make([]int, n)
-		if err := c.deltaInts(*dst); err != nil {
-			return err
-		}
-		return c.finish()
-	}
-	flts := func(i int, dst *[]float64) error {
-		c, err := open(i)
-		if err != nil {
-			return err
-		}
-		if c.bi.length != 8*int64(n) {
-			return c.colErr("%d bytes, want %d", c.bi.length, 8*n)
-		}
-		*dst = make([]float64, n)
-		if err := c.floats(*dst); err != nil {
-			return err
-		}
-		return c.finish()
-	}
-	if err := c0.finish(); err != nil {
-		return nil, err
-	}
-	if err := ints(1, &tiers); err != nil {
-		return nil, err
-	}
-	if err := ints(2, &versions); err != nil {
-		return nil, err
-	}
-	if err := ints(3, &counts); err != nil {
-		return nil, err
-	}
-	if err := ints(4, &bin); err != nil {
-		return nil, err
-	}
-	if err := flts(5, &lows); err != nil {
-		return nil, err
-	}
-	if err := flts(6, &highs); err != nil {
-		return nil, err
-	}
-	mc, err := open(7)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]SketchBundle, 0, n)
-	for i := 0; i < n; i++ {
-		nb := bin[i]
-		// Every mass is at least one byte, so the remaining payload bounds
-		// the bin count before any allocation.
-		if nb < 2 || int64(nb) > mc.remaining() {
-			return nil, s.fail("sketch %d: %d bins cannot fit %d payload bytes", i, nb, mc.remaining())
-		}
-		mass := make([]uint64, nb)
-		for j := range mass {
-			if mc.remaining() == 0 {
-				return nil, s.fail("sketch %d: truncated masses", i)
-			}
-			u, w := mc.tryUvarint()
-			if w <= 0 {
-				return nil, s.fail("sketch %d: bad mass varint at bin %d", i, j)
-			}
-			mass[j] = u
-		}
-		if counts[i] < 0 {
-			return nil, s.fail("sketch %d: negative count", i)
-		}
-		sk, err := stats.SketchFromParts(lows[i], highs[i], mass, uint64(counts[i]), versions[i])
-		if err != nil {
-			if errors.Is(err, stats.ErrSketchVersion) {
-				// A foreign quantization scheme is staleness, not
-				// corruption: stores treat it as a cache miss.
-				werr := fmt.Errorf("%w: sketch %d: %v", ErrSnapshotStale, i, err)
-				if s.err == nil {
-					s.err = werr
-				}
-				return nil, werr
-			}
-			return nil, s.fail("sketch %d (%s tier %d): %v", i, cities[i], tiers[i], err)
-		}
-		out = append(out, SketchBundle{City: cities[i], Tier: tiers[i], Sketch: sk})
-	}
-	if r := mc.remaining(); r != 0 {
-		return nil, s.fail("sketch section: %d trailing mass bytes", r)
-	}
-	return out, nil
 }

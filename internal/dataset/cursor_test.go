@@ -84,7 +84,7 @@ func kernelCursor(t *testing.T, src ScanSource, off int64, payload []byte, split
 	}
 	if s.mem == nil && split > 0 {
 		w := make([]byte, split)
-		if _, err := io_ReadFullAt(src, w, off); err != nil {
+		if _, err := readAtLeast(src, w, off, len(w)); err != nil {
 			t.Fatal(err)
 		}
 		c.sum.update(w)

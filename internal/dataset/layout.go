@@ -21,9 +21,10 @@ import (
 // conversions run on the seal path, where a table walk measured 1.3–1.9×
 // the hand-written ColumnizeIngest and Rows. Block ids run 1..N in table
 // order (TestSectionLayoutIDs), so entry id-1 is the column the binder
-// looks up for block id. The sketch section is not a table: its rows are
-// variable-length records over a shared mass payload
-// (encodeSketchSection, decodeSketchSectionWhole).
+// looks up for block id. The sketch section's seven fixed columns are a
+// table too; only its eighth block, the bin masses of every row packed
+// into one payload, has its own codec (encodeSketchSection,
+// decodeSketchSection).
 
 // codec is one column payload encoding: the encoder, the scanner's
 // streaming binder, the zone bounds a zoned row group records for the
@@ -384,6 +385,39 @@ var ingestLayout = layout[IngestColumns, IngestRow]{
 		ingestCol(IngestColConfidence, rawFloats, func(c *IngestColumns) *[]float64 { return &c.Confidence }),
 	},
 	place: func(c *IngestColumns) ([]string, []int) { return c.City, c.UserID },
+}
+
+// sketchColumns is the sketch section's fixed columns, one row per
+// SketchBundle.
+type sketchColumns struct {
+	City    []string
+	Tier    []int
+	Version []int
+	Count   []int
+	Bins    []int
+	Lo      []float64
+	Hi      []float64
+}
+
+// sketchCol is a sketch-table entry: no CSV column, no record mapping.
+func sketchCol[T any](id byte, c codec[T], get func(*sketchColumns) *[]T) *field[sketchColumns, SketchBundle, T] {
+	return &field[sketchColumns, SketchBundle, T]{id: id, c: c, get: get}
+}
+
+// sketchLayout is blocks 1–7 of the sketch section. Block 8, the masses,
+// follows outside the table: its rows are variable-length, partitioned
+// by the Bins column.
+var sketchLayout = layout[sketchColumns, SketchBundle]{
+	name: "sketch",
+	cols: []column[sketchColumns, SketchBundle]{
+		sketchCol(1, dictStrings[string](), func(c *sketchColumns) *[]string { return &c.City }),
+		sketchCol(2, deltaInts, func(c *sketchColumns) *[]int { return &c.Tier }),
+		sketchCol(3, deltaInts, func(c *sketchColumns) *[]int { return &c.Version }),
+		sketchCol(4, deltaInts, func(c *sketchColumns) *[]int { return &c.Count }),
+		sketchCol(5, deltaInts, func(c *sketchColumns) *[]int { return &c.Bins }),
+		sketchCol(6, rawFloats, func(c *sketchColumns) *[]float64 { return &c.Lo }),
+		sketchCol(7, rawFloats, func(c *sketchColumns) *[]float64 { return &c.Hi }),
+	},
 }
 
 // rowCount returns the section's row count after checking that every

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// TestSectionLayoutIDs: every row-section table lists block ids 1..N in
+// TestSectionLayoutIDs: every section table lists block ids 1..N in
 // order — the scanner's binder indexes the table by id — and maps its
 // entries one-to-one onto the column struct's fields, so no field is
 // stored twice or left out of the format.
@@ -14,6 +14,7 @@ func TestSectionLayoutIDs(t *testing.T) {
 	checkLayout(t, &mlabLayout)
 	checkLayout(t, &mbaLayout)
 	checkLayout(t, &ingestLayout)
+	checkLayout(t, &sketchLayout)
 }
 
 func checkLayout[S, R any](t *testing.T, l *layout[S, R]) {

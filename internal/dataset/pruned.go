@@ -70,10 +70,6 @@ const (
 	IngestColConfidence
 )
 
-// sketchSectionCols is the sketch section's block count; the row
-// sections' counts are the lengths of their layout tables (layout.go).
-const sketchSectionCols = 8
-
 // SnapshotSelection declares, per section kind, which columns a query
 // touches. A zero set skips that section; the zero SnapshotSelection skips
 // everything (decoding only the envelope — useful for probing).

@@ -42,10 +42,11 @@ import (
 	"io"
 	"math/bits"
 	"os"
+
+	"speedctx/internal/stats"
 )
 
-// The snapshotChecksum mixing constants, shared with the incremental
-// sumState below.
+// The mixing constants of the snapshot checksum (sumState).
 const (
 	sumM1 = 0x9e3779b97f4a7c15
 	sumM2 = 0xbf58476d1ce4e5b9
@@ -130,10 +131,14 @@ func (s *FileSource) ReadAt(p []byte, off int64) (int, error) { return s.f.ReadA
 func (s *FileSource) Size() int64                             { return s.size }
 func (s *FileSource) Close() error                            { return s.f.Close() }
 
-// sumState is the incremental form of snapshotChecksum: identical output,
-// fed in arbitrary write sizes. The 4-lane bulk mix consumes aligned
-// 32-byte steps as they arrive; up to 31 carried bytes wait in tail for
-// the finalizer, which replays snapshotChecksum's remainder path exactly.
+// sumState is the snapshot checksum (snapshotChecksum is its one-shot
+// call), fed in arbitrary write sizes. Four independent rotate-multiply
+// lanes consume 32 bytes per step (the serial dependency of a single lane
+// would cap throughput well below memory bandwidth on the multi-MB files
+// the store reads), then a splitmix64 finalizer mixes the lanes. The
+// total length seeds lane 1, so truncations that happen to end on a lane
+// boundary still change the sum. Up to 31 bytes that do not yet fill a
+// step wait in tail for the next write or the finalizer.
 type sumState struct {
 	h1, h2, h3, h4 uint64
 	tail           [32]byte
@@ -152,21 +157,26 @@ func (s *sumState) update(p []byte) {
 		if s.ntail < 32 {
 			return
 		}
-		s.step(s.tail[:])
 		s.ntail = 0
+		s.steps(s.tail[:])
 	}
-	for len(p) >= 32 {
-		s.step(p)
-		p = p[32:]
-	}
-	s.ntail = copy(s.tail[:], p)
+	s.ntail = copy(s.tail[:], s.steps(p))
 }
 
-func (s *sumState) step(p []byte) {
-	s.h1 = bits.RotateLeft64(s.h1^binary.LittleEndian.Uint64(p), 31) * sumM1
-	s.h2 = bits.RotateLeft64(s.h2^binary.LittleEndian.Uint64(p[8:]), 29) * sumM2
-	s.h3 = bits.RotateLeft64(s.h3^binary.LittleEndian.Uint64(p[16:]), 27) * sumM3
-	s.h4 = bits.RotateLeft64(s.h4^binary.LittleEndian.Uint64(p[24:]), 25) * sumM4
+// steps mixes every whole 32-byte step of p into the lanes and returns
+// the bytes after them. The lanes live in locals across the loop, which
+// keeps the bulk rate of a one-shot hash.
+func (s *sumState) steps(p []byte) []byte {
+	h1, h2, h3, h4 := s.h1, s.h2, s.h3, s.h4
+	for len(p) >= 32 {
+		h1 = bits.RotateLeft64(h1^binary.LittleEndian.Uint64(p), 31) * sumM1
+		h2 = bits.RotateLeft64(h2^binary.LittleEndian.Uint64(p[8:]), 29) * sumM2
+		h3 = bits.RotateLeft64(h3^binary.LittleEndian.Uint64(p[16:]), 27) * sumM3
+		h4 = bits.RotateLeft64(h4^binary.LittleEndian.Uint64(p[24:]), 25) * sumM4
+		p = p[32:]
+	}
+	s.h1, s.h2, s.h3, s.h4 = h1, h2, h3, h4
+	return p
 }
 
 func (s *sumState) final() uint64 {
@@ -328,7 +338,7 @@ func SnapshotTrailer(src ScanSource) (uint64, error) {
 	if src.Size() < int64(len(b)) {
 		return 0, errors.New("dataset: snapshot too short")
 	}
-	if _, err := io_ReadFullAt(src, b[:], src.Size()-8); err != nil {
+	if _, err := readAtLeast(src, b[:], src.Size()-8, len(b)); err != nil {
 		return 0, fmt.Errorf("dataset: snapshot: trailer: %w", err)
 	}
 	return binary.LittleEndian.Uint64(b[:]), nil
@@ -439,13 +449,14 @@ func (r *dirReader) bytes(n int) ([]byte, error) {
 	return p, nil
 }
 
-// readAtLeast reads at least min bytes at off, best-effort up to len(p).
-func readAtLeast(src ScanSource, p []byte, off int64, min int) (int, error) {
+// readAtLeast reads at least need bytes at off, best-effort up to len(p):
+// the scanner's one positional read. need == len(p) reads p exactly.
+func readAtLeast(src ScanSource, p []byte, off int64, need int) (int, error) {
 	n := 0
-	for n < min {
+	for n < need {
 		m, err := src.ReadAt(p[n:], off+int64(n))
 		n += m
-		if n >= min {
+		if n >= need {
 			break
 		}
 		if err != nil {
@@ -674,7 +685,7 @@ func sectionColumnCount(kind byte) (int, bool) {
 	case snapKindIngest, snapKindIngestZoned:
 		return len(ingestLayout.cols), true
 	case snapKindSketch:
-		return sketchSectionCols, true
+		return len(sketchLayout.cols) + 1, true // the table, then the masses
 	}
 	return 0, false
 }
@@ -751,7 +762,7 @@ func (s *BlockScanner) Scan() bool {
 			s.ctr.SectionsDecoded++
 		}
 		if ss.kind == snapKindSketch {
-			bundles, err := s.decodeSketchSectionWhole(ss)
+			bundles, err := s.decodeSketchSection(ss)
 			if err != nil {
 				return false
 			}
@@ -822,6 +833,73 @@ func (s *BlockScanner) runBatch(n int) error {
 		}
 	}
 	return nil
+}
+
+// decodeSketchSection materializes the sketch section as one batch. Its
+// fixed blocks bind through sketchLayout into a fresh container and
+// decode whole, like a one-batch row section; the masses block is
+// partitioned by the Bins column, so it decodes after them, row by row.
+// Sketch sections are metadata-sized (one row per city×tier), never split
+// into batches.
+func (s *BlockScanner) decodeSketchSection(ss scanSection) ([]SketchBundle, error) {
+	var c sketchColumns
+	fixed := len(sketchLayout.cols)
+	if err := sketchLayout.bind(s, scanSection{rows: ss.rows, cols: ss.cols[:fixed]}, AllColumns, &c); err != nil {
+		return nil, err
+	}
+	for _, ex := range s.exec {
+		if err := ex.run(ss.rows); err != nil {
+			return nil, err
+		}
+	}
+	if !s.closeSection() {
+		return nil, s.err
+	}
+	mc, err := s.newCursor(ss.cols[fixed])
+	if err != nil {
+		return nil, err
+	}
+	out := make([]SketchBundle, 0, ss.rows)
+	for i := 0; i < ss.rows; i++ {
+		nb := c.Bins[i]
+		// Every mass is at least one byte, so the remaining payload bounds
+		// the bin count before any allocation.
+		if nb < 2 || int64(nb) > mc.remaining() {
+			return nil, s.fail("sketch %d: %d bins cannot fit %d payload bytes", i, nb, mc.remaining())
+		}
+		mass := make([]uint64, nb)
+		for j := range mass {
+			if mc.remaining() == 0 {
+				return nil, s.fail("sketch %d: truncated masses", i)
+			}
+			u, w := mc.tryUvarint()
+			if w <= 0 {
+				return nil, s.fail("sketch %d: bad mass varint at bin %d", i, j)
+			}
+			mass[j] = u
+		}
+		if c.Count[i] < 0 {
+			return nil, s.fail("sketch %d: negative count", i)
+		}
+		sk, err := stats.SketchFromParts(c.Lo[i], c.Hi[i], mass, uint64(c.Count[i]), c.Version[i])
+		if err != nil {
+			if errors.Is(err, stats.ErrSketchVersion) {
+				// A foreign quantization scheme is staleness, not
+				// corruption: stores treat it as a cache miss.
+				werr := fmt.Errorf("%w: sketch %d: %v", ErrSnapshotStale, i, err)
+				if s.err == nil {
+					s.err = werr
+				}
+				return nil, werr
+			}
+			return nil, s.fail("sketch %d (%s tier %d): %v", i, c.City[i], c.Tier[i], err)
+		}
+		out = append(out, SketchBundle{City: c.City[i], Tier: c.Tier[i], Sketch: sk})
+	}
+	if r := mc.remaining(); r != 0 {
+		return nil, s.fail("sketch section: %d trailing mass bytes", r)
+	}
+	return out, nil
 }
 
 // bindSection builds cursors and decode closures for the selected columns

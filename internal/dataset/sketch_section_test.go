@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -101,14 +103,14 @@ func TestSketchSectionStaleVersion(t *testing.T) {
 	e.buf = binary.AppendUvarint(e.buf, DataVersion)
 	e.buf = append(e.buf, 1) // one section
 	e.section(snapKindSketch, 1)
-	e.column(1, appendStrings(e.scratch[:0], []string{"A"}))
-	e.column(2, appendDeltaInts(e.scratch[:0], []int{UploadSketchTier}))
-	e.column(3, appendDeltaInts(e.scratch[:0], []int{stats.SketchVersion + 1}))
-	e.column(4, appendDeltaInts(e.scratch[:0], []int{sk.Count()}))
-	e.column(5, appendDeltaInts(e.scratch[:0], []int{sk.Bins()}))
-	e.column(6, appendFloats(e.scratch[:0], []float64{sk.Lo()}))
-	e.column(7, appendFloats(e.scratch[:0], []float64{sk.Hi()}))
-	masses := e.scratch[:0]
+	e.column(1, appendStrings(nil, []string{"A"}))
+	e.column(2, appendDeltaInts(nil, []int{UploadSketchTier}))
+	e.column(3, appendDeltaInts(nil, []int{stats.SketchVersion + 1}))
+	e.column(4, appendDeltaInts(nil, []int{sk.Count()}))
+	e.column(5, appendDeltaInts(nil, []int{sk.Bins()}))
+	e.column(6, appendFloats(nil, []float64{sk.Lo()}))
+	e.column(7, appendFloats(nil, []float64{sk.Hi()}))
+	masses := []byte(nil)
 	for _, u := range sk.MassView() {
 		masses = binary.AppendUvarint(masses, u)
 	}
@@ -132,14 +134,14 @@ func TestSketchSectionRejectsCorruption(t *testing.T) {
 		e.buf = binary.AppendUvarint(e.buf, DataVersion)
 		e.buf = append(e.buf, 1)
 		e.section(snapKindSketch, 1)
-		e.column(1, appendStrings(e.scratch[:0], []string{"A"}))
-		e.column(2, appendDeltaInts(e.scratch[:0], []int{UploadSketchTier}))
-		e.column(3, appendDeltaInts(e.scratch[:0], []int{stats.SketchVersion}))
-		e.column(4, appendDeltaInts(e.scratch[:0], []int{sk.Count()}))
-		e.column(5, appendDeltaInts(e.scratch[:0], []int{bins}))
-		e.column(6, appendFloats(e.scratch[:0], []float64{sk.Lo()}))
-		e.column(7, appendFloats(e.scratch[:0], []float64{sk.Hi()}))
-		masses := e.scratch[:0]
+		e.column(1, appendStrings(nil, []string{"A"}))
+		e.column(2, appendDeltaInts(nil, []int{UploadSketchTier}))
+		e.column(3, appendDeltaInts(nil, []int{stats.SketchVersion}))
+		e.column(4, appendDeltaInts(nil, []int{sk.Count()}))
+		e.column(5, appendDeltaInts(nil, []int{bins}))
+		e.column(6, appendFloats(nil, []float64{sk.Lo()}))
+		e.column(7, appendFloats(nil, []float64{sk.Hi()}))
+		masses := []byte(nil)
 		for _, u := range sk.MassView() {
 			masses = binary.AppendUvarint(masses, u)
 		}
@@ -152,5 +154,101 @@ func TestSketchSectionRejectsCorruption(t *testing.T) {
 	}
 	if _, err := DecodeCitySnapshot(encode(sk.Bins(), []byte{7})); err == nil {
 		t.Fatal("trailing mass bytes accepted")
+	}
+}
+
+// TestSketchSectionFixedBlocksFailClosed damages each of the sketch
+// section's fixed blocks 1–7 in turn. The full decode over memory and a
+// streamed scan over a file must both return an error, never panic or
+// yield the section's bundles.
+func TestSketchSectionFixedBlocksFailClosed(t *testing.T) {
+	sk := synthSketch(t, 0, 100, 64, 40, 7)
+	const rows = 2
+	encode := func(block int, payload []byte) []byte {
+		blocks := [][]byte{
+			appendStrings(nil, []string{"A", "B"}),
+			appendDeltaInts(nil, []int{UploadSketchTier, 0}),
+			appendDeltaInts(nil, []int{stats.SketchVersion, stats.SketchVersion}),
+			appendDeltaInts(nil, []int{sk.Count(), sk.Count()}),
+			appendDeltaInts(nil, []int{sk.Bins(), sk.Bins()}),
+			appendFloats(nil, []float64{sk.Lo(), sk.Lo()}),
+			appendFloats(nil, []float64{sk.Hi(), sk.Hi()}),
+		}
+		if block > 0 {
+			blocks[block-1] = payload
+		}
+		e := &snapEnc{}
+		e.header(SnapshotFormatVersion, DataVersion, 1)
+		e.section(snapKindSketch, rows)
+		for i, p := range blocks {
+			e.column(byte(i+1), p)
+		}
+		var masses []byte
+		for r := 0; r < rows; r++ {
+			for _, u := range sk.MassView() {
+				masses = binary.AppendUvarint(masses, u)
+			}
+		}
+		e.column(8, masses)
+		return binary.LittleEndian.AppendUint64(e.buf, snapshotChecksum(e.buf))
+	}
+	scanFile := func(img []byte) ([]SketchBundle, error) {
+		path := filepath.Join(t.TempDir(), "s.sxc")
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		src, err := OpenFileSource(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer src.Close()
+		sc, err := NewBlockScanner(src, SnapshotSelection{Sketches: true}, 0)
+		if err != nil {
+			return nil, err
+		}
+		var got []SketchBundle
+		for sc.Scan() {
+			got = append(got, sc.Batch().Sketches...)
+		}
+		return got, sc.Err()
+	}
+
+	// The undamaged image decodes both ways, so each case below fails on
+	// its damage alone.
+	img := encode(0, nil)
+	if snap, err := DecodeCitySnapshot(img); err != nil || len(snap.Sketches) != rows {
+		t.Fatalf("undamaged section: %v", err)
+	}
+	if got, err := scanFile(img); err != nil || len(got) != rows {
+		t.Fatalf("undamaged section, file scan: %d bundles, %v", len(got), err)
+	}
+
+	short := func(p []byte) []byte { return p[:len(p)-1] }
+	cases := []struct {
+		name    string
+		block   int
+		payload []byte
+	}{
+		{"dictionary index past its names", 1, []byte{1, 1, 'A', 0, 1}},
+		{"dictionary size past the block", 1, []byte{9, 1, 'A', 0, 0}},
+		{"dictionary entry past the block", 1, []byte{1, 9, 'A', 0, 0}},
+		{"tier ints fewer bytes than rows", 2, []byte{0}},
+		{"tier ints bad varint", 2, []byte{0x80, 0x80}},
+		{"version ints fewer bytes than rows", 3, []byte{0}},
+		{"count ints fewer bytes than rows", 4, []byte{0}},
+		{"bins ints fewer bytes than rows", 5, []byte{0}},
+		{"lo floats one byte short", 6, short(appendFloats(nil, []float64{sk.Lo(), sk.Lo()}))},
+		{"hi floats one byte short", 7, short(appendFloats(nil, []float64{sk.Hi(), sk.Hi()}))},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			img := encode(tc.block, tc.payload)
+			if snap, err := DecodeCitySnapshot(img); err == nil {
+				t.Fatalf("decode accepted the damaged block %d: %d bundles", tc.block, len(snap.Sketches))
+			}
+			if got, err := scanFile(img); err == nil || len(got) != 0 {
+				t.Fatalf("file scan of the damaged block %d: %d bundles, err %v", tc.block, len(got), err)
+			}
+		})
 	}
 }

@@ -268,52 +268,21 @@ func encodeCitySnapshotOpts(snap *CitySnapshot, dataVersion uint64, zopts *ZoneO
 	return e.finish(snap.Sketches)
 }
 
-// snapshotChecksum detects corruption in a snapshot image. Four
-// independent rotate-multiply lanes consume 32 bytes per step (the serial
-// dependency of a single lane would cap throughput well below memory
-// bandwidth on the multi-MB files the store reads), then a splitmix64
-// finalizer mixes the lanes. The total length seeds lane 1, so
-// truncations that happen to end on a lane boundary still change the sum.
-// sumState (scan.go) is the incremental form; the two must stay
-// byte-for-byte equivalent (TestSumStateMatchesChecksum).
+// snapshotChecksum detects corruption in a snapshot image: the one-shot
+// call of sumState (scan.go), the checksum's one implementation.
 func snapshotChecksum(p []byte) uint64 {
-	h1 := uint64(len(p)) + sumM1
-	h2, h3, h4 := uint64(sumM2), uint64(sumM3), uint64(sumM4)
-	for len(p) >= 32 {
-		h1 = bits.RotateLeft64(h1^binary.LittleEndian.Uint64(p), 31) * sumM1
-		h2 = bits.RotateLeft64(h2^binary.LittleEndian.Uint64(p[8:]), 29) * sumM2
-		h3 = bits.RotateLeft64(h3^binary.LittleEndian.Uint64(p[16:]), 27) * sumM3
-		h4 = bits.RotateLeft64(h4^binary.LittleEndian.Uint64(p[24:]), 25) * sumM4
-		p = p[32:]
-	}
-	h := h1 ^ bits.RotateLeft64(h2, 17) ^ bits.RotateLeft64(h3, 33) ^ bits.RotateLeft64(h4, 49)
-	for len(p) >= 8 {
-		h = bits.RotateLeft64(h^binary.LittleEndian.Uint64(p), 31) * sumM1
-		p = p[8:]
-	}
-	var tail uint64
-	for i := 0; i < len(p); i++ {
-		tail |= uint64(p[i]) << (8 * uint(i))
-	}
-	h = bits.RotateLeft64(h^tail, 31) * sumM1
-	h ^= h >> 30
-	h *= sumM2
-	h ^= h >> 27
-	h *= sumM3
-	h ^= h >> 31
-	return h
+	s := newSumState(int64(len(p)))
+	s.update(p)
+	return s.final()
 }
 
 // snapEnc accumulates the file image in buf[head:]. Row sections encode
 // their payloads straight into buf (openBlock, closeBlock); a zoned
 // section's writer leaves unused room ahead of its groups, which it
-// closes by moving the image's start, head, forward. scratch is the
-// reused payload buffer of the sketch section, whose payloads are
-// assembled before they are written.
+// closes by moving the image's start, head, forward.
 type snapEnc struct {
-	buf     []byte
-	head    int
-	scratch []byte
+	buf  []byte
+	head int
 }
 
 // header writes the file header at the end of the image.
@@ -506,56 +475,35 @@ func encodeRows[S, R any](e *snapEnc, l *layout[S, R], c *S, kind, zonedKind byt
 	return l.encode(e, kind, c)
 }
 
-// encodeSketchSection renders the sketch section: one row per bundle, with
-// the grid headers in parallel columns and every sketch's fixed-point bin
-// masses varint-packed into one shared payload (empty bins — the common
-// case in the tails — cost a single byte). The per-row sketch version lets
-// a future quantization change invalidate persisted sketches without
-// touching DataVersion.
+// encodeSketchSection renders the sketch section: one row per bundle,
+// the grid headers in the sketch table's columns, then every sketch's
+// fixed-point bin masses varint-packed into one shared payload (empty
+// bins — the common case in the tails — cost a single byte). The per-row
+// sketch version lets a future quantization change invalidate persisted
+// sketches without touching DataVersion.
 func encodeSketchSection(e *snapEnc, bundles []SketchBundle) error {
-	n := len(bundles)
-	cities := make([]string, n)
-	tiers := make([]int, n)
-	versions := make([]int, n)
-	counts := make([]int, n)
-	bins := make([]int, n)
-	lows := make([]float64, n)
-	highs := make([]float64, n)
+	var c sketchColumns
+	var masses []byte
 	for i, b := range bundles {
-		if b.Sketch == nil {
+		sk := b.Sketch
+		if sk == nil {
 			return fmt.Errorf("dataset: sketch bundle %d (%s tier %d) carries no sketch", i, b.City, b.Tier)
 		}
-		cities[i] = b.City
-		tiers[i] = b.Tier
-		versions[i] = stats.SketchVersion
-		counts[i] = b.Sketch.Count()
-		bins[i] = b.Sketch.Bins()
-		lows[i] = b.Sketch.Lo()
-		highs[i] = b.Sketch.Hi()
-	}
-	e.section(snapKindSketch, n)
-	p := appendStrings(e.scratch[:0], cities)
-	e.column(1, p)
-	p = appendDeltaInts(p[:0], tiers)
-	e.column(2, p)
-	p = appendDeltaInts(p[:0], versions)
-	e.column(3, p)
-	p = appendDeltaInts(p[:0], counts)
-	e.column(4, p)
-	p = appendDeltaInts(p[:0], bins)
-	e.column(5, p)
-	p = appendFloats(p[:0], lows)
-	e.column(6, p)
-	p = appendFloats(p[:0], highs)
-	e.column(7, p)
-	masses := p[:0]
-	for _, b := range bundles {
-		for _, u := range b.Sketch.MassView() {
+		c.City = append(c.City, b.City)
+		c.Tier = append(c.Tier, b.Tier)
+		c.Version = append(c.Version, stats.SketchVersion)
+		c.Count = append(c.Count, sk.Count())
+		c.Bins = append(c.Bins, sk.Bins())
+		c.Lo = append(c.Lo, sk.Lo())
+		c.Hi = append(c.Hi, sk.Hi())
+		for _, u := range sk.MassView() {
 			masses = binary.AppendUvarint(masses, u)
 		}
 	}
+	if err := sketchLayout.encode(e, snapKindSketch, &c); err != nil {
+		return err
+	}
 	e.column(8, masses)
-	e.scratch = masses
 	return nil
 }
 

@@ -296,10 +296,25 @@ func NewHTTPServer(h http.Handler) *http.Server {
 // maxBodyBytes bounds a request body; large enough for a ~64k-row batch.
 const maxBodyBytes = 32 << 20
 
+// maxPooledBytes is the largest request or ack buffer bufPool keeps, room
+// for a batch of several thousand rows. A buffer that grew past it goes
+// to the collector, so one large batch does not pin its size in the pool.
+const maxPooledBytes = 1 << 20
+
+// putBuf returns b, the buffer taken as bp and grown since, to the pool
+// unless it outgrew maxPooledBytes.
+func (s *Server) putBuf(bp *[]byte, b []byte) {
+	if cap(b) > maxPooledBytes {
+		return
+	}
+	*bp = b[:0]
+	s.bufPool.Put(bp)
+}
+
 // readPost slurps a POST body into pooled scratch. The returned release
 // func must be called after the bytes are no longer referenced. On a wrong
-// method or an unreadable body it answers the request itself and returns
-// ok=false.
+// method, a body over maxBodyBytes (413) or an unreadable body (400) it
+// answers the request itself and returns ok=false.
 func (s *Server) readPost(w http.ResponseWriter, r *http.Request) (body []byte, release func(), ok bool) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -308,17 +323,14 @@ func (s *Server) readPost(w http.ResponseWriter, r *http.Request) (body []byte, 
 	bp := s.bufPool.Get().(*[]byte)
 	buf := bytes.NewBuffer((*bp)[:0])
 	_, err := io.Copy(buf, io.LimitReader(r.Body, maxBodyBytes+1))
-	release = func() {
-		b := buf.Bytes()
-		*bp = b[:0]
-		s.bufPool.Put(bp)
-	}
+	release = func() { s.putBuf(bp, buf.Bytes()) }
+	status := http.StatusBadRequest
 	if err == nil && buf.Len() > maxBodyBytes {
-		err = errors.New("ingest: request body too large")
+		status, err = http.StatusRequestEntityTooLarge, errors.New("ingest: request body too large")
 	}
 	if err != nil {
 		release()
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		http.Error(w, err.Error(), status)
 		return nil, nil, false
 	}
 	return buf.Bytes(), release, true
@@ -407,8 +419,7 @@ func (s *Server) writeAck(w http.ResponseWriter, row dataset.IngestRow) {
 	out = append(out, '\n')
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(out)
-	*ack = out[:0]
-	s.bufPool.Put(ack)
+	s.putBuf(ack, out)
 }
 
 // handleBatch ingests NDJSON. Every line gets a same-position NDJSON
@@ -444,8 +455,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			// Closed pipeline, nothing admitted: nothing later can be
 			// accepted either.
 			http.Error(w, err.Error(), status)
-			*ack = out[:0]
-			s.bufPool.Put(ack)
+			s.putBuf(ack, out)
 			return
 		case err != nil:
 			out = appendError(out, err)
@@ -459,8 +469,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Write(out)
-	*ack = out[:0]
-	s.bufPool.Put(ack)
+	s.putBuf(ack, out)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -622,3 +622,36 @@ func TestIngestServerDropsStalledHeaders(t *testing.T) {
 		t.Fatal("server held a mid-header connection open past its header timeout")
 	}
 }
+
+// TestOversizeBodyIs413: a body one byte over maxBodyBytes is refused as
+// too large, not as malformed, on both ingest endpoints.
+func TestOversizeBodyIs413(t *testing.T) {
+	ts, _, p := startServer(t, t.TempDir(), PipelineConfig{}, nil)
+	defer ts.Close()
+	defer p.Close()
+	body := bytes.Repeat([]byte{'\n'}, maxBodyBytes+1)
+	for _, path := range []string{"/v1/ingest", "/v1/ingest/batch"} {
+		resp, err := ts.Client().Post(ts.URL+path, "application/x-ndjson", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with %d bytes = %d, want 413", path, len(body), resp.StatusCode)
+		}
+	}
+}
+
+// TestPutBufDropsOversize: a request or ack buffer that grew past
+// maxPooledBytes never comes back out of the pool.
+func TestPutBufDropsOversize(t *testing.T) {
+	s := &Server{bufPool: sync.Pool{New: func() any { return new([]byte) }}}
+	bp := new([]byte)
+	s.putBuf(bp, make([]byte, 0, maxPooledBytes+1))
+	for i := 0; i < 4; i++ {
+		if s.bufPool.Get().(*[]byte) == bp {
+			t.Fatal("a buffer over maxPooledBytes went back to the pool")
+		}
+	}
+}

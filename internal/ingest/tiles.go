@@ -43,6 +43,8 @@ var tileSelection = dataset.SnapshotSelection{
 // the same sealed rows — live seal-by-seal, cold-restart refold, or
 // post-compaction refold — yields byte-identical responses.
 type tileServer struct {
+	// mu serializes every use of the server's state, eng's included: the
+	// engine does no locking of its own.
 	mu     sync.Mutex
 	dir    string
 	eng    *tilequery.Engine
@@ -101,7 +103,7 @@ func newTileServer(dir string, cacheTiles int) *tileServer {
 }
 
 // refresh folds segments sealed since the last call, resetting first if
-// compaction rewrote the directory.
+// compaction rewrote the directory. Callers hold ts.mu.
 func (ts *tileServer) refresh() error {
 	names, present, err := ts.listing()
 	if err != nil {

@@ -118,9 +118,6 @@ func quantileSorted(sorted []float64, q float64) float64 {
 // Median returns the 50th percentile of xs.
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
-// Percentile returns the p-th percentile (0..100) of xs.
-func Percentile(xs []float64, p float64) float64 { return Quantile(xs, p/100) }
-
 // ConsistencyFactor implements the per-user consistency metric from §4.1 of
 // the paper: the ratio of the mean to the 95th percentile of a user's
 // repeated measurements. Values near 1 indicate a consistent metric; the

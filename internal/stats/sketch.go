@@ -256,9 +256,6 @@ func (s *Sketch) Hi() float64 { return s.hi }
 // Bins returns the grid resolution.
 func (s *Sketch) Bins() int { return len(s.mass) }
 
-// Step returns the spacing between adjacent bin centers.
-func (s *Sketch) Step() float64 { return s.step }
-
 // MassView returns the per-bin fixed-point masses for hashing and
 // serialization. The slice is the sketch's own storage: callers must not
 // mutate it.

@@ -282,11 +282,16 @@ func measurePeakBytes(f func(sample func())) float64 {
 }
 
 // BenchmarkTileAggregate isolates the fold: one AddRows over prebuilt
-// rows, then a base-zoom render.
+// rows, then a base-zoom render. Each size builds its rows on its first
+// run, so a -bench filter that skips the size skips its fixture.
 func BenchmarkTileAggregate(b *testing.B) {
 	for _, n := range []int{100_000, 1_000_000} {
-		rows := synthRows(n, "A", "B")
+		var rows *Rows
 		b.Run("n="+itoa(n), func(b *testing.B) {
+			if rows == nil {
+				rows = synthRows(n, "A", "B")
+				b.ResetTimer()
+			}
 			b.ReportAllocs()
 			start := time.Now()
 			for i := 0; i < b.N; i++ {

@@ -1,8 +1,6 @@
 package tilequery
 
 import (
-	"sync"
-
 	"speedctx/internal/dataset"
 	"speedctx/internal/fitcache"
 	"speedctx/internal/opendata"
@@ -13,9 +11,11 @@ import (
 // steady-state serving is all hits.
 const DefaultCacheTiles = 4096
 
-// Engine is an Index behind a mutex with a content-addressed per-tile
-// result cache in front of it — the serving-path wrapper the ingest
-// server and the CLIs share.
+// Engine is an Index with a content-addressed per-tile result cache in
+// front of it — the ingest server's serving-path wrapper. It does no
+// locking of its own: a caller that uses it from several goroutines
+// serializes every call (the ingest tile server holds its own mutex
+// around each).
 //
 // The cache reuses the fitcache LRU discipline: a rendered tile is a pure
 // function of (tile, zoom, data version, query config, tile version), so
@@ -27,7 +27,6 @@ const DefaultCacheTiles = 4096
 // byte-identical by construction, and invalidation needs no eviction
 // sweep.
 type Engine struct {
-	mu    sync.Mutex
 	ix    *Index
 	cache *fitcache.Cache
 	// cacheTiles is the result cache's configured capacity, kept across
@@ -65,8 +64,6 @@ func NewEngine(cfg Config, cacheTiles int) *Engine {
 // AddRows folds a row batch, counting the base tiles whose cached results
 // the fold invalidated.
 func (e *Engine) AddRows(rows *Rows) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	touched, err := e.ix.AddRows(rows)
 	if err != nil {
 		return err
@@ -81,16 +78,12 @@ func (e *Engine) AddRows(rows *Rows) error {
 // a new one's keys: Reset replaces the cache with an empty one of the
 // configured capacity, keeping the correctness argument trivial.
 func (e *Engine) Reset() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	_ = e.ix.Reset(nil) // an unrestricted Reset cannot fail
 	e.cache = fitcache.New(e.cacheTiles)
 }
 
 // Stats returns current counters.
 func (e *Engine) Stats() EngineStats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return EngineStats{
 		Rows: e.ix.RowCount(), Tiles: e.ix.TileCount(),
 		CacheHits: e.hits, CacheMisses: e.miss, Invalidations: e.inval,
@@ -102,8 +95,6 @@ func (e *Engine) Stats() EngineStats {
 // order, each either served from cache (hit: ~constant work per tile) or
 // rendered from its child accumulators and cached.
 func (e *Engine) Tiles(q Query) ([]opendata.ContextTile, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	groups, zoom, err := e.ix.groups(q)
 	if err != nil {
 		return nil, err

@@ -83,12 +83,9 @@ func (ix *Index) AddScan(sc *dataset.BlockScanner) (int, error) {
 	return touched, sc.Err()
 }
 
-// AddScan is Index.AddScan through the engine's lock and invalidation
-// accounting. The same provisionality caveat applies: on error the caller
+// AddScan is Index.AddScan with the engine's invalidation accounting. The same provisionality caveat applies: on error the caller
 // should Reset the engine before retrying the scan.
 func (e *Engine) AddScan(sc *dataset.BlockScanner) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	touched, err := e.ix.AddScan(sc)
 	e.inval += uint64(touched)
 	return err
