@@ -324,6 +324,9 @@ func BenchmarkTilesHTTP(b *testing.B) {
 		// A whole city at zoom 12 on the pushdown path: every row of the
 		// city decodes and folds on each query.
 		{"query=city", fmt.Sprintf("?zoom=12&bbox=%g,%g,%g,%g", center.Lat-0.1, center.Lon-0.1, center.Lat+0.1, center.Lon+0.1)},
+		// The same city rendering one metric: the scan decodes user id,
+		// city and download only.
+		{"query=city/metric=download", fmt.Sprintf("?zoom=12&bbox=%g,%g,%g,%g&metric=download", center.Lat-0.1, center.Lon-0.1, center.Lat+0.1, center.Lon+0.1)},
 	} {
 		b.Run(q.name, func(b *testing.B) {
 			if code, body := getTiles(b, client, ts.URL, q.params); code != http.StatusOK || len(body) == 0 {

@@ -3,7 +3,8 @@ package ingest
 // The tile layer of the ingest server (DESIGN.md §13–§15): GET /v1/tiles
 // answered from the sealed .sxc segments, either by the cached tile engine
 // that folds each new segment once, or, for a bbox query, by a pushdown
-// scan of every segment per query. Both scan a segment through one
+// scan of every segment per query that decodes only the columns the
+// response renders (pushdownSelection). Both scan a segment through one
 // helper, scanSegment, which opens the file for the one scan and reuses
 // the segment's parsed block directory while the file's size and trailer
 // checksum match the cached parse, and decodes into the read windows and
@@ -25,13 +26,38 @@ import (
 
 // tileSelection is the pruned projection the tile layer reads from a
 // sealed segment: six of the eleven ingest columns, no sketch sections.
-// Everything else in the file is skipped by seek (DESIGN.md §13).
+// Everything else in the file is skipped by seek (DESIGN.md §13). The
+// engine folds it whole, since its cache serves every metric; a pushdown
+// query reads it only for a full-schema response (pushdownSelection).
 var tileSelection = dataset.SnapshotSelection{
 	Ingest: dataset.Cols(
 		dataset.IngestColUserID, dataset.IngestColCity,
 		dataset.IngestColDownload, dataset.IngestColUpload,
 		dataset.IngestColLatency, dataset.IngestColTier,
 	),
+}
+
+// pushdownSelection is the projection a pushdown query for metric reads
+// (DESIGN.md §15): user id and city, which place every row, plus the one
+// column a download, upload or latency value averages; a tests or devices
+// value needs no other column. Any other metric, "" (the full schema, as
+// every CSV response renders) included, reads all of tileSelection. The
+// columns left out fold as zero into the query's own index, whose sums
+// nothing else reads.
+func pushdownSelection(metric string) dataset.SnapshotSelection {
+	cols := dataset.Cols(dataset.IngestColUserID, dataset.IngestColCity)
+	switch metric {
+	case "download":
+		cols |= dataset.Cols(dataset.IngestColDownload)
+	case "upload":
+		cols |= dataset.Cols(dataset.IngestColUpload)
+	case "latency":
+		cols |= dataset.Cols(dataset.IngestColLatency)
+	case "tests", "devices":
+	default:
+		return tileSelection
+	}
+	return dataset.SnapshotSelection{Ingest: cols}
 }
 
 // tileServer folds sealed .sxc segments into a tilequery engine and serves
@@ -80,6 +106,7 @@ type tileServer struct {
 	pushRowsFiltered  int64  // scanned rows the range restriction dropped
 	pushBlocksScanned int64  // row groups the pushdown scans decoded
 	pushBlocksSkipped int64  // row groups their zone maps skipped
+	pushColsDecoded   int64  // column blocks the pushdown scans decoded
 }
 
 // segmentDir is one directory-cache entry: a segment's parsed directory
@@ -219,7 +246,8 @@ func (ts *tileServer) scanSegment(name string, sel dataset.SnapshotSelection, fo
 
 // tilesPushdown answers one bbox query by streaming the current segment
 // set into the pushdown index, reset and restricted to the query's range,
-// with the bbox predicate pushed into each scanner (DESIGN.md §15): row
+// with the bbox predicate pushed into each scanner and only the columns
+// query.Metric renders selected (DESIGN.md §15): row
 // groups of clustered segments whose quadkey zone ranges cannot intersect
 // the bbox are seeked past instead of decoded, and rows of scanned groups
 // placed outside the range are dropped before they reach an accumulator.
@@ -236,13 +264,13 @@ func (ts *tileServer) tilesPushdown(query tilequery.Query) ([]opendata.ContextTi
 
 // pushdown is tilesPushdown over an already listed segment set.
 func (ts *tileServer) pushdown(names []string, query tilequery.Query) ([]opendata.ContextTile, error) {
-	sel := tileSelection
+	sel := pushdownSelection(query.Metric)
 	sel.Predicate = query.Range.ZonePredicate()
 	ix := ts.push
 	if err := ix.Reset(query.Range); err != nil {
 		return nil, err
 	}
-	var scanned, skipped int64
+	var scanned, skipped, cols int64
 	for _, name := range names {
 		ctr, err := ts.scanSegment(name, sel, func(sc *dataset.BlockScanner) error {
 			_, err := ix.AddScan(sc)
@@ -250,6 +278,7 @@ func (ts *tileServer) pushdown(names []string, query tilequery.Query) ([]opendat
 		})
 		scanned += int64(ctr.BlocksScanned)
 		skipped += int64(ctr.BlocksSkipped)
+		cols += int64(ctr.ColumnsDecoded)
 		if err != nil {
 			return nil, fmt.Errorf("ingest: tiles: pushdown scan %s: %w", name, err)
 		}
@@ -266,6 +295,7 @@ func (ts *tileServer) pushdown(names []string, query tilequery.Query) ([]opendat
 	ts.pushRowsFiltered += int64(ix.FilteredRows())
 	ts.pushBlocksScanned += scanned
 	ts.pushBlocksSkipped += skipped
+	ts.pushColsDecoded += cols
 	return tiles, nil
 }
 
@@ -286,6 +316,7 @@ type tileStats struct {
 	PushRowsFiltered  int64
 	PushBlocksScanned int64
 	PushBlocksSkipped int64
+	PushColsDecoded   int64
 }
 
 func (ts *tileServer) stats() tileStats {
@@ -306,6 +337,7 @@ func (ts *tileServer) stats() tileStats {
 		PushRowsFiltered:  ts.pushRowsFiltered,
 		PushBlocksScanned: ts.pushBlocksScanned,
 		PushBlocksSkipped: ts.pushBlocksSkipped,
+		PushColsDecoded:   ts.pushColsDecoded,
 	}
 }
 
@@ -314,7 +346,8 @@ func (ts *tileServer) stats() tileStats {
 // restricts output to the covered tile rectangle (and routes the query
 // through the predicate-pushdown scan path — push=0 opts out); metric
 // selects a single-value projection (see tilequery.Metrics); format is
-// json (default) or csv.
+// json (default) or csv, which renders the full schema whatever the
+// metric. An unknown metric is answered 400 before any scan.
 func (s *Server) handleTiles(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
@@ -341,6 +374,15 @@ func (s *Server) handleTiles(w http.ResponseWriter, r *http.Request) {
 		}
 		query.Range = &rng
 	}
+	metric := q.Get("metric")
+	if err := tilequery.CheckMetric(metric); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	csv := q.Get("format") == "csv"
+	if !csv {
+		query.Metric = metric
+	}
 
 	// A bbox query takes the predicate-pushdown scan path by default
 	// (?push=0 forces the engine path); both render identical bytes — the
@@ -362,7 +404,7 @@ func (s *Server) handleTiles(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if q.Get("format") == "csv" {
+	if csv {
 		w.Header().Set("Content-Type", "text/csv")
 		if err := tilequery.WriteTilesCSV(w, tiles); err != nil {
 			s.tilesFailed(w, err)
@@ -370,10 +412,10 @@ func (s *Server) handleTiles(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	bp := s.bufPool.Get().(*[]byte)
-	out, err := tilequery.AppendTilesJSON((*bp)[:0], zoom, tiles, q.Get("metric"))
+	out, err := tilequery.AppendTilesJSON((*bp)[:0], zoom, tiles, query.Metric)
 	if err != nil {
 		s.bufPool.Put(bp)
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		s.tilesFailed(w, err)
 		return
 	}
 	out = append(out, '\n')
@@ -437,6 +479,8 @@ func appendTileStats(out []byte, st tileStats) []byte {
 	out = strconv.AppendInt(out, st.PushRowsFolded, 10)
 	out = append(out, `,"rows_filtered":`...)
 	out = strconv.AppendInt(out, st.PushRowsFiltered, 10)
+	out = append(out, `,"cols_decoded":`...)
+	out = strconv.AppendInt(out, st.PushColsDecoded, 10)
 	out = append(out, `,"blocks_scanned":`...)
 	out = strconv.AppendInt(out, st.PushBlocksScanned, 10)
 	out = append(out, `,"blocks_skipped":`...)

@@ -34,16 +34,26 @@ func metricValue(t *opendata.ContextTile, metric string) (int, error) {
 	return 0, fmt.Errorf("tilequery: unknown metric %q", metric)
 }
 
+// CheckMetric returns an error unless metric is empty or an entry of
+// Metrics.
+func CheckMetric(metric string) error {
+	if metric == "" {
+		return nil
+	}
+	_, err := metricValue(&opendata.ContextTile{}, metric)
+	return err
+}
+
 // AppendTilesJSON renders a tile query response appended to dst. With an
 // empty metric every tile renders its full contextualized schema; with a
 // named metric each tile renders as {"quadkey":...,"value":N}.
 func AppendTilesJSON(dst []byte, zoom int, tiles []opendata.ContextTile, metric string) ([]byte, error) {
+	if err := CheckMetric(metric); err != nil {
+		return nil, err
+	}
 	dst = append(dst, `{"zoom":`...)
 	dst = strconv.AppendInt(dst, int64(zoom), 10)
 	if metric != "" {
-		if _, err := metricValue(&opendata.ContextTile{}, metric); err != nil {
-			return nil, err
-		}
 		dst = append(dst, `,"metric":"`...)
 		dst = append(dst, metric...)
 		dst = append(dst, '"')

@@ -51,13 +51,20 @@ func roundMilli(v float64) int64 {
 }
 
 // Rows is the columnar input of one aggregation fold: parallel slices,
-// one element per measurement. Download, Upload and UserID are required;
-// the rest are optional context:
+// one element per measurement. UserID is required and sets the row count;
+// every other column is optional, and a missing (empty) column folds as
+// zero:
 //
 //   - City: per-row city id (nil = every row belongs to Config.City)
+//   - Download, Upload: per-test throughput in Mbps (nil = that average
+//     stays 0)
 //   - Latency: per-test latency in ms (nil = latency averages stay 0)
 //   - Tier: BST-assigned plan tier per row (nil = no tier mix)
 //   - Access: access type per row (nil = no WiFi/ethernet split)
+//
+// A fold for a response that renders one metric may leave out every value
+// column that metric does not read: the tiles it renders carry zeros in
+// the fields it left out, and the metric's own value is unchanged.
 type Rows struct {
 	UserID   []int
 	City     []string
@@ -69,20 +76,20 @@ type Rows struct {
 }
 
 // Len returns the row count.
-func (r *Rows) Len() int { return len(r.Download) }
+func (r *Rows) Len() int { return len(r.UserID) }
 
+// validate rejects any column whose length is neither 0 nor the row count.
 func (r *Rows) validate() error {
 	n := r.Len()
-	if len(r.UserID) != n || len(r.Upload) != n {
-		return fmt.Errorf("tilequery: ragged required columns (%d users, %d downloads, %d uploads)",
-			len(r.UserID), n, len(r.Upload))
-	}
-	for name, l := range map[string]int{
-		"city": len(r.City), "latency": len(r.Latency),
-		"tier": len(r.Tier), "access": len(r.Access),
+	for _, c := range [...]struct {
+		name string
+		len  int
+	}{
+		{"city", len(r.City)}, {"download", len(r.Download)}, {"upload", len(r.Upload)},
+		{"latency", len(r.Latency)}, {"tier", len(r.Tier)}, {"access", len(r.Access)},
 	} {
-		if l != 0 && l != n {
-			return fmt.Errorf("tilequery: ragged %s column (%d rows, want %d)", name, l, n)
+		if c.len != 0 && c.len != n {
+			return fmt.Errorf("tilequery: ragged %s column (%d rows, want %d)", c.name, c.len, n)
 		}
 	}
 	return nil
@@ -106,6 +113,11 @@ type Query struct {
 	// Range restricts output to tiles inside the rectangle, which must be
 	// at the query zoom. Nil = no restriction.
 	Range *opendata.TileRange
+	// Metric names the one value the response renders, an entry of
+	// Metrics, or is empty for the full schema. Tiles does not read it: it
+	// tells a caller that folds rows for this query alone which columns it
+	// may leave out (see Rows).
+	Metric string
 }
 
 // tileAcc is the integer-exact accumulator of one base-zoom tile.
@@ -331,7 +343,9 @@ func (cm *cityMemo) slot(user int) *userSlot {
 // the tile's device set, so repeat rows skip the set insert too. Row order
 // still cannot matter: the memo only short-cuts recomputing pure functions
 // and re-inserting set members. Each tile the batch reaches is marked with
-// the fold generation, and counted the first time.
+// the fold generation, and counted the first time. A missing Download,
+// Upload or Latency column adds zero to its sums; a missing Tier or Access
+// column adds to no tier or access count.
 func (ix *Index) AddRows(rows *Rows) (int, error) {
 	if err := rows.validate(); err != nil {
 		return 0, err
@@ -350,6 +364,8 @@ func (ix *Index) AddRows(rows *Rows) (int, error) {
 		touched  int
 		cm       *cityMemo
 		curCity  string
+		// An empty column is missing whether or not it is nil (validate),
+		// so the loop tests lengths.
 		users    = rows.UserID
 		cityCol  = rows.City
 		download = rows.Download
@@ -360,7 +376,7 @@ func (ix *Index) AddRows(rows *Rows) (int, error) {
 	)
 	for i := 0; i < n; i++ {
 		city := ix.cfg.City
-		if cityCol != nil {
+		if len(cityCol) != 0 {
 			city = cityCol[i]
 		}
 		// A scanner batch's cities alias one dictionary entry per
@@ -391,20 +407,25 @@ func (ix *Index) AddRows(rows *Rows) (int, error) {
 			acc.modGen = gen
 			touched++
 		}
-		var latUs int64
-		if latency != nil {
+		var dKbps, uKbps, latUs int64
+		if len(download) != 0 {
+			dKbps = roundMilli(download[i])
+		}
+		if len(upload) != 0 {
+			uKbps = roundMilli(upload[i])
+		}
+		if len(latency) != 0 {
 			latUs = roundMilli(latency[i])
 		}
 		tier, hasTier := 0, false
-		if tiers != nil {
+		if len(tiers) != 0 {
 			tier, hasTier = tiers[i], true
 		}
 		var access dataset.AccessType
-		if accesses != nil {
+		if len(accesses) != 0 {
 			access = accesses[i]
 		}
-		acc.addRow(roundMilli(download[i]), roundMilli(upload[i]),
-			latUs, tier, hasTier, access)
+		acc.addRow(dKbps, uKbps, latUs, tier, hasTier, access)
 	}
 	ix.filtered += filtered
 	ix.rows += n - filtered

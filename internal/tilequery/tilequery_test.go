@@ -325,6 +325,28 @@ func TestRowsValidate(t *testing.T) {
 	if _, err := NewIndex(Config{}).AddRows(bad2); err == nil {
 		t.Fatal("ragged optional column accepted")
 	}
+	// Download and Upload may be missing, nil or empty, but a present
+	// value column must hold one value per user id.
+	rows := synthRows(10, "A")
+	for _, r := range []*Rows{
+		{UserID: rows.UserID, City: rows.City},
+		{UserID: rows.UserID, City: rows.City, Download: rows.Download[:0], Upload: rows.Upload, Latency: rows.Latency[:0]},
+		{UserID: rows.UserID, Download: rows.Download},
+	} {
+		if _, err := NewIndex(Config{}).AddRows(r); err != nil {
+			t.Fatalf("rows with %d downloads, %d uploads rejected: %v", len(r.Download), len(r.Upload), err)
+		}
+	}
+	for _, r := range []*Rows{
+		{UserID: rows.UserID, Download: rows.Download[:9]},
+		{UserID: rows.UserID, Download: append(rows.Download[:10:10], 1)},
+		{UserID: rows.UserID, Upload: rows.Upload[:1]},
+		{UserID: rows.UserID[:0], Download: rows.Download},
+	} {
+		if _, err := NewIndex(Config{}).AddRows(r); err == nil {
+			t.Fatalf("%d user ids with %d downloads, %d uploads accepted", len(r.UserID), len(r.Download), len(r.Upload))
+		}
+	}
 }
 
 func TestAppendTilesJSONMetric(t *testing.T) {
